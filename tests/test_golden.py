@@ -1,0 +1,142 @@
+"""Golden digests: every file the CLI writes, pinned byte for byte.
+
+Each run below writes its outputs into a fresh directory and the SHA-256 of
+every file must match the literal recorded here. A refactor that keeps the
+outputs byte-identical leaves this test green; a change to a file format
+made on purpose updates the literals by hand, in the same change.
+"""
+
+import hashlib
+
+import pytest
+
+from noaga.cli import main
+
+ORACLE_GRAPH = (
+    "node_a\tnode_b\tcalls\ttexts\n"
+    "1\t2\t3\t0\n1\t3\t2\t1\n2\t3\t0\t4\n3\t4\t1\t0\n"
+    "4\t5\t2\t2\n4\t6\t0\t3\n5\t6\t4\t1\n6\t7\t1\t0\n7\t8\t3\t3\n"
+)
+
+GA_FLAGS = ["--population-size", "30", "--iterations", "300", "--checkpoint-every", "100"]
+STREAM_FLAGS = ["--population-size", "20", "--iterations", "4000", "--checkpoint-every", "500"]
+OUTPUTS = (("part.json", "-o"), ("part.dot", "--dot"),
+           ("ck.jsonl", "--checkpoint-log"), ("noa.jsonl", "--noa-log"))
+
+GOLDEN = {
+    "cluster-emails-edge-removal": {
+        "ck.jsonl": "288eac24dc25d55100834a708731ee993d14721255ca23157e07f98d34cb2c22",
+        "noa.jsonl": "8dc9291e8e0d1eb6c8df24f2c6b151fb0b5957d33659d57ad7d21c51042868ad",
+        "part.dot": "781d36729b71e7542c905956428dda9b34b6ad7d0c49398e0517b6b559324bc0",
+        "part.json": "abdf6897500934985c38960b654ddfe113cf6f689bc334225d1b18c3e2eead73",
+    },
+    "cluster-emails-separator": {
+        "ck.jsonl": "1dc6d83892a08c5fa3e16777b256820472aa116687e518fd7a56c487302d2d4e",
+        "noa.jsonl": "0d11c2078fc130f6ecbce283d94ae10947f12fb25820e4a250251fa6000a3ebc",
+        "part.dot": "4fa1b2cc6535e7c675b6a7bbe6cbaeee335d5f2368b1fd316835f3997021aaf3",
+        "part.json": "65554c0dfe2b26025aeae740227f6a565d25c80f0cb258a992748eda8ebd2ddb",
+    },
+    "cluster-posts-edge-removal": {
+        "ck.jsonl": "76dea421d3ecce70a60a1dbc6b448e53624fd713d5b96b27dd0528a91e3d40a7",
+        "noa.jsonl": "7d04815b0be95c5d528862041f45972336193038ae246afbd7026f6560b19fc4",
+        "part.dot": "088c550c8c1317f4a6a8984ef850c58e0d49fbda7428593087c7ea125f0675a9",
+        "part.json": "1ea557f2443fcf70a6b6ae696a19fdbcc32f9c650cf6ab2c0ec1632631613907",
+    },
+    "cluster-posts-separator": {
+        "ck.jsonl": "94d40b3128b0936972f7d18458f652ea523d714e75cc7c8044d2490d81a34a27",
+        "noa.jsonl": "08805386b878458cbb2228f764840c63b65b2fa5e95623b3885fd19d1a55783d",
+        "part.dot": "3de31e7fd0bd88ee4159d18c378f9b5c78a34d24a908708d00e10c946c9eee77",
+        "part.json": "e49835091a4d37b3e616748f2036cf2e321184adb3f2f070c54510bf4367fdf8",
+    },
+    "cluster-comments-edge-removal": {
+        "ck.jsonl": "b7eee1d8922f7076691fb8cde4c9ca000c383b91e7ce14d041ae305b1c31d17b",
+        "noa.jsonl": "56568effbcd19127ba86b3c1f9cd0b038e6ab2ae24f8a32f851f58a1f82d5e9d",
+        "part.dot": "ada4d4b53e4f195a971d652d78cbb9847dc55e93a91a94be58e3ccf313e81bf8",
+        "part.json": "d444f081b614a86953f04e1a943ea783b028fe2f9e671a0057ef17d1d3ee11f6",
+    },
+    "cluster-comments-separator": {
+        "ck.jsonl": "db54556dcc4f6ee4920a6431da0baa5f51ed85dac6356d8dd0a348066f1782ee",
+        "noa.jsonl": "5e9944e731aa5406dcb856ad6fbc992a2f32c76d5ddad5bb0bc033e09f68b9f8",
+        "part.dot": "5ad296df1988d8eeffcb6d7a272ee58fbeee51bf615119affd587a9038630e71",
+        "part.json": "59bfc1305bbe51351091bd5b262587b85408474fef58570c68b310c0226e3b0d",
+    },
+    "cluster-all-sum": {
+        "ck.jsonl": "3abe882d57488435557d758c6ed58f3a905e63d99488bcca2a0ac052debb7a19",
+        "noa.jsonl": "1e18b066d865ef4a2f9251ff5ac2ba44e76654117bce8c3ba7430524e095644a",
+        "part.dot": "e2f0bb387d12cbc28e5c2c8513e272bc7361969193960effa63f18bb851cb8d0",
+        "part.json": "c3b37bf3ec416d419fe24c6435d28cdce7f3810ae39c24f8fdb6ae84f44b7e43",
+    },
+    "cluster-emails+posts-max": {
+        "ck.jsonl": "7f67738e546a500f23de096c59c4f3adb81b39a33e840fdd5b5ccc9023dad02d",
+        "noa.jsonl": "62cb873ba859a6437e37e3762bd034467b1ecd49ac55aef4abeb825eb8a3a3d9",
+        "part.dot": "5c12c812522e549801b51f84697a10a1a576258e09be22fdee86165b5084a638",
+        "part.json": "8ff3d1d111f7de00df8d49b85977469dd1f2438475e386aa83fb109bbbf71613",
+    },
+    "stream-edge-removal": {
+        "ck.jsonl": "91e923a52aa7bdd267ba0b05dc47f8f62352a913985c010a0a60abf2f111d212",
+        "noa.jsonl": "bdeb66d7e8e907bdb9a0cdc3711b6687188fa67145b6db0dfe1022c10681d8e5",
+        "part.dot": "ded72cdef54643b7274a49b6a784d5182f9d42ec3382f9ee5cca8a647ca581c3",
+        "part.json": "1d5eca974de60664d900b7f781d41bd947d942c3b0388ba0b60ac72a4efc96e0",
+    },
+    "stream-separator": {
+        "ck.jsonl": "1918bdeccb827b2f61a38485733454cc1f6bf046e5234e5b604874a1859a09ad",
+        "noa.jsonl": "4b779489f2d445530b5e0d317ce0a6e252535ef2d97090b87a062ddcf3f48ba4",
+        "part.dot": "ded72cdef54643b7274a49b6a784d5182f9d42ec3382f9ee5cca8a647ca581c3",
+        "part.json": "f33d122ff078e5b50ec0bd21bdf0cdd733b132eacbd32f47813aecff41d712a6",
+    },
+    "oracle-max": {
+        "part.json": "e053e876e069de9aa8d8c89be0334176fb8b80b4c0be054bca68060287c56127",
+    },
+}
+
+
+def _run(tmp_path, argv):
+    """Run one CLI command writing every output it has; returns name -> digest."""
+    tmp_path.mkdir()
+    argv = list(argv)
+    if argv[0] == "oracle":
+        argv += ["-o", str(tmp_path / "part.json")]
+    else:
+        for name, flag in OUTPUTS:
+            argv += [flag, str(tmp_path / name)]
+    assert main(argv) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+    }
+
+
+def _runs(inputs):
+    table1, events, graph = inputs
+    for attr in ("emails", "posts", "comments"):
+        for scheme, seed in (("edge-removal", "3"), ("separator", "5")):
+            yield f"cluster-{attr}-{scheme}", [
+                "cluster", "-i", table1, "--attr", attr, "--scheme", scheme,
+                "--seed", seed, *GA_FLAGS,
+            ]
+    yield "cluster-all-sum", ["cluster", "-i", table1, "--seed", "2", *GA_FLAGS]
+    yield "cluster-emails+posts-max", [
+        "cluster", "-i", table1, "--attr", "emails", "--attr", "posts", "--agg", "max",
+        "--seed", "2", *GA_FLAGS,
+    ]
+    for scheme in ("edge-removal", "separator"):
+        yield f"stream-{scheme}", [
+            "stream", "-i", table1, "--events", events, "--attr", "emails",
+            "--scheme", scheme, "--seed", "3", *STREAM_FLAGS,
+        ]
+    yield "oracle-max", ["oracle", "-i", graph, "--agg", "max"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-inputs")
+    table1, events, graph = (str(root / n) for n in ("table1.tsv", "events.jsonl", "g.tsv"))
+    assert main(["gen", "--preset", "table1", "-o", table1]) == 0
+    assert main(["gen", "--preset", "table2-events", "-o", events]) == 0
+    (root / "g.tsv").write_text(ORACLE_GRAPH)
+    return table1, events, graph
+
+
+def test_cli_outputs_match_golden_digests(inputs, tmp_path):
+    got = {name: _run(tmp_path / name, argv) for name, argv in _runs(inputs)}
+    assert got == GOLDEN
