@@ -26,7 +26,6 @@ from .analysis import (
     NoARecord,
     OverlayCell,
     OverlayReport,
-    append_noa_history,
     find_noa,
     linkage_nodes,
     merge_signals,

@@ -84,19 +84,32 @@ class MergeSignal:
     window: tuple[int, int]
 
 
-def find_noa(cluster: Iterable[int], view: AttributeView) -> int:
-    """Most intra-active member; ties fall to intra weight, then smallest id."""
-    members = tuple(sorted(cluster))
+def cluster_stats(cluster: Iterable[int], view: AttributeView) -> tuple[int, int, int]:
+    """(intra edge count, intra weight, NoA) of a cluster, in one pass.
+
+    The NoA is the most intra-active member; ties fall to intra weight, then
+    smallest id. Members must be active in the view (UnknownNode otherwise).
+    """
+    members = sorted(cluster)
     if not members:
-        raise EmptyCluster("NoA of an empty cluster")
+        raise EmptyCluster("statistics of an empty cluster")
     inside = set(members)
+    ties = 0
+    weight = 0
     best = members[0]
     best_key = (-1, -1)
     for node in members:  # ascending ids, strict > keeps the smallest on ties
         key = view.weighted_degree(node, inside)
+        ties += key[0]
+        weight += key[1]
         if key > best_key:
             best, best_key = node, key
-    return best
+    return ties // 2, weight // 2, best  # each intra edge counted from both ends
+
+
+def find_noa(cluster: Iterable[int], view: AttributeView) -> int:
+    """Most intra-active member; ties fall to intra weight, then smallest id."""
+    return cluster_stats(cluster, view)[2]
 
 
 def noa_records(partition: Partition, view: AttributeView, tick: int) -> tuple[NoARecord, ...]:
@@ -107,32 +120,18 @@ def noa_records(partition: Partition, view: AttributeView, tick: int) -> tuple[N
         )
     out = []
     for cluster in partition.clusters:
-        inside = set(cluster)
-        ties = 0
-        weight = 0
-        for node in cluster:
-            for other, w in view.neighbors(node):
-                if other in inside:
-                    ties += 1
-                    weight += w
+        edges, weight, noa = cluster_stats(cluster, view)
         out.append(
             NoARecord(
                 tick=tick,
                 attrs=view.attrs,
                 members=tuple(cluster),
-                noa=find_noa(cluster, view),
-                edge_count=ties // 2,  # each intra edge counted from both ends
-                total_weight=weight // 2,
+                noa=noa,
+                edge_count=edges,
+                total_weight=weight,
             )
         )
     return tuple(out)
-
-
-def append_noa_history(
-    history: Sequence[NoARecord], partition: Partition, view: AttributeView, tick: int
-) -> list[NoARecord]:
-    """Pure append: returns a new list, the input is untouched."""
-    return list(history) + list(noa_records(partition, view, tick))
 
 
 def linkage_nodes(partition: Partition, view: AttributeView) -> LinkageReport:

@@ -92,8 +92,6 @@ def _config(args: argparse.Namespace) -> GAConfig:
         seed=args.seed,
         p_init=args.p_init,
         k_max=args.k_max,
-        attrs=tuple(args.attr) if args.attr else None,
-        aggregation=args.agg,
         fitness_params=FitnessParams(args.lambda_cut, args.mu_small, args.sigma_small),
     )
 
@@ -104,7 +102,7 @@ def _run_meta(args: argparse.Namespace, config: GAConfig, view: AttributeView) -
         "seed": config.seed,
         "input_sha256": io.sha256_of(args.input),
         "attrs": list(view.attrs),
-        "aggregation": config.aggregation,
+        "aggregation": view.aggregation,
         "scheme": config.scheme,
         "population_size": config.population_size,
         "max_evaluations": config.max_evaluations,
@@ -152,7 +150,7 @@ def _finish_run(args, config, result) -> int:
 def _cmd_cluster(args) -> int:
     snapshot, _ = io.parse_edge_list(args.input)
     config = _config(args)
-    view = AttributeView(snapshot, config.attrs, config.aggregation)
+    view = AttributeView(snapshot, args.attr, args.agg)
     result = run(view, config)
     return _finish_run(args, config, result)
 
@@ -161,7 +159,7 @@ def _cmd_stream(args) -> int:
     snapshot, _ = io.parse_edge_list(args.input)
     events = io.parse_event_stream(args.events)
     config = _config(args)
-    view = AttributeView(snapshot, config.attrs, config.aggregation)
+    view = AttributeView(snapshot, args.attr, args.agg)
     result = run(view, config, events)
     return _finish_run(args, config, result)
 
@@ -169,15 +167,14 @@ def _cmd_stream(args) -> int:
 def _cmd_oracle(args) -> int:
     snapshot, _ = io.parse_edge_list(args.input)
     params = FitnessParams(args.lambda_cut, args.mu_small, args.sigma_small)
-    attrs = tuple(args.attr) if args.attr else None
-    view = AttributeView(snapshot, attrs, args.agg)
+    view = AttributeView(snapshot, args.attr, args.agg)
     partition, value = optimal_partition(view, params, n_max=args.n_max)
     noas = [find_noa(c, view) for c in partition.clusters]
     meta = {
         "tool": io.TOOL,
         "input_sha256": io.sha256_of(args.input),
         "attrs": list(view.attrs),
-        "aggregation": args.agg,
+        "aggregation": view.aggregation,
         "n_max": args.n_max,
         "lambda_cut": params.lambda_cut,
         "mu_small": params.mu_small,
@@ -231,11 +228,13 @@ def _cmd_overlay(args) -> int:
 
 
 def _cmd_noa_log(args) -> int:
+    if args.tail is not None and args.tail < 0:
+        raise ConfigInvalid(f"--tail must be >= 0, got {args.tail}")
     _, records = io.read_noa_log(args.input)
     if args.member is not None:
         records = [r for r in records if args.member in r.members]
     if args.tail is not None:
-        records = records[-args.tail:]
+        records = records[-args.tail:] if args.tail else []
     for r in records:
         members = ",".join(str(m) for m in r.members)
         print(

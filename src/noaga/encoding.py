@@ -7,17 +7,20 @@ group count k and k-1 cut positions over the id-ascending node order, giving
 contiguous runs; it is cheap but can only express interval partitions.
 
 Repair turns arbitrary gene material into canonical form and is idempotent.
-Decode insists on repaired input and raises UnrepairedChromosome otherwise.
+Decoding insists on repaired input and raises UnrepairedChromosome otherwise.
+It yields one cluster label per active node, which the GA scores directly;
+`decode` wraps them in a Partition where one is needed.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import ConfigInvalid, UnrepairedChromosome
-from .graph import AttributeView, Pair, Partition, connected_components, edge_key
+from .graph import AttributeView, Pair, Partition, component_labels, part_labels
 
 EDGE_REMOVAL = "edge-removal"
 SEPARATOR = "separator"
@@ -67,16 +70,17 @@ def repair_edge_removal(
     return EdgeRemovalChromosome(tuple(out))
 
 
-def decode_edge_removal(chrom: EdgeRemovalChromosome, view: AttributeView) -> Partition:
-    """Connected components of the view after removing the listed edges."""
-    seen: set[Pair] = set()
+def decode_edge_removal(chrom: EdgeRemovalChromosome, view: AttributeView) -> list[int]:
+    """Component labels of the view after removing the listed edges."""
+    keep = [True] * len(view.pairs)
     for pair in chrom.removed:
-        if pair not in view.pair_index:
+        idx = view.pair_index.get(pair)
+        if idx is None:
             raise UnrepairedChromosome(f"edge {pair} is not active in this view")
-        if pair in seen:
+        if not keep[idx]:
             raise UnrepairedChromosome(f"duplicate edge {pair}")
-        seen.add(pair)
-    return connected_components(view, chrom.removed)
+        keep[idx] = False
+    return component_labels(view, keep)
 
 
 def repair_separator(chrom: SeparatorChromosome, node_count: int) -> SeparatorChromosome:
@@ -88,13 +92,9 @@ def repair_separator(chrom: SeparatorChromosome, node_count: int) -> SeparatorCh
     return SeparatorChromosome(len(seps) + 1, tuple(seps))
 
 
-def decode_separator(chrom: SeparatorChromosome, view: AttributeView) -> Partition:
-    """Cut the id-ascending active node order at the separators."""
+def decode_separator(chrom: SeparatorChromosome, view: AttributeView) -> list[int]:
+    """Interval labels: cut the id-ascending active node order at the separators."""
     n = view.node_count
-    if n == 0:
-        if chrom.k != 1 or chrom.separators:
-            raise UnrepairedChromosome("nonempty chromosome for empty view")
-        return Partition((), view.attrs, view.version)
     seps = chrom.separators
     if chrom.k != len(seps) + 1:
         raise UnrepairedChromosome(f"k={chrom.k} does not match {len(seps)} separators")
@@ -103,9 +103,7 @@ def decode_separator(chrom: SeparatorChromosome, view: AttributeView) -> Partiti
         if not (1 <= s <= n - 1) or s <= prev:
             raise UnrepairedChromosome(f"separators {seps} not strictly increasing in [1, {n - 1}]")
         prev = s
-    bounds = (0,) + seps + (n,)
-    clusters = tuple(view.nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    return Partition(clusters, view.attrs, view.version)
+    return [bisect_right(seps, i) for i in range(n)]
 
 
 def random_edge_removal(
@@ -150,9 +148,17 @@ def repair(chrom: Chromosome, view: AttributeView) -> Chromosome:
     raise ConfigInvalid(f"not a chromosome: {chrom!r}")
 
 
-def decode(chrom: Chromosome, view: AttributeView) -> Partition:
+def decode_labels(chrom: Chromosome, view: AttributeView) -> tuple[list[int], list[int]]:
+    """Cluster labels and part labels (the connected parts of the clusters).
+    Edge-removal clusters are components, so they are their own parts."""
     if isinstance(chrom, EdgeRemovalChromosome):
-        return decode_edge_removal(chrom, view)
+        labels = decode_edge_removal(chrom, view)
+        return labels, labels
     if isinstance(chrom, SeparatorChromosome):
-        return decode_separator(chrom, view)
+        labels = decode_separator(chrom, view)
+        return labels, part_labels(view, labels)
     raise ConfigInvalid(f"not a chromosome: {chrom!r}")
+
+
+def decode(chrom: Chromosome, view: AttributeView) -> Partition:
+    return Partition.from_labels(view, decode_labels(chrom, view)[0])

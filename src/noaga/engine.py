@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import encoding
-from .analysis import NoARecord, append_noa_history
+from . import analysis, encoding
 from .encoding import (
     EDGE_REMOVAL,
     SCHEMES,
@@ -25,7 +24,7 @@ from .encoding import (
     SeparatorChromosome,
 )
 from .errors import ConfigInvalid, EventError, Exhausted, NoagaError
-from .fitness import FitnessParams, FitnessValue, fitness
+from .fitness import FitnessParams, FitnessValue, score
 from .graph import (
     AppliedEvent,
     AttributeView,
@@ -36,12 +35,8 @@ from .graph import (
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Run parameters.
-
-    attrs/aggregation describe how callers (the CLI) build the initial view;
-    the engine itself follows the projection of the view it is handed, and
-    rejects a config whose explicit attrs disagree with it.
-    """
+    """Run parameters. The projection (attributes and aggregation) is the
+    one of the view the run is handed."""
 
     population_size: int = 100
     max_evaluations: int = 10_000
@@ -52,8 +47,6 @@ class GAConfig:
     seed: int = 0
     p_init: float = 0.1
     k_max: int = 32
-    attrs: tuple[str, ...] | None = None
-    aggregation: str = "sum"
     fitness_params: FitnessParams = field(default_factory=FitnessParams)
 
     def __post_init__(self):
@@ -74,10 +67,6 @@ class GAConfig:
             raise ConfigInvalid(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         if self.k_max < 1:
             raise ConfigInvalid(f"k_max must be >= 1, got {self.k_max}")
-        if self.aggregation not in ("sum", "max"):
-            raise ConfigInvalid(f"aggregation must be sum or max, got {self.aggregation!r}")
-        if self.attrs is not None:
-            object.__setattr__(self, "attrs", tuple(self.attrs))
 
 
 @dataclass
@@ -117,10 +106,11 @@ class GAState:
 
 
 def _evaluate(state: GAState, chromosome: Chromosome) -> Individual:
-    """Repair against the live view, decode, score. Costs one evaluation."""
+    """Repair against the live view, decode to labels, score. Costs one
+    evaluation."""
     chrom = encoding.repair(chromosome, state.view)
-    part = encoding.decode(chrom, state.view)
-    value = fitness(part, state.view, state.config.fitness_params)
+    labels, parts = encoding.decode_labels(chrom, state.view)
+    value = score(labels, parts, state.view, state.config.fitness_params)
     state.evaluations += 1
     return Individual(chrom, value, state.view.version)
 
@@ -129,10 +119,6 @@ def init_population(view: AttributeView, config: GAConfig) -> GAState:
     """Seeded random population, every member evaluated once."""
     if view.node_count == 0:
         raise ConfigInvalid("cannot run on an empty view")
-    if config.attrs is not None and tuple(config.attrs) != view.attrs:
-        raise ConfigInvalid(
-            f"config selects attrs {config.attrs}, view carries {view.attrs}"
-        )
     state = GAState(view, config, random.Random(config.seed), [])
     for _ in range(config.population_size):
         chrom = encoding.random_chromosome(
@@ -330,8 +316,7 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
         except (NoagaError, ValueError) as exc:
             raise EventError(ev.tick, str(exc)) from exc
         state.applied.append(applied)
-    # keep the original projection: the run stays on the attrs/aggregation of
-    # the view it started from, whatever the config carries
+    # the run stays on the attrs/aggregation of the view it started from
     state.view = AttributeView(snapshot, state.view.attrs, state.view.aggregation)
     for i, ind in enumerate(state.population):
         state.population[i] = _evaluate(state, ind.chromosome)
@@ -352,7 +337,7 @@ class RunResult:
     partition: Partition
     value: FitnessValue
     checkpoints: list[Checkpoint]
-    noa_history: list[NoARecord]
+    noa_history: list[analysis.NoARecord]
     state: GAState
     unapplied_ticks: tuple[int, ...] = ()
 
@@ -387,7 +372,7 @@ def run(
             raise EventError(nxt.tick, f"ticks must be non-decreasing (after {prev.tick})")
     state = init_population(view, config)
     checkpoints: list[Checkpoint] = []
-    history: list[NoARecord] = []
+    history: list[analysis.NoARecord] = []
     queue = list(events)
     qi = 0
     last_checkpoint = -1
@@ -402,19 +387,19 @@ def run(
             apply_events(state, due)
             qi += len(due)
             part, _ = snapshot_best(state)
-            history = append_noa_history(history, part, state.view, state.view.base.tick)
+            history.extend(analysis.noa_records(part, state.view, state.view.base.tick))
         if state.evaluations + 2 > config.max_evaluations:
             break
         step(state)
         if state.iteration % config.checkpoint_every == 0:
             part, _ = snapshot_best(state)
             checkpoints.append(_make_checkpoint(state, part))
-            history = append_noa_history(history, part, state.view, state.iteration)
+            history.extend(analysis.noa_records(part, state.view, state.iteration))
             last_checkpoint = state.iteration
     if state.iteration != last_checkpoint:
         part, _ = snapshot_best(state)
         checkpoints.append(_make_checkpoint(state, part))
-        history = append_noa_history(history, part, state.view, state.iteration)
+        history.extend(analysis.noa_records(part, state.view, state.iteration))
     partition, value = snapshot_best(state)
     unapplied = tuple(ev.tick for ev in queue[qi:])
     return RunResult(partition, value, checkpoints, history, state, unapplied)

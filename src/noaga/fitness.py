@@ -10,22 +10,20 @@ share of aggregated edge weight crossing clusters, which is where weights
 (not just tie counts) enter. small_share penalizes fragments: it counts
 connected parts below sigma_small nodes, so a stray node is penalized the
 same whether it sits alone or is glued onto an unrelated cluster.
+
+`score` works on the per-node labels the GA decodes to; `fitness` is the
+reference scorer of a Partition and reaches the same numbers through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import (
-    ConfigInvalid,
-    EmptyCluster,
-    EmptyPartition,
-    StaleSnapshot,
-    UnknownNode,
-)
-from .graph import AttributeView, Partition
+from .analysis import cluster_stats
+from .errors import ConfigInvalid, EmptyPartition, StaleSnapshot, UnknownNode
+from .graph import AttributeView, Partition, part_labels
 
 
 @dataclass(frozen=True)
@@ -60,18 +58,8 @@ class FitnessValue:
 def closeness(cluster: Iterable[int], view: AttributeView) -> float:
     """Intra-cluster tie density in [0, 1]; singletons score 0."""
     members = tuple(cluster)
-    if not members:
-        raise EmptyCluster("closeness of an empty cluster")
-    inside = set(members)
-    size = len(members)
-    ties = 0
-    for node in members:
-        for other, _ in view.neighbors(node):  # raises UnknownNode for foreigners
-            if other in inside:
-                ties += 1
-    if size == 1:
-        return 0.0
-    return ties / (size * (size - 1))  # ties double-counted, so this is 2T/(s(s-1))
+    edges, size = cluster_stats(members, view)[0], len(members)
+    return 2 * edges / (size * (size - 1)) if size > 1 else 0.0
 
 
 def fitness(
@@ -95,46 +83,58 @@ def fitness(
 
     node_index = view.node_index
     n = len(view.nodes)
-    member_of = [-1] * n
-    covered = 0
+    labels = [-1] * n
     for ci, cluster in enumerate(clusters):
         for node in cluster:
             ix = node_index.get(node)
             if ix is None:
                 raise UnknownNode(f"node {node} is not active in this view")
-            member_of[ix] = ci
-            covered += 1
-    if covered != n:
-        raise ValueError(f"partition covers {covered} of {n} active nodes")
+            labels[ix] = ci
+    if -1 in labels:
+        raise ValueError(f"partition covers {n - labels.count(-1)} of {n} active nodes")
+    return score(labels, part_labels(view, labels), view, params)
 
-    k = len(clusters)
+
+def _sizes(labels: Sequence[int]) -> list[int]:
+    sizes = [0] * (max(labels) + 1)
+    for label in labels:
+        sizes[label] += 1
+    return sizes
+
+
+def score(
+    labels: Sequence[int],
+    parts: Sequence[int],
+    view: AttributeView,
+    params: FitnessParams,
+) -> FitnessValue:
+    """Score a cluster label and a part label (connected part of its cluster)
+    per active node, in view order. Clusters are numbered 0..k-1 in Partition
+    order, which fixes the order closeness is summed in."""
+    if not labels:
+        raise EmptyPartition("fitness of a partition with no clusters")
+    sizes = _sizes(labels)
+    k = len(sizes)
     ties_in = [0] * k
-    weight_in = [0] * k
-    ea, eb, weights = view.ea, view.eb, view.weights
-    intra = [False] * len(weights)
-    for i in range(len(weights)):
-        ca = member_of[ea[i]]
-        if ca == member_of[eb[i]]:
+    weight_in = 0
+    for a, b, w in zip(view.ea, view.eb, view.weights):
+        ca = labels[a]
+        if ca == labels[b]:
             ties_in[ca] += 1
-            weight_in[ca] += weights[i]
-            intra[i] = True
+            weight_in += w
 
-    if partition.connected:
-        small = sum(1 for c in clusters if len(c) < params.sigma_small)
-    else:
-        small = _small_parts(view, intra, params.sigma_small)
+    small = sum(1 for s in _sizes(parts) if s < params.sigma_small)
 
     weighted = 0.0
-    for ci, cluster in enumerate(clusters):
-        s = len(cluster)
+    for ci, s in enumerate(sizes):
         if s > 1:
             # size * density telescopes to 2T/(s-1)
             weighted += 2.0 * ties_in[ci] / (s - 1)
-    closeness_mean = weighted / covered
+    closeness_mean = weighted / len(labels)
 
     total_weight = view.total_weight
     if total_weight > 0:
-        cut_fraction = (total_weight - sum(weight_in)) / total_weight
+        cut_fraction = (total_weight - weight_in) / total_weight
     else:
         cut_fraction = 0.0
 
@@ -144,26 +144,3 @@ def fitness(
         - params.mu_small * (small / k)
     )
     return FitnessValue(total, closeness_mean, cut_fraction, small)
-
-
-def _small_parts(view: AttributeView, intra: list[bool], sigma: int) -> int:
-    """Count connected parts (components inside clusters) below sigma nodes."""
-    parent = list(range(len(view.nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, inside in enumerate(intra):
-        if inside:
-            ra, rb = find(view.ea[i]), find(view.eb[i])
-            if ra != rb:
-                parent[rb] = ra
-
-    size: dict[int, int] = {}
-    for ix in range(len(parent)):
-        r = find(ix)
-        size[r] = size.get(r, 0) + 1
-    return sum(1 for s in size.values() if s < sigma)

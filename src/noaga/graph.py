@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -32,6 +33,12 @@ def edge_key(a: int, b: int) -> Pair:
     if a == b:
         raise ValueError(f"self-loop on node {a}")
     return (a, b) if a < b else (b, a)
+
+
+def is_digits(text: str) -> bool:
+    """True for a nonempty run of ASCII digits. `str.isdigit` alone also
+    accepts characters such as '²' that `int` rejects."""
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,7 @@ class GraphSnapshot:
         """Label to node id; raises UnknownNode when it names nothing."""
         if isinstance(label, int) and not isinstance(label, bool):
             nid = label
-        elif isinstance(label, str) and label.isdigit():
+        elif isinstance(label, str) and is_digits(label):
             nid = int(label)
         elif isinstance(label, str):
             if label not in self.names:
@@ -252,7 +259,7 @@ class GraphSnapshot:
     def _apply_add_node(self, event):
         label = event.node
         names = self.names
-        if isinstance(label, str) and not label.isdigit():
+        if isinstance(label, str) and not is_digits(label):
             if label in self.names:
                 raise DuplicateNode(f"label {label!r} already exists")
             # fresh labels get the next free id, so "X" on a 15-node graph is 16
@@ -294,9 +301,11 @@ class GraphSnapshot:
         if value < 0:
             raise ValueError(f"negative weight {value} for edge {key}")
         new = old[:idx] + (value,) + old[idx + 1 :]
-        edges = {k: v for k, v in self.edges.items() if k != key}
+        edges = dict(self.edges)
         if any(new):
             edges[key] = new
+        else:
+            del edges[key]
         snap = self._successor(edges=edges, tick=event.tick)
         return snap, AppliedEvent(event, pair=key, old_weights=old, new_weights=new)
 
@@ -305,7 +314,8 @@ class GraphSnapshot:
         old = self.edges.get(key)
         if old is None:
             raise UnknownEdge(f"no edge {key}")
-        edges = {k: v for k, v in self.edges.items() if k != key}
+        edges = dict(self.edges)
+        del edges[key]
         snap = self._successor(edges=edges, tick=event.tick)
         return snap, AppliedEvent(event, pair=key, old_weights=old)
 
@@ -421,14 +431,12 @@ class Partition:
     """Disjoint clusters covering a view's active nodes.
 
     Clusters are sorted tuples ordered by smallest member, so equal
-    partitions compare equal. `connected` marks partitions produced as
-    connected components, letting fitness skip per-cluster component work.
+    partitions compare equal.
     """
 
     clusters: tuple[tuple[int, ...], ...]
     attrs: tuple[str, ...]
     source_version: int
-    connected: bool = False
 
     def __post_init__(self):
         normalized = tuple(sorted(tuple(sorted(c)) for c in self.clusters))
@@ -443,6 +451,15 @@ class Partition:
             total += len(cluster)
         if len(seen) != total:
             raise ValueError("clusters are not disjoint")
+
+    @classmethod
+    def from_labels(cls, view: AttributeView, labels: Sequence[int]) -> "Partition":
+        """Partition of the view's active nodes from one cluster label per
+        node, in view order, labels numbered 0..k-1."""
+        clusters: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+        for node, label in zip(view.nodes, labels):
+            clusters[label].append(node)
+        return cls(tuple(map(tuple, clusters)), view.attrs, view.version)
 
     @property
     def node_count(self) -> int:
@@ -471,42 +488,50 @@ class Partition:
         raise UnknownNode(f"node {node} is in no cluster")
 
 
+def component_labels(view: AttributeView, keep: Sequence[bool]) -> list[int]:
+    """Component label of each active node, in view order, over the edges
+    with `keep[i]` set. Components are numbered 0, 1, ... by smallest node,
+    which is the cluster order of the matching Partition."""
+    # union-find with path halving where the smaller root wins: every link
+    # points to a smaller index, so relabelling in place in index order
+    # always finds a node's parent already labelled
+    parent = list(range(len(view.nodes)))
+    for a, b in compress(zip(view.ea, view.eb), keep):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    count = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            parent[x] = count
+            count += 1
+        else:
+            parent[x] = parent[p]
+    return parent
+
+
+def part_labels(view: AttributeView, labels: Sequence[int]) -> list[int]:
+    """Labels of the connected parts of each cluster: components over the
+    edges whose endpoints share a cluster label."""
+    return component_labels(view, [labels[a] == labels[b] for a, b in zip(view.ea, view.eb)])
+
+
 def connected_components(view: AttributeView, removed: Iterable[Pair] = ()) -> Partition:
     """Partition of the view's active nodes after deleting `removed` edges.
 
     Every entry of `removed` must be active in the view (ForeignEdge
     otherwise); isolated actives come out as singleton clusters.
     """
-    skip = [False] * len(view.pairs)
+    keep = [True] * len(view.pairs)
     for p in removed:
         key = edge_key(*p)
         idx = view.pair_index.get(key)
         if idx is None:
             raise ForeignEdge(f"edge {key} is not active in this view")
-        skip[idx] = True
-
-    parent = list(range(len(view.nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, (a, b) in enumerate(zip(view.ea, view.eb)):
-        if skip[i]:
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    groups: dict[int, list[int]] = {}
-    for i, node in enumerate(view.nodes):
-        groups.setdefault(find(i), []).append(node)
-    clusters = tuple(tuple(g) for g in groups.values())
-    return Partition(
-        clusters=clusters,
-        attrs=view.attrs,
-        source_version=view.version,
-        connected=True,
-    )
+        keep[idx] = False
+    return Partition.from_labels(view, component_labels(view, keep))

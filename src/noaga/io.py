@@ -28,6 +28,7 @@ from .graph import (
     Pair,
     Partition,
     UpdateEvent,
+    is_digits,
 )
 
 TOOL = "noaga 0.1.0"
@@ -80,7 +81,7 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
                 continue
             fields = line.split("\t")
             if schema is None and not bare:
-                if all(f.strip().isdigit() for f in fields):
+                if all(is_digits(f.strip()) for f in fields):
                     bare = True  # headerless: fall through and parse as a row
                 else:
                     if len(fields) < 3:
@@ -103,7 +104,7 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
             values = []
             for f in fields:
                 f = f.strip()
-                if not f.isdigit():
+                if not (f.isdigit() and f.isascii()):  # is_digits, inlined in this hot loop
                     raise ParseError(lineno, f"not a non-negative integer: {f!r}")
                 values.append(int(f))
             a, b = values[0], values[1]
@@ -299,6 +300,8 @@ def read_partition_json(path: str) -> tuple[dict, Partition]:
         raise ParseError(exc.lineno, f"bad JSON: {exc.msg}") from exc
     try:
         clusters = tuple(tuple(c["members"]) for c in obj["clusters"])
+        if not all(type(m) is int for c in clusters for m in c):
+            raise ValueError("cluster members must be integers")
         partition = Partition(
             clusters=clusters,
             attrs=tuple(obj.get("attrs", ())),
@@ -368,6 +371,8 @@ def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(lineno, f"bad JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(lineno, "record must be a JSON object")
             if "header" in obj:
                 meta = obj["header"]
                 continue

@@ -13,7 +13,6 @@ from noaga import (
     Partition,
     StaleSnapshot,
     UpdateEvent,
-    append_noa_history,
     find_noa,
     linkage_nodes,
     merge_signals,
@@ -52,15 +51,6 @@ def test_noa_records_version_check(emails):
     part = Partition(EMAILS_TARGET, ("emails",), 9)
     with pytest.raises(StaleSnapshot):
         noa_records(part, emails, tick=0)
-
-
-def test_append_noa_history_is_pure(emails):
-    part = Partition(EMAILS_TARGET, ("emails",), 0)
-    history = [noa_records(part, emails, 0)[0]]
-    out = append_noa_history(history, part, emails, tick=1)
-    assert len(history) == 1
-    assert len(out) == 4
-    assert out[0] is history[0]
 
 
 def test_linkage_nodes_frozen(emails):

@@ -188,6 +188,37 @@ def test_noa_log_command(tmp_path, capsys):
     assert "tick        9" in capsys.readouterr().out
 
 
+def test_noa_log_tail_bounds(tmp_path, capsys):
+    from noaga.analysis import NoARecord
+
+    path = str(tmp_path / "noa.jsonl")
+    io.write_noa_log([NoARecord(0, ("w1",), (1, 2), 1, 1, 4)], {}, path)
+    assert main(["noa-log", "-i", path, "--tail", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["noa-log", "-i", path, "--tail", "5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1
+    assert main(["noa-log", "-i", path, "--tail", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("noaga: error: --tail")
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("g.tsv", "node_a\tnode_b\tw1\n1\t2\t\u00b2\n",
+         ["cluster", "-i", "{bad}", "--seed", "1", "-o", "{out}"]),
+        ("g.tsv", "1\t\u00b2\n", ["oracle", "-i", "{bad}"]),
+        ("noa.jsonl", '{"header": {}}\n5\n', ["noa-log", "-i", "{bad}"]),
+        ("p.json", '{"clusters": [{"members": ["a"]}]}', ["overlay", "-a", "{bad}", "-b", "{bad}"]),
+    ],
+)
+def test_malformed_input_is_a_data_error(tmp_path, capsys, name, text, argv):
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    argv = [a.format(bad=bad, out=tmp_path / "out.json") for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("noaga: error: ")
+
+
 def test_usage_errors_exit_1(tmp_path, table1):
     out = str(tmp_path / "x.json")
     assert main([]) == 1

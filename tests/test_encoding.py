@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from noaga import (
     EDGE_REMOVAL,
     SEPARATOR,
+    AttributeSchema,
+    AttributeView,
     EdgeRemovalChromosome,
+    GraphSnapshot,
+    Partition,
     SeparatorChromosome,
     UnrepairedChromosome,
     decode,
@@ -39,9 +43,8 @@ def test_repair_edge_removal_dedupes_keeping_first(emails):
 
 def test_decode_edge_removal_targets(emails):
     chrom = EdgeRemovalChromosome(((4, 7), (5, 6), (8, 14), (6, 10)))
-    part = decode_edge_removal(chrom, emails)
+    part = Partition.from_labels(emails, decode_edge_removal(chrom, emails))
     assert part.clusters == EMAILS_TARGET
-    assert part.connected is True
 
 
 def test_decode_edge_removal_rejects_unrepaired(emails):
@@ -63,9 +66,9 @@ def test_repair_separator_tiny_views():
 
 
 def test_decode_separator_slices_node_order(emails):
-    part = decode_separator(SeparatorChromosome(3, (5, 9)), emails)
-    assert part.clusters == EMAILS_TARGET
-    whole = decode_separator(SeparatorChromosome(1, ()), emails)
+    assert decode_separator(SeparatorChromosome(3, (5, 9)), emails) == [0] * 5 + [1] * 4 + [2] * 6
+    assert decode(SeparatorChromosome(3, (5, 9)), emails).clusters == EMAILS_TARGET
+    whole = decode(SeparatorChromosome(1, ()), emails)
     assert whole.clusters == (tuple(range(1, 16)),)
 
 
@@ -78,6 +81,10 @@ def test_decode_separator_rejects_unrepaired(emails):
         decode_separator(SeparatorChromosome(3, (5, 15)), emails)
     with pytest.raises(UnrepairedChromosome):
         decode_separator(SeparatorChromosome(2, (0,)), emails)
+    empty = AttributeView(GraphSnapshot.build(AttributeSchema(("w1",)), []))
+    assert decode(SeparatorChromosome(1, ()), empty).clusters == ()
+    with pytest.raises(UnrepairedChromosome):
+        decode_separator(SeparatorChromosome(2, (1,)), empty)
 
 
 def test_random_edge_removal_probabilities(emails):

@@ -1,24 +1,31 @@
 """Fitness scoring: closeness, cut fraction, small-part penalty."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noaga import (
     AttributeSchema,
     AttributeView,
     ConfigInvalid,
     Edge,
+    EdgeRemovalChromosome,
     EmptyPartition,
     FitnessParams,
     FitnessValue,
     GraphSnapshot,
     Partition,
+    SeparatorChromosome,
     StaleSnapshot,
     UnknownNode,
     closeness,
     connected_components,
+    datasets,
+    encoding,
     fitness,
 )
 from noaga.errors import EmptyCluster
+from noaga.fitness import score
 
 from conftest import (
     COMMENTS_TARGET,
@@ -141,12 +148,82 @@ def test_small_penalty_counts_parts_not_clusters():
     assert apart.total > glued.total
 
 
-def test_connected_flag_matches_part_scan(emails):
-    part = connected_components(emails, [(4, 7), (5, 6), (8, 14), (6, 10)])
-    assert part.connected
-    rebuilt = Partition(part.clusters, part.attrs, part.source_version)
-    assert not rebuilt.connected
-    assert fitness(part, emails) == fitness(rebuilt, emails)
+def _table1_views():
+    sample = datasets.sample_snapshot()
+    views = [AttributeView(sample, (attr,)) for attr in sample.schema.names]
+    return views + [AttributeView(sample), AttributeView(sample, ("emails", "posts"), "max")]
+
+
+TABLE1_VIEWS = _table1_views()
+
+
+@st.composite
+def small_views(draw):
+    """Random graphs of up to 9 nodes, some isolated, with weights 1..5."""
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [Edge(a, b, (draw(st.integers(1, 5)),)) for a, b in chosen]
+    snap = GraphSnapshot.build(AttributeSchema(("w1",)), edges, extra_nodes=range(n))
+    return AttributeView(snap)
+
+
+raw_chromosomes = st.one_of(
+    st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=30).map(
+        lambda pairs: EdgeRemovalChromosome(tuple(pairs))
+    ),
+    st.builds(
+        lambda k, seps: SeparatorChromosome(k, tuple(seps)),
+        st.integers(1, 20),
+        st.lists(st.integers(-3, 19), max_size=12),
+    ),
+)
+
+
+def _reference_clusters(chrom, view):
+    """Clusters worked out without the label code: node-order slices for a
+    separator chromosome, a graph search for edge removal."""
+    if isinstance(chrom, SeparatorChromosome):
+        bounds = (0, *chrom.separators, view.node_count)
+        return [view.nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    removed = set(chrom.removed)
+    adj = {n: [] for n in view.nodes}
+    for a, b in view.pairs:
+        if (a, b) not in removed:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen, clusters = set(), []
+    for start in view.nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, cluster = [start], []
+        while stack:
+            node = stack.pop()
+            cluster.append(node)
+            fresh = [m for m in adj[node] if m not in seen]
+            seen.update(fresh)
+            stack += fresh
+        clusters.append(cluster)
+    return clusters
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(TABLE1_VIEWS), small_views()),
+    raw_chromosomes,
+    st.builds(FitnessParams, st.sampled_from([0.0, 2.5]), st.sampled_from([0.0, 0.5]),
+              st.integers(0, 4)),
+)
+def test_label_score_matches_reference(view, raw, params):
+    # the GA scores labels; the reference path decodes a Partition and scores that
+    chrom = encoding.repair(raw, view)
+    labels, parts = encoding.decode_labels(chrom, view)
+    part = encoding.decode(chrom, view)
+    assert part == Partition(_reference_clusters(chrom, view), view.attrs, view.version)
+    # clusters are numbered by smallest member, the Partition's own order
+    assert list(dict.fromkeys(labels)) == list(range(part.cluster_count))
+    assert score(labels, parts, view, params) == fitness(part, view, params)
 
 
 def test_component_ranges(emails):

@@ -83,6 +83,10 @@ def test_resolve_labels(sample):
         sample.resolve("nobody")
     with pytest.raises(UnknownNode):
         sample.resolve(True)
+    # only ASCII digits are ids: '²' passes str.isdigit but is a name
+    with pytest.raises(UnknownNode):
+        sample.resolve("²")
+    assert sample.apply(UpdateEvent.add_node(1, "²")).resolve("²") == 16
 
 
 def test_add_node_fresh_label_gets_next_id(sample):
@@ -235,7 +239,6 @@ def test_weight_of_foreign_edge(emails):
 def test_connected_components_whole_graph(emails):
     part = connected_components(emails)
     assert part.clusters == (tuple(range(1, 16)),)
-    assert part.connected is True
     assert part.attrs == ("emails",)
     assert part.source_version == 0
 

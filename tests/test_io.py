@@ -81,6 +81,8 @@ def test_parse_skips_comments_and_blanks(tmp_path):
         ("node_a\tnode_b\tw1\n1\t2\n", 2),  # short row
         ("node_a\tnode_b\tw1\n1\t2\t-3\n", 2),  # negative weight
         ("node_a\tnode_b\tw1\n1\tx\t3\n", 2),  # non-integer id
+        ("node_a\tnode_b\tw1\n1\t2\t\u00b2\n", 2),  # non-ASCII digit
+        ("1\t\u00b2\n", 1),  # non-ASCII digit makes a bad header, not a bare row
         ("node_a\tnode_b\tw1\n4\t4\t3\n", 2),  # self-loop
         ("node_a\tnode_b\tw1\n1\t2\t0\n", 2),  # all-zero weights
         ("1\t2\n3\t4\t5\n", 2),  # bare rows must have 2 columns
@@ -161,6 +163,10 @@ def test_read_partition_json_errors(tmp_path):
         io.read_partition_json(write(tmp_path, "x.json", "not json"))
     with pytest.raises(ParseError):
         io.read_partition_json(write(tmp_path, "y.json", '{"clusters": [{"m": 1}]}'))
+    for members in ('["a", "b"]', "[1.5]", "[true]", '"12"', "3"):
+        text = '{"clusters": [{"members": %s}]}' % members
+        with pytest.raises(ParseError):
+            io.read_partition_json(write(tmp_path, "z.json", text))
 
 
 def test_checkpoint_log_format(tmp_path):
@@ -196,6 +202,14 @@ def test_noa_log_round_trip(emails, tmp_path):
     assert tuple(got) == records
     lines = (tmp_path / "noa.jsonl").read_text().splitlines()
     assert '"edges": 6' in lines[2] and '"weight": 23' in lines[2]
+
+
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"header"', "null"])
+def test_read_noa_log_rejects_non_object_lines(tmp_path, line):
+    path = write(tmp_path, "noa.jsonl", '{"header": {}}\n' + line + "\n")
+    with pytest.raises(ParseError) as info:
+        io.read_noa_log(path)
+    assert info.value.line == 2
 
 
 def test_dot_output_golden():
