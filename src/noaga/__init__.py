@@ -88,6 +88,6 @@ from .graph import (
     connected_components,
     edge_key,
 )
-from .oracle import bell_number, enumerate_partitions, optimal_partition
+from .oracle import bell_number, enumerate_labels, optimal_partition
 
 from . import datasets, errors, io  # noqa: E402  (namespace re-exports)

@@ -1,9 +1,12 @@
 """Steady-state GA over partition chromosomes, with mid-run graph updates.
 
-One evaluation = repair + decode + score of one chromosome, and the budget
-is counted in evaluations: initialization costs population_size, every step
+One evaluation = decode + score of one chromosome, and the budget is
+counted in evaluations: initialization costs population_size, every step
 costs 2, and each event batch costs population_size + 1 re-evaluations
 (whole population plus the elite, all against the new snapshot).
+
+Chromosomes are repaired only where they are made (crossover, mutation;
+random ones are canonical) or where the view changes (an event batch).
 
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
@@ -50,6 +53,10 @@ class GAConfig:
     fitness_params: FitnessParams = field(default_factory=FitnessParams)
 
     def __post_init__(self):
+        for name in ("population_size", "max_evaluations", "checkpoint_every", "k_max", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigInvalid(f"{name} must be an integer, got {v!r}")
         if self.population_size < 2:
             raise ConfigInvalid(f"population_size must be >= 2, got {self.population_size}")
         if self.max_evaluations < self.population_size:
@@ -105,10 +112,9 @@ class GAState:
     applied: list[AppliedEvent] = field(default_factory=list)
 
 
-def _evaluate(state: GAState, chromosome: Chromosome) -> Individual:
-    """Repair against the live view, decode to labels, score. Costs one
-    evaluation."""
-    chrom = encoding.repair(chromosome, state.view)
+def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
+    """Decode a repaired chromosome to labels against the live view, score.
+    Costs one evaluation."""
     labels, parts = encoding.decode_labels(chrom, state.view)
     value = score(labels, parts, state.view, state.config.fitness_params)
     state.evaluations += 1
@@ -319,8 +325,8 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
     # the run stays on the attrs/aggregation of the view it started from
     state.view = AttributeView(snapshot, state.view.attrs, state.view.aggregation)
     for i, ind in enumerate(state.population):
-        state.population[i] = _evaluate(state, ind.chromosome)
-    state.best = _evaluate(state, state.best.chromosome)
+        state.population[i] = _evaluate(state, encoding.repair(ind.chromosome, state.view))
+    state.best = _evaluate(state, encoding.repair(state.best.chromosome, state.view))
     for ind in state.population:
         if ind.value.total > state.best.value.total:
             state.best = Individual(ind.chromosome, ind.value, ind.version)
@@ -328,8 +334,7 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
 
 def snapshot_best(state: GAState) -> tuple[Partition, FitnessValue]:
     """Decode the elite against the live snapshot without touching the run."""
-    chrom = encoding.repair(state.best.chromosome, state.view)
-    return encoding.decode(chrom, state.view), state.best.value
+    return encoding.decode(state.best.chromosome, state.view), state.best.value
 
 
 @dataclass

@@ -377,18 +377,23 @@ def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
                 meta = obj["header"]
                 continue
             try:
-                records.append(
-                    NoARecord(
-                        tick=obj["tick"],
-                        attrs=tuple(obj["attrs"]),
-                        members=tuple(obj["members"]),
-                        noa=obj["noa"],
-                        edge_count=obj["edges"],
-                        total_weight=obj["weight"],
-                    )
+                tick, noa, edges, weight = (obj[k] for k in ("tick", "noa", "edges", "weight"))
+                attrs, members = obj["attrs"], obj["members"]
+            except KeyError as exc:
+                raise ParseError(lineno, f"bad record: missing {exc}") from exc
+            if not (
+                all(type(v) is int for v in (tick, noa, edges, weight))
+                and type(attrs) is list
+                and all(type(a) is str for a in attrs)
+                and type(members) is list
+                and all(type(m) is int for m in members)
+            ):
+                raise ParseError(
+                    lineno,
+                    "bad record: tick, noa, edges and weight must be integers, "
+                    "attrs a list of strings and members a list of integers",
                 )
-            except (KeyError, TypeError) as exc:
-                raise ParseError(lineno, f"bad record: {exc}") from exc
+            records.append(NoARecord(tick, tuple(attrs), tuple(members), noa, edges, weight))
     return meta, records
 
 

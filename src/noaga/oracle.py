@@ -1,18 +1,20 @@
 """Exhaustive partition search for small views.
 
-Enumerates every set partition of the node list in restricted-growth-string
-order. Bell numbers grow fast (Bell(10) = 115,975), so a hard node cap
-protects callers; anything bigger raises TooLarge. This is the ground truth
-the GA is checked against.
+Enumerates every set partition of the active nodes as a restricted-growth
+string: a cluster label per node, numbered in Partition cluster order, so
+it is scored as it is and only a candidate that can win becomes a
+Partition. Bell numbers grow fast (Bell(10) = 115,975), so a hard node cap
+protects callers; anything bigger raises TooLarge. This is the ground
+truth the GA is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .errors import TooLarge
-from .fitness import FitnessParams, FitnessValue, fitness
-from .graph import AttributeView, Partition
+from .errors import ConfigInvalid, TooLarge
+from .fitness import FitnessParams, FitnessValue, score
+from .graph import AttributeView, Partition, part_labels
 
 DEFAULT_N_MAX = 10
 
@@ -30,21 +32,12 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def enumerate_partitions(
-    nodes: Sequence[int],
-    *,
-    n_max: int = DEFAULT_N_MAX,
-    attrs: Sequence[str] = (),
-    source_version: int = 0,
-) -> Iterator[Partition]:
-    """All partitions of `nodes`, in restricted-growth-string order.
+def enumerate_labels(n: int, *, n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[int, ...]]:
+    """All set partitions of n elements as restricted-growth label tuples.
 
-    The first partition is the single cluster, the last is all singletons.
-    attrs/source_version stamp the yielded Partition objects so they can be
-    scored against a matching view.
+    The first is all zeros (one cluster), the last is 0..n-1 (all
+    singletons).
     """
-    members = tuple(nodes)
-    n = len(members)
     if n == 0:
         raise ValueError("no nodes to partition")
     if n > n_max:
@@ -54,15 +47,7 @@ def enumerate_partitions(
         )
     rgs = [0] * n
     while True:
-        k = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for member, b in zip(members, rgs):
-            blocks[b].append(member)
-        yield Partition(
-            clusters=tuple(tuple(b) for b in blocks),
-            attrs=tuple(attrs),
-            source_version=source_version,
-        )
+        yield tuple(rgs)
         # odometer: bump the rightmost digit allowed to grow, zero the rest
         for i in range(n - 1, 0, -1):
             if rgs[i] <= max(rgs[:i]):
@@ -86,20 +71,19 @@ def optimal_partition(
     """
     if params is None:
         params = FitnessParams()
+    if view.node_count == 0:
+        raise ConfigInvalid("cannot run on an empty view")
     best: Partition | None = None
     best_value: FitnessValue | None = None
-    for part in enumerate_partitions(
-        view.nodes, n_max=n_max, attrs=view.attrs, source_version=view.version
-    ):
-        value = fitness(part, view, params)
-        if best is None:
-            best, best_value = part, value
+    for labels in enumerate_labels(view.node_count, n_max=n_max):
+        value = score(labels, part_labels(view, labels), view, params)
+        if best_value is not None and value.total < best_value.total:
             continue
-        if value.total > best_value.total:
-            best, best_value = part, value
-        elif value.total == best_value.total and (
-            part.cluster_count,
-            part.clusters,
-        ) < (best.cluster_count, best.clusters):
+        part = Partition.from_labels(view, labels)
+        if (
+            best is None
+            or value.total > best_value.total
+            or (part.cluster_count, part.clusters) < (best.cluster_count, best.clusters)
+        ):
             best, best_value = part, value
     return best, best_value

@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import strategies as st
 
-from noaga import AttributeSchema, AttributeView, Edge, GraphSnapshot, datasets
+from noaga import (
+    AttributeSchema,
+    AttributeView,
+    Edge,
+    EdgeRemovalChromosome,
+    GraphSnapshot,
+    SeparatorChromosome,
+    datasets,
+)
 
 # the communities the bundled sample resolves to, per attribute
 EMAILS_TARGET = ((1, 2, 3, 4, 5), (6, 7, 8, 9), (10, 11, 12, 13, 14, 15))
@@ -44,3 +53,35 @@ def two_triangle_snapshot():
 @pytest.fixture()
 def two_triangle():
     return AttributeView(two_triangle_snapshot())
+
+
+def _table1_views():
+    sample = datasets.sample_snapshot()
+    views = [AttributeView(sample, (attr,)) for attr in sample.schema.names]
+    return views + [AttributeView(sample), AttributeView(sample, ("emails", "posts"), "max")]
+
+
+TABLE1_VIEWS = _table1_views()
+
+
+@st.composite
+def small_views(draw):
+    """Random graphs of up to 9 nodes, some isolated, with weights 1..5."""
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [Edge(a, b, (draw(st.integers(1, 5)),)) for a, b in chosen]
+    snap = GraphSnapshot.build(AttributeSchema(("w1",)), edges, extra_nodes=range(n))
+    return AttributeView(snap)
+
+
+raw_chromosomes = st.one_of(
+    st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=30).map(
+        lambda pairs: EdgeRemovalChromosome(tuple(pairs))
+    ),
+    st.builds(
+        lambda k, seps: SeparatorChromosome(k, tuple(seps)),
+        st.integers(1, 20),
+        st.lists(st.integers(-3, 19), max_size=12),
+    ),
+)

@@ -130,6 +130,23 @@ def test_oracle_small_graph_stdout(tmp_path, capsys):
     assert obj["meta"]["n_max"] == 10
 
 
+@pytest.mark.parametrize(
+    "text, attr",
+    [
+        ("node_a\tnode_b\tw1\n", []),
+        ("node_a\tnode_b\tw1\tw2\n1\t2\t3\t0\n2\t3\t1\t0\n", ["--attr", "w2"]),
+    ],
+    ids=["header-only", "zero-attr"],
+)
+def test_oracle_empty_view_is_a_config_error(tmp_path, capsys, text, attr):
+    src = tmp_path / "g.tsv"
+    src.write_text(text)
+    out = str(tmp_path / "p.json")
+    for argv in (["oracle"], ["cluster", "--seed", "1", "-o", out]):
+        assert main([*argv, "-i", str(src), *attr]) == 1
+        assert capsys.readouterr().err == "noaga: error: cannot run on an empty view\n"
+
+
 def test_assign_weights(tmp_path):
     src = tmp_path / "bare.tsv"
     src.write_text("1\t2\n2\t3\n1\t3\n")
@@ -201,6 +218,12 @@ def test_noa_log_tail_bounds(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("noaga: error: --tail")
 
 
+def _noa_log(**field):
+    """A NoA log whose one record has `field` in place of a valid value."""
+    record = {"tick": 1, "attrs": ["w1"], "members": [1, 2], "noa": 1, "edges": 1, "weight": 4}
+    return '{"header": {}}\n' + json.dumps({**record, **field}) + "\n"
+
+
 @pytest.mark.parametrize(
     "name, text, argv",
     [
@@ -209,6 +232,14 @@ def test_noa_log_tail_bounds(tmp_path, capsys):
         ("g.tsv", "1\t\u00b2\n", ["oracle", "-i", "{bad}"]),
         ("noa.jsonl", '{"header": {}}\n5\n', ["noa-log", "-i", "{bad}"]),
         ("p.json", '{"clusters": [{"members": ["a"]}]}', ["overlay", "-a", "{bad}", "-b", "{bad}"]),
+        *(
+            ("noa.jsonl", _noa_log(**field), ["noa-log", "-i", "{bad}"])
+            for field in (
+                {"tick": {}}, {"tick": True}, {"noa": "1"}, {"edges": 1.5}, {"weight": None},
+                {"attrs": "w1"}, {"attrs": [1]}, {"members": {}}, {"members": ["1"]},
+                {"members": [True]},
+            )
+        ),
     ],
 )
 def test_malformed_input_is_a_data_error(tmp_path, capsys, name, text, argv):

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noaga import (
+    EDGE_REMOVAL,
+    SCHEMES,
     AttributeSchema,
     AttributeView,
     ConfigInvalid,
@@ -17,6 +21,7 @@ from noaga import (
     GraphSnapshot,
     Individual,
     SeparatorChromosome,
+    UnrepairedChromosome,
     UpdateEvent,
     binary_tournament,
     init_population,
@@ -29,6 +34,8 @@ from noaga import (
 )
 from noaga import encoding
 from noaga.engine import GAState, apply_events
+
+from conftest import TABLE1_VIEWS, raw_chromosomes, small_views
 
 
 def triangle_view():
@@ -77,6 +84,18 @@ def test_config_validation():
         GAConfig(checkpoint_every=0)
     with pytest.raises(ConfigInvalid):
         GAConfig(k_max=0)
+    for bad in (
+        {"population_size": 2.5},
+        {"population_size": True},
+        {"max_evaluations": 100.5},
+        {"checkpoint_every": 2.0},
+        {"k_max": 1.5},
+        {"k_max": True},
+        {"seed": 1.0},
+        {"seed": False},
+    ):
+        with pytest.raises(ConfigInvalid):
+            GAConfig(**bad)
 
 
 def test_init_population_counts_and_best(emails):
@@ -371,3 +390,53 @@ def test_snapshot_best_is_stable(emails):
     assert p1 == p2
     assert v1 == v2
     assert v1.total == state.best.value.total
+
+
+def _canonical(chrom, view):
+    return encoding.repair(chrom, view) == chrom
+
+
+views = st.one_of(st.sampled_from(TABLE1_VIEWS), small_views())
+
+
+@settings(max_examples=200, deadline=None)
+@given(views, st.sampled_from(SCHEMES), st.sampled_from([0.1, 0.5, 1.0]), st.integers(0, 2**32))
+def test_operators_make_canonical_chromosomes(view, scheme, p_init, seed):
+    # the engine scores what the operators make without repairing it again
+    rng = random.Random(seed)
+    p1, p2 = (
+        encoding.random_chromosome(view, scheme, rng, p_init=p_init, k_max=8) for _ in range(2)
+    )
+    if scheme == EDGE_REMOVAL:
+        children = single_point_crossover(p1, p2, view, rng)
+    else:
+        children = swap_crossover(p1, p2, view.node_count, rng)
+    for chrom in (p1, p2, *children):
+        assert _canonical(chrom, view)
+        assert _canonical(mutate(chrom, view, 0.5, rng), view)
+
+
+@settings(max_examples=100, deadline=None)
+@given(views, st.sampled_from(SCHEMES), st.integers(0, 2**32), st.data())
+def test_apply_events_repairs_for_the_new_view(view, scheme, seed, data):
+    if not view.pairs:
+        return
+    a, b = data.draw(st.sampled_from(view.pairs))
+    config = GAConfig(population_size=6, max_evaluations=100, scheme=scheme, p_init=0.5, seed=seed)
+    state = init_population(view, config)
+    apply_events(state, [UpdateEvent.remove_edge(1, a, b)])
+    assert (a, b) not in state.view.pair_index
+    for ind in (*state.population, state.best):
+        assert _canonical(ind.chromosome, state.view)
+
+
+@settings(max_examples=200, deadline=None)
+@given(views, raw_chromosomes)
+def test_snapshot_best_rejects_an_unrepaired_elite(view, raw):
+    state = init_population(view, GAConfig(population_size=2, max_evaluations=10))
+    state.best = Individual(raw, state.best.value, state.best.version)
+    if _canonical(raw, view):
+        assert snapshot_best(state)[0] == encoding.decode(raw, view)
+    else:
+        with pytest.raises(UnrepairedChromosome):
+            snapshot_best(state)

@@ -9,7 +9,6 @@ from noaga import (
     AttributeView,
     ConfigInvalid,
     Edge,
-    EdgeRemovalChromosome,
     EmptyPartition,
     FitnessParams,
     FitnessValue,
@@ -20,7 +19,6 @@ from noaga import (
     UnknownNode,
     closeness,
     connected_components,
-    datasets,
     encoding,
     fitness,
 )
@@ -34,6 +32,9 @@ from conftest import (
     EMAILS_TOTAL,
     POSTS_TARGET,
     POSTS_TOTAL,
+    TABLE1_VIEWS,
+    raw_chromosomes,
+    small_views,
 )
 
 
@@ -146,38 +147,6 @@ def test_small_penalty_counts_parts_not_clusters():
     assert apart.small_count == 1
     # parting it off is strictly better: same penalty, better closeness
     assert apart.total > glued.total
-
-
-def _table1_views():
-    sample = datasets.sample_snapshot()
-    views = [AttributeView(sample, (attr,)) for attr in sample.schema.names]
-    return views + [AttributeView(sample), AttributeView(sample, ("emails", "posts"), "max")]
-
-
-TABLE1_VIEWS = _table1_views()
-
-
-@st.composite
-def small_views(draw):
-    """Random graphs of up to 9 nodes, some isolated, with weights 1..5."""
-    n = draw(st.integers(1, 9))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    edges = [Edge(a, b, (draw(st.integers(1, 5)),)) for a, b in chosen]
-    snap = GraphSnapshot.build(AttributeSchema(("w1",)), edges, extra_nodes=range(n))
-    return AttributeView(snap)
-
-
-raw_chromosomes = st.one_of(
-    st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=30).map(
-        lambda pairs: EdgeRemovalChromosome(tuple(pairs))
-    ),
-    st.builds(
-        lambda k, seps: SeparatorChromosome(k, tuple(seps)),
-        st.integers(1, 20),
-        st.lists(st.integers(-3, 19), max_size=12),
-    ),
-)
 
 
 def _reference_clusters(chrom, view):
