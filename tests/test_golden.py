@@ -7,6 +7,7 @@ made on purpose updates the literals by hand, in the same change.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -17,6 +18,30 @@ ORACLE_GRAPH = (
     "1\t2\t3\t0\n1\t3\t2\t1\n2\t3\t0\t4\n3\t4\t1\t0\n"
     "4\t5\t2\t2\n4\t6\t0\t3\n5\t6\t4\t1\n6\t7\t1\t0\n7\t8\t3\t3\n"
 )
+
+
+def _update(tick, a, b, attr, value):
+    return {"tick": tick, "kind": "update_weight", "a": a, "b": b, "attr": attr, "value": value}
+
+
+# weight-only batches (repeated updates to one edge, an unchanged aggregate,
+# an attribute outside the view, an edge inactive in the view) around
+# structural ones: an edge zeroed in the emails view, an added edge, an
+# edge whose every weight goes to zero
+WEIGHT_EVENTS = "".join(json.dumps(ev) + "\n" for ev in (
+    _update(200, 1, 2, "emails", 9), _update(200, 6, 7, "emails", 1),
+    _update(200, 10, 14, "emails", 2),
+    _update(400, 4, 7, "emails", 6), _update(400, 4, 7, "emails", 2),
+    _update(400, 1, 3, "posts", 7),
+    _update(600, 8, 14, "emails", 2),
+    _update(800, 6, 10, "emails", 0),
+    _update(1000, 6, 10, "comments", 30),
+    {"tick": 1200, "kind": "add_edge", "a": 3, "b": 9, "weights": [2, 2, 2]},
+    _update(1400, 3, 9, "emails", 5), _update(1400, 11, 13, "emails", 7),
+    _update(1400, 5, 6, "posts", 3),
+    _update(1600, 6, 10, "posts", 0), _update(1600, 6, 10, "comments", 0),
+    _update(1800, 1, 5, "emails", 1), _update(1800, 12, 14, "posts", 9),
+))
 
 GA_FLAGS = ["--population-size", "30", "--iterations", "300", "--checkpoint-every", "100"]
 STREAM_FLAGS = ["--population-size", "20", "--iterations", "4000", "--checkpoint-every", "500"]
@@ -84,6 +109,30 @@ GOLDEN = {
         "part.dot": "ded72cdef54643b7274a49b6a784d5182f9d42ec3382f9ee5cca8a647ca581c3",
         "part.json": "f33d122ff078e5b50ec0bd21bdf0cdd733b132eacbd32f47813aecff41d712a6",
     },
+    "stream-weights-emails-edge-removal": {
+        "ck.jsonl": "f253c3f8bb8272713494fc8886112b36659e38d910a7735655c6b5d068befe0b",
+        "noa.jsonl": "04016ea07c1bd7ee42809ed78f876e461c83d0f7e07a234372c206d162bd6b21",
+        "part.dot": "7eef7269b9f439e98ef433f2df1f818f57c2320f3fab67e3a433423d3367c98c",
+        "part.json": "7c3c2765a5a874557ae1d215d61bada655a67e7c5bf4e3e6272783d552077df6",
+    },
+    "stream-weights-emails-separator": {
+        "ck.jsonl": "ea71771735e24bbed965777522618176b0642165a9e7e7eba927a2b02426eca0",
+        "noa.jsonl": "29d6435f8fd404331b751963cc12e3c5b3044d40c5ff2f91a95fff3890678ba8",
+        "part.dot": "055acd90c51d68e2e00f4073d88f4ccd906e22b9f76b186f85097434075cde6f",
+        "part.json": "2fcc488e9df5b4a46061a746a4dd8972e928a61f03dafe6123ec600c2fe0250b",
+    },
+    "stream-weights-emails+posts-max-edge-removal": {
+        "ck.jsonl": "13a90f99d5eae0c0efd5e373b942879238f55ba873104d6205f9a5a1d81f9356",
+        "noa.jsonl": "15ae43c341a7141878031fb5ffc6d94e12e290f911e9fbd8508647b13b4aff6e",
+        "part.dot": "2daaa393636c43192ddc39a2dae3992325c57371d740351ef8c8179ba5413327",
+        "part.json": "c8a6600cd7a315c5c278b54c43948693453ab7f2c74e62e5c53c2ba994b98ba9",
+    },
+    "stream-weights-emails+posts-max-separator": {
+        "ck.jsonl": "c20bc526e3381e74320761f9f15405243999a0e1d4d24eb8421573c3ea67a4db",
+        "noa.jsonl": "8cd6d224e850bd7e788469b98ccb5dae27f20c0a63ef27e5a1e2922f73e53e92",
+        "part.dot": "2daaa393636c43192ddc39a2dae3992325c57371d740351ef8c8179ba5413327",
+        "part.json": "e8fd4019bccc320d01971f643af5c82058265b7acf914fb1218d60fcb37c76a7",
+    },
     "oracle-max": {
         "part.json": "e053e876e069de9aa8d8c89be0334176fb8b80b4c0be054bca68060287c56127",
     },
@@ -107,7 +156,7 @@ def _run(tmp_path, argv):
 
 
 def _runs(inputs):
-    table1, events, graph = inputs
+    table1, events, weights, graph = inputs
     for attr in ("emails", "posts", "comments"):
         for scheme, seed in (("edge-removal", "3"), ("separator", "5")):
             yield f"cluster-{attr}-{scheme}", [
@@ -124,17 +173,29 @@ def _runs(inputs):
             "stream", "-i", table1, "--events", events, "--attr", "emails",
             "--scheme", scheme, "--seed", "3", *STREAM_FLAGS,
         ]
+    for view, flags in (
+        ("emails", ["--attr", "emails"]),
+        ("emails+posts-max", ["--attr", "emails", "--attr", "posts", "--agg", "max"]),
+    ):
+        for scheme in ("edge-removal", "separator"):
+            yield f"stream-weights-{view}-{scheme}", [
+                "stream", "-i", table1, "--events", weights, *flags,
+                "--scheme", scheme, "--seed", "4", *STREAM_FLAGS,
+            ]
     yield "oracle-max", ["oracle", "-i", graph, "--agg", "max"]
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-inputs")
-    table1, events, graph = (str(root / n) for n in ("table1.tsv", "events.jsonl", "g.tsv"))
+    table1, events, weights, graph = (
+        str(root / n) for n in ("table1.tsv", "events.jsonl", "weights.jsonl", "g.tsv")
+    )
     assert main(["gen", "--preset", "table1", "-o", table1]) == 0
     assert main(["gen", "--preset", "table2-events", "-o", events]) == 0
+    (root / "weights.jsonl").write_text(WEIGHT_EVENTS)
     (root / "g.tsv").write_text(ORACLE_GRAPH)
-    return table1, events, graph
+    return table1, events, weights, graph
 
 
 def test_cli_outputs_match_golden_digests(inputs, tmp_path):
