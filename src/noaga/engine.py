@@ -8,6 +8,12 @@ costs 2, and each event batch costs population_size + 1 re-evaluations
 Chromosomes are repaired only where they are made (crossover, mutation;
 random ones are canonical) or where the view changes (an event batch).
 
+A weight-only batch, whose every event re-weights an edge without turning
+it active or inactive in the view, cannot change a decoded partition. Its
+re-evaluations skip repair and decode: each individual is re-scored from
+the cluster labels, cluster count and intra-cluster weight cached when it
+was scored, and each still counts as one evaluation.
+
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
 """
@@ -15,7 +21,7 @@ seed, input, and events replay bit-identical runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import analysis, encoding
@@ -26,11 +32,12 @@ from .encoding import (
     EdgeRemovalChromosome,
     SeparatorChromosome,
 )
-from .errors import ConfigInvalid, EventError, Exhausted, NoagaError
-from .fitness import FitnessParams, FitnessValue, score
+from .errors import ConfigInvalid, EventError, Exhausted, NoagaError, StaleSnapshot
+from .fitness import FitnessParams, FitnessValue, rescore, score_terms
 from .graph import (
     AppliedEvent,
     AttributeView,
+    EventKind,
     Partition,
     UpdateEvent,
 )
@@ -79,11 +86,17 @@ class GAConfig:
 @dataclass
 class Individual:
     """Chromosome with its cached score and the snapshot version it was
-    scored against. The cache is valid only at that version."""
+    scored against, plus what a weight-only batch re-scores it from: the
+    cluster label of each active node in view order, the cluster count k
+    and the intra-cluster aggregated weight. The cache is valid only at
+    that version."""
 
     chromosome: Chromosome
     value: FitnessValue
     version: int
+    labels: list[int]
+    k: int
+    weight_in: int
 
 
 @dataclass(frozen=True)
@@ -116,9 +129,31 @@ def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
     """Decode a repaired chromosome to labels against the live view, score.
     Costs one evaluation."""
     labels, parts = encoding.decode_labels(chrom, state.view)
-    value = score(labels, parts, state.view, state.config.fitness_params)
+    value, k, weight_in = score_terms(labels, parts, state.view, state.config.fitness_params)
     state.evaluations += 1
-    return Individual(chrom, value, state.view.version)
+    return Individual(chrom, value, state.view.version, labels, k, weight_in)
+
+
+def _rescore(
+    state: GAState, ind: Individual, version: int, deltas: list[tuple[int, int, int]]
+) -> Individual:
+    """Re-score an individual scored at `version` after a weight-only batch:
+    each (endpoint index, endpoint index, weight change) of an edge inside
+    one of its clusters moves its intra-cluster weight. Costs one
+    evaluation."""
+    if ind.version != version:
+        raise StaleSnapshot(
+            f"individual is from snapshot version {ind.version}, view was at {version}"
+        )
+    labels = ind.labels
+    weight_in = ind.weight_in
+    for a, b, delta in deltas:
+        if labels[a] == labels[b]:
+            weight_in += delta
+    view = state.view
+    value = rescore(ind.value, ind.k, weight_in, view.total_weight, state.config.fitness_params)
+    state.evaluations += 1
+    return Individual(ind.chromosome, value, view.version, labels, ind.k, weight_in)
 
 
 def init_population(view: AttributeView, config: GAConfig) -> GAState:
@@ -135,7 +170,7 @@ def init_population(view: AttributeView, config: GAConfig) -> GAState:
     for ind in state.population[1:]:
         if ind.value.total > best.value.total:
             best = ind
-    state.best = Individual(best.chromosome, best.value, best.version)
+    state.best = replace(best)
     return state
 
 
@@ -303,33 +338,56 @@ def step(state: GAState) -> GAState:
         if child.value.total > state.population[worst].value.total:
             state.population[worst] = child
         if child.value.total > state.best.value.total:
-            state.best = Individual(child.chromosome, child.value, child.version)
+            state.best = replace(child)
     state.iteration += 1
     return state
 
 
 def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
-    """Apply a batch of events, rebuild the view, re-score everything.
+    """Apply a batch of events, move the view to the new snapshot and
+    re-score the population and the elite against it (population_size + 1
+    evaluations), then max-merge the elite with the population, since an
+    event can demote it.
 
-    Every individual is re-repaired and re-evaluated against the new
-    snapshot (those count against the budget), then the elite is re-scored
-    and max-merged with the population, since an event can demote it.
+    A weight-only batch (every event an update_weight that leaves its edge
+    in the snapshot, and active in the view exactly when it was before)
+    patches the view and re-scores each individual from its cached labels,
+    cluster count and intra-cluster weight. Any other batch rebuilds the
+    view, and re-repairs and re-evaluates every individual.
     """
     snapshot = state.view.base
+    start = len(state.applied)
     for ev in batch:
         try:
             snapshot, applied = snapshot.apply_traced(ev)
         except (NoagaError, ValueError) as exc:
             raise EventError(ev.tick, str(exc)) from exc
         state.applied.append(applied)
-    # the run stays on the attrs/aggregation of the view it started from
-    state.view = AttributeView(snapshot, state.view.attrs, state.view.aggregation)
-    for i, ind in enumerate(state.population):
-        state.population[i] = _evaluate(state, encoding.repair(ind.chromosome, state.view))
-    state.best = _evaluate(state, encoding.repair(state.best.chromosome, state.view))
+    old = state.view
+    done = state.applied[start:]
+    view = None
+    if all(a.event.kind is EventKind.UPDATE_WEIGHT for a in done):
+        view = old.reweighted(snapshot, [a.pair for a in done])
+    if view is None:
+        # the run stays on the attrs/aggregation of the view it started from
+        state.view = AttributeView(snapshot, old.attrs, old.aggregation)
+        for i, ind in enumerate(state.population):
+            state.population[i] = _evaluate(state, encoding.repair(ind.chromosome, state.view))
+        state.best = _evaluate(state, encoding.repair(state.best.chromosome, state.view))
+    else:
+        state.view = view
+        idxs = {old.pair_index[a.pair] for a in done if a.pair in old.pair_index}
+        deltas = [
+            (view.ea[i], view.eb[i], view.weights[i] - old.weights[i])
+            for i in idxs
+            if view.weights[i] != old.weights[i]
+        ]
+        for i, ind in enumerate(state.population):
+            state.population[i] = _rescore(state, ind, old.version, deltas)
+        state.best = _rescore(state, state.best, old.version, deltas)
     for ind in state.population:
         if ind.value.total > state.best.value.total:
-            state.best = Individual(ind.chromosome, ind.value, ind.version)
+            state.best = replace(ind)
 
 
 def snapshot_best(state: GAState) -> tuple[Partition, FitnessValue]:

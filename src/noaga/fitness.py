@@ -13,6 +13,8 @@ same whether it sits alone or is glued onto an unrelated cluster.
 
 `score` works on the per-node labels the GA decodes to; `fitness` is the
 reference scorer of a Partition and reaches the same numbers through it.
+`score_terms` also returns the cluster count and intra-cluster weight, from
+which `rescore` updates a score when only edge weights change.
 """
 
 from __future__ import annotations
@@ -111,6 +113,18 @@ def score(
     """Score a cluster label and a part label (connected part of its cluster)
     per active node, in view order. Clusters are numbered 0..k-1 in Partition
     order, which fixes the order closeness is summed in."""
+    return score_terms(labels, parts, view, params)[0]
+
+
+def score_terms(
+    labels: Sequence[int],
+    parts: Sequence[int],
+    view: AttributeView,
+    params: FitnessParams,
+) -> tuple[FitnessValue, int, int]:
+    """`score`, plus the integer terms the edge weights enter through: the
+    cluster count k and the intra-cluster aggregated weight. Those two and
+    the value are all `rescore` needs after a weight-only change."""
     if not labels:
         raise EmptyPartition("fitness of a partition with no clusters")
     sizes = _sizes(labels)
@@ -131,8 +145,27 @@ def score(
             # size * density telescopes to 2T/(s-1)
             weighted += 2.0 * ties_in[ci] / (s - 1)
     closeness_mean = weighted / len(labels)
+    value = _value(closeness_mean, small, k, weight_in, view.total_weight, params)
+    return value, k, weight_in
 
-    total_weight = view.total_weight
+
+def rescore(
+    value: FitnessValue, k: int, weight_in: int, total_weight: int, params: FitnessParams
+) -> FitnessValue:
+    """Score of the same clusters after edge weights changed but not which
+    edges are active: closeness and the small parts carry over, the cut
+    takes the new intra-cluster and total weight. Equal to a full `score`."""
+    return _value(value.closeness_mean, value.small_count, k, weight_in, total_weight, params)
+
+
+def _value(
+    closeness_mean: float,
+    small: int,
+    k: int,
+    weight_in: int,
+    total_weight: int,
+    params: FitnessParams,
+) -> FitnessValue:
     if total_weight > 0:
         cut_fraction = (total_weight - weight_in) / total_weight
     else:

@@ -1,17 +1,20 @@
 """Versioned multi-attribute weighted graph model.
 
-A snapshot is immutable; applying an update event yields a successor with
-version + 1. An attribute view projects a snapshot onto a subset of
-attributes and aggregates each edge's weight vector into one number; an edge
-is active in the view iff that aggregate is positive. Views precompute their
-edge list and adjacency so clustering code can treat them as read-only.
+A snapshot is immutable, its mappings read-only proxies; applying an update
+event yields a successor with version + 1. An attribute view projects a
+snapshot onto a subset of attributes and aggregates each edge's weight vector
+into one number; an edge is active in the view iff that aggregate is
+positive. Views precompute their edge list and adjacency so clustering code
+can treat them as read-only.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -156,14 +159,16 @@ class GraphSnapshot:
 
     `names` maps non-numeric external labels to ids; numeric labels are their
     own ids and are not stored. `node_ticks` records when each node first
-    appeared, which rendering uses to mark recent arrivals.
+    appeared, which rendering uses to mark recent arrivals. The mappings
+    `build` and `apply` make are read-only proxies, shared by successors
+    that leave them unchanged.
     """
 
     schema: AttributeSchema
     nodes: frozenset[int]
     edges: Mapping[Pair, tuple[int, ...]]
-    names: Mapping[str, int] = field(default_factory=dict)
-    node_ticks: Mapping[int, int] = field(default_factory=dict)
+    names: Mapping[str, int] = field(default_factory=lambda: MappingProxyType({}))
+    node_ticks: Mapping[int, int] = field(default_factory=lambda: MappingProxyType({}))
     version: int = 0
     tick: int = 0
 
@@ -195,9 +200,9 @@ class GraphSnapshot:
         return cls(
             schema=schema,
             nodes=frozenset(nodes),
-            edges=edict,
-            names=dict(names or {}),
-            node_ticks={n: tick for n in nodes},
+            edges=MappingProxyType(edict),
+            names=MappingProxyType(dict(names or {})),
+            node_ticks=MappingProxyType({n: tick for n in nodes}),
             version=0,
             tick=tick,
         )
@@ -264,7 +269,7 @@ class GraphSnapshot:
                 raise DuplicateNode(f"label {label!r} already exists")
             # fresh labels get the next free id, so "X" on a 15-node graph is 16
             nid = max(self.nodes) + 1 if self.nodes else 0
-            names = {**self.names, label: nid}
+            names = MappingProxyType({**self.names, label: nid})
         else:
             nid = int(label)
             if nid < 0:
@@ -274,7 +279,7 @@ class GraphSnapshot:
         snap = self._successor(
             nodes=self.nodes | {nid},
             names=names,
-            node_ticks={**self.node_ticks, nid: event.tick},
+            node_ticks=MappingProxyType({**self.node_ticks, nid: event.tick}),
             tick=event.tick,
         )
         return snap, AppliedEvent(event, node=nid)
@@ -288,7 +293,9 @@ class GraphSnapshot:
             raise ConfigInvalid(
                 f"edge {key} has {len(w)} weights, schema arity is {self.schema.arity}"
             )
-        snap = self._successor(edges={**self.edges, key: w}, tick=event.tick)
+        edges = self.edges.copy()
+        edges[key] = w
+        snap = self._successor(edges=MappingProxyType(edges), tick=event.tick)
         return snap, AppliedEvent(event, pair=key, new_weights=w)
 
     def _apply_update_weight(self, event):
@@ -301,12 +308,12 @@ class GraphSnapshot:
         if value < 0:
             raise ValueError(f"negative weight {value} for edge {key}")
         new = old[:idx] + (value,) + old[idx + 1 :]
-        edges = dict(self.edges)
+        edges = self.edges.copy()
         if any(new):
             edges[key] = new
         else:
             del edges[key]
-        snap = self._successor(edges=edges, tick=event.tick)
+        snap = self._successor(edges=MappingProxyType(edges), tick=event.tick)
         return snap, AppliedEvent(event, pair=key, old_weights=old, new_weights=new)
 
     def _apply_remove_edge(self, event):
@@ -314,9 +321,9 @@ class GraphSnapshot:
         old = self.edges.get(key)
         if old is None:
             raise UnknownEdge(f"no edge {key}")
-        edges = dict(self.edges)
+        edges = self.edges.copy()
         del edges[key]
-        snap = self._successor(edges=edges, tick=event.tick)
+        snap = self._successor(edges=MappingProxyType(edges), tick=event.tick)
         return snap, AppliedEvent(event, pair=key, old_weights=old)
 
 
@@ -326,6 +333,8 @@ class AttributeView:
     Active nodes are the endpoints of active edges plus nodes that have no
     edges at all in the snapshot (just-added isolates). Nodes whose every
     incident edge is zero under the chosen attributes are not in the view.
+    `reweighted` derives the view of a snapshot that only re-weighted edges
+    from the view of its predecessor.
     """
 
     def __init__(
@@ -350,8 +359,8 @@ class AttributeView:
         self.aggregation = aggregation
         self.version = base.version
 
-        ix = tuple(names.index(a) for a in chosen)
-        combine = max if aggregation == "max" else sum
+        self._ix = ix = tuple(names.index(a) for a in chosen)
+        self._combine = combine = max if aggregation == "max" else sum
         pairs: list[Pair] = []
         weights: list[int] = []
         ever_touched: set[int] = set()
@@ -380,6 +389,47 @@ class AttributeView:
             adj.setdefault(a, []).append((b, w))
             adj.setdefault(b, []).append((a, w))
         self._adj = {n: tuple(nbrs) for n, nbrs in adj.items()}
+
+    def reweighted(
+        self, base: GraphSnapshot, pairs: Iterable[Pair]
+    ) -> "AttributeView | None":
+        """The view of `base` on this view's attributes, where `base` is a
+        later snapshot that differs from this view's snapshot only in the
+        weight vectors of `pairs`. None when one of `pairs` left `base`
+        (every weight zeroed) or turns active or inactive here: the node or
+        edge set can then change, which needs a full build.
+
+        Shares the edge and node tables with this view; only the weights,
+        the total and the touched nodes' adjacency are new. Nothing is
+        re-sorted."""
+        changed: dict[int, int] = {}
+        for key in set(pairs):
+            vec = base.edges.get(key)
+            if vec is None:
+                return None
+            w = self._combine(vec[i] for i in self._ix)
+            idx = self.pair_index.get(key)
+            if (w > 0) != (idx is not None):
+                return None
+            if idx is not None and w != self.weights[idx]:
+                changed[idx] = w
+        view = copy.copy(self)
+        view.base = base
+        view.version = base.version
+        if changed:
+            weights = list(self.weights)
+            for idx, w in changed.items():
+                view.total_weight += w - weights[idx]
+                weights[idx] = w
+            view.weights = tuple(weights)
+            view._adj = adj = dict(self._adj)
+            pair_index = self.pair_index
+            for node in {n for idx in changed for n in self.pairs[idx]}:
+                adj[node] = tuple(
+                    (other, weights[pair_index[edge_key(node, other)]])
+                    for other, _ in self._adj[node]
+                )
+        return view
 
     @property
     def node_count(self) -> int:

@@ -40,6 +40,8 @@ def enumerate_labels(n: int, *, n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[in
     """
     if n == 0:
         raise ValueError("no nodes to partition")
+    if n_max < 0:
+        raise ConfigInvalid(f"n_max must be >= 0, got {n_max}")
     if n > n_max:
         raise TooLarge(
             f"{n} nodes exceeds the enumeration cap {n_max} "

@@ -8,6 +8,7 @@ from noaga import (
     EdgeRemovalChromosome,
     GraphSnapshot,
     SeparatorChromosome,
+    UpdateEvent,
     datasets,
 )
 
@@ -73,6 +74,63 @@ def small_views(draw):
     edges = [Edge(a, b, (draw(st.integers(1, 5)),)) for a, b in chosen]
     snap = GraphSnapshot.build(AttributeSchema(("w1",)), edges, extra_nodes=range(n))
     return AttributeView(snap)
+
+
+@st.composite
+def multi_attr_views(draw):
+    """Random graphs of up to 8 nodes with attributes a and b (weights 0..3,
+    never both 0), viewed on one attribute or on both by sum or max. On one
+    attribute, edges whose weight there is 0 are inactive, and a node with
+    only such edges is not in the view."""
+    n = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for a, b in chosen:
+        wa = draw(st.sampled_from((0, 0, 1, 2, 3)))
+        wb = draw(st.sampled_from((1, 2, 3) if wa == 0 else (0, 0, 1, 2, 3)))
+        edges.append(Edge(a, b, (wa, wb)))
+    snap = GraphSnapshot.build(AttributeSchema(("a", "b")), edges, extra_nodes=range(n))
+    attrs, aggregation = draw(st.sampled_from([
+        (("a",), "sum"), (("b",), "max"), (("a", "b"), "sum"), (("a", "b"), "max"),
+    ]))
+    return AttributeView(snap, attrs, aggregation)
+
+
+@st.composite
+def reweight_batches(draw, view):
+    """One to five update_weight events on the edges of the view's snapshot:
+    often the previous event's edge again or an edge inactive in the view,
+    often the value the weight already has, sometimes 0, which can zero an
+    edge in the view or drop it from the snapshot."""
+    snapshot = view.base
+    names = snapshot.schema.names
+    edges = dict(snapshot.edges)
+    batch = []
+    key = None
+    for _ in range(draw(st.integers(1, 5))):
+        if not edges:
+            break
+        if key not in edges or draw(st.booleans()):
+            inactive = sorted(k for k in edges if k not in view.pair_index)
+            pool = inactive if inactive and draw(st.booleans()) else sorted(edges)
+            key = draw(st.sampled_from(pool))
+        i = draw(st.integers(0, len(names) - 1))
+        value = draw(st.sampled_from([edges[key][i], *range(8)]))
+        batch.append(UpdateEvent.update_weight(1, *key, names[i], value))
+        vec = edges[key][:i] + (value,) + edges[key][i + 1:]
+        if any(vec):
+            edges[key] = vec
+        else:
+            del edges[key]
+    return batch
+
+
+# views for weight-only batches, multi-attribute ones twice over: only
+# they have edges inactive in the view
+REWEIGHT_VIEWS = st.one_of(
+    st.sampled_from(TABLE1_VIEWS), small_views(), multi_attr_views(), multi_attr_views()
+)
 
 
 raw_chromosomes = st.one_of(

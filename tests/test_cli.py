@@ -117,6 +117,15 @@ def test_oracle_exceeds_cap(table1, tmp_path, capsys):
     assert "exceeds the enumeration cap" in capsys.readouterr().err
 
 
+def test_oracle_rejects_a_negative_cap(tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text("node_a\tnode_b\tw1\n1\t2\t1\n2\t3\t1\n")
+    assert main(["oracle", "-i", str(src), "--n-max", "-1"]) == 1
+    assert capsys.readouterr().err == "noaga: error: n_max must be >= 0, got -1\n"
+    assert main(["oracle", "-i", str(src), "--n-max", "0"]) == 2
+    assert "exceeds the enumeration cap 0 (Bell(0) = 1)" in capsys.readouterr().err
+
+
 def test_oracle_small_graph_stdout(tmp_path, capsys):
     src = tmp_path / "twotri.tsv"
     src.write_text(

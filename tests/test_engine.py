@@ -1,6 +1,7 @@
 """Steady-state GA: operators, budget accounting, event handling."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from noaga import (
     GraphSnapshot,
     Individual,
     SeparatorChromosome,
+    StaleSnapshot,
     UnrepairedChromosome,
     UpdateEvent,
     binary_tournament,
@@ -35,7 +37,7 @@ from noaga import (
 from noaga import encoding
 from noaga.engine import GAState, apply_events
 
-from conftest import TABLE1_VIEWS, raw_chromosomes, small_views
+from conftest import REWEIGHT_VIEWS, TABLE1_VIEWS, raw_chromosomes, reweight_batches, small_views
 
 
 def triangle_view():
@@ -62,8 +64,12 @@ class ScriptRng:
 
 def fake_state(totals, view, seed=0):
     config = GAConfig(population_size=max(2, len(totals)), seed=seed)
+    # one cluster of every node, as the empty removal list decodes to
     pop = [
-        Individual(EdgeRemovalChromosome(()), FitnessValue(t, 0.0, 0.0, 0), 0)
+        Individual(
+            EdgeRemovalChromosome(()), FitnessValue(t, 0.0, 0.0, 0), 0,
+            [0] * view.node_count, 1, view.total_weight,
+        )
         for t in totals
     ]
     return GAState(view, config, random.Random(seed), pop)
@@ -434,9 +440,111 @@ def test_apply_events_repairs_for_the_new_view(view, scheme, seed, data):
 @given(views, raw_chromosomes)
 def test_snapshot_best_rejects_an_unrepaired_elite(view, raw):
     state = init_population(view, GAConfig(population_size=2, max_evaluations=10))
-    state.best = Individual(raw, state.best.value, state.best.version)
+    state.best = replace(state.best, chromosome=raw)
     if _canonical(raw, view):
         assert snapshot_best(state)[0] == encoding.decode(raw, view)
     else:
         with pytest.raises(UnrepairedChromosome):
             snapshot_best(state)
+
+
+def _apply_counting_decodes(state, batch, *, full=False):
+    """apply_events, returning how many chromosomes it decoded; `full`
+    forces the rebuild path, as if no batch were weight-only."""
+    calls = []
+    decode_labels = encoding.decode_labels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoding, "decode_labels", lambda *a: calls.append(1) or decode_labels(*a))
+        if full:
+            mp.setattr(AttributeView, "reweighted", lambda *a: None)
+        apply_events(state, batch)
+    return len(calls)
+
+
+def _run_state(state):
+    return (
+        [(i.chromosome, i.value, i.version, i.labels, i.k, i.weight_in) for i in state.population],
+        (state.best.chromosome, state.best.value, state.best.version, state.best.labels,
+         state.best.k, state.best.weight_in),
+        state.evaluations, state.iteration, state.rng.getstate(),
+        state.view.pairs, state.view.weights, state.view.total_weight, state.view.nodes,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(REWEIGHT_VIEWS, st.sampled_from(SCHEMES), st.integers(0, 2**32), st.data())
+def test_weight_only_batches_rescore_like_a_full_rebuild(view, scheme, seed, data):
+    if view.node_count == 0:
+        return
+    config = GAConfig(population_size=6, max_evaluations=400, scheme=scheme, p_init=0.5,
+                      k_max=4, seed=seed)
+    fast, full = init_population(view, config), init_population(view, config)
+    for _ in range(3):
+        before = fast.view
+        batch = data.draw(reweight_batches(before))
+        decoded = _apply_counting_decodes(fast, batch)
+        assert _apply_counting_decodes(full, batch, full=True) == config.population_size + 1
+        after = AttributeView(fast.view.base, view.attrs, view.aggregation)
+        touched = {(min(ev.a, ev.b), max(ev.a, ev.b)) for ev in batch}
+        weight_only = all(
+            k in after.base.edges and (k in after.pair_index) == (k in before.pair_index)
+            for k in touched
+        )
+        # a weight-only batch decodes nothing, any other decodes everyone
+        assert decoded == (0 if weight_only else config.population_size + 1)
+        assert fast.view.nodes == after.nodes and fast.view.pairs == after.pairs
+        assert _run_state(fast) == _run_state(full)
+        for _ in range(3):
+            step(fast)
+            step(full)
+        assert _run_state(fast) == _run_state(full)
+    assert snapshot_best(fast) == snapshot_best(full)
+
+
+def _inactive_edge_view():
+    """View on a: (2, 3) is inactive there, so 3, with no other edge, is
+    not in the view; (1, 4) is active on a and also carries b."""
+    schema = AttributeSchema(("a", "b"))
+    edges = [Edge(1, 2, (3, 0)), Edge(2, 3, (0, 2)), Edge(1, 4, (2, 2)), Edge(2, 4, (1, 0))]
+    return AttributeView(GraphSnapshot.build(schema, edges), ("a",))
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [UpdateEvent.add_node(1, 9)],
+        [UpdateEvent.add_edge(1, 1, 3, (1, 0))],
+        [UpdateEvent.remove_edge(1, 2, 4)],
+        [UpdateEvent.update_weight(1, 1, 4, "a", 0)],
+        [UpdateEvent.update_weight(1, 2, 3, "a", 5)],
+        [UpdateEvent.update_weight(1, 2, 3, "b", 0)],
+        [UpdateEvent.update_weight(1, 1, 2, "a", 7), UpdateEvent.update_weight(1, 2, 3, "b", 0)],
+    ],
+    ids=["add-node", "add-edge", "remove-edge", "zero-in-view", "revive-in-view",
+         "zero-all-of-inactive", "weight-then-structural"],
+)
+def test_structural_batches_take_the_full_path(batch):
+    view = _inactive_edge_view()
+    state = init_population(view, GAConfig(population_size=4, max_evaluations=100, seed=1))
+    assert _apply_counting_decodes(state, batch) == 4 + 1
+    fresh = AttributeView(state.view.base, ("a",))
+    assert state.view.nodes == fresh.nodes and state.view.pairs == fresh.pairs
+    assert state.evaluations == 4 + 4 + 1
+
+
+def test_zeroing_an_inactive_edge_isolates_its_endpoint():
+    # the snapshot drops the edge, so 3 has no edge at all and is active
+    view = _inactive_edge_view()
+    assert 3 not in view.node_index
+    state = init_population(view, GAConfig(population_size=4, max_evaluations=100, seed=1))
+    apply_events(state, [UpdateEvent.update_weight(1, 2, 3, "b", 0)])
+    assert state.view.nodes == (1, 2, 3, 4)
+    assert (3,) in snapshot_best(state)[0].clusters
+
+
+def test_weight_only_batch_rejects_a_stale_individual():
+    view = _inactive_edge_view()
+    state = init_population(view, GAConfig(population_size=4, max_evaluations=100, seed=1))
+    state.population[2] = replace(state.population[2], version=7)
+    with pytest.raises(StaleSnapshot):
+        apply_events(state, [UpdateEvent.update_weight(1, 1, 2, "a", 7)])

@@ -22,7 +22,7 @@ from noaga import (
 )
 from noaga.errors import EmptyCluster
 
-from conftest import EMAILS_TARGET
+from conftest import EMAILS_TARGET, REWEIGHT_VIEWS, reweight_batches
 
 
 def test_edge_key_normalizes():
@@ -172,6 +172,61 @@ def test_apply_traced_reports_old_and_new(sample):
     assert applied.new_weights == (1, 4, 3)
     assert applied.tick == 3
     assert snap.edges[(6, 7)] == (1, 4, 3)
+
+
+def test_snapshot_mappings_are_read_only(sample):
+    snaps = [sample]
+    for ev in (
+        UpdateEvent.add_node(1, "X"),
+        UpdateEvent.add_edge(2, "X", 1, (1, 1, 1)),
+        UpdateEvent.update_weight(3, 1, 2, "emails", 9),
+        UpdateEvent.remove_edge(4, 1, 3),
+    ):
+        snaps.append(snaps[-1].apply(ev))
+    bare = GraphSnapshot(sample.schema, frozenset(), {})
+    mappings = [(bare.names, "X", 16), (bare.node_ticks, 1, 0)]
+    for s in snaps:
+        mappings += [(s.edges, (1, 2), (1, 1, 1)), (s.names, "X", 16), (s.node_ticks, 1, 0)]
+    for mapping, key, value in mappings:
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[key]
+    # a successor shares what its event leaves unchanged, as it is
+    assert snaps[4].names is snaps[2].names and snaps[4].node_ticks is snaps[2].node_ticks
+    assert snaps[1].edges is sample.edges
+    assert sample.edges[(1, 2)] == (4, 4, 4) and snaps[4].edges[(1, 2)] == (9, 4, 4)
+
+
+def _view_fields(view):
+    return (
+        view.pairs, view.weights, view.total_weight, view.nodes, view.node_index,
+        view.pair_index, view.ea, view.eb, view.version, view.attrs, view.aggregation,
+        {n: view.neighbors(n) for n in view.nodes},
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(REWEIGHT_VIEWS, st.data())
+def test_reweighted_view_equals_a_fresh_build(view, data):
+    batch = data.draw(reweight_batches(view))
+    snap = view.base
+    for ev in batch:
+        snap = snap.apply(ev)
+    fresh = AttributeView(snap, view.attrs, view.aggregation)
+    touched = {edge_key(ev.a, ev.b) for ev in batch}
+    # weight-only: every touched edge stays in the snapshot, and active in
+    # the view exactly when it was
+    weight_only = all(
+        k in snap.edges and (k in fresh.pair_index) == (k in view.pair_index) for k in touched
+    )
+    patched = view.reweighted(snap, touched)
+    assert (patched is not None) == weight_only
+    if patched is not None:
+        assert _view_fields(patched) == _view_fields(fresh)
+        assert patched.base is snap
+        # the edge and node tables are shared, not rebuilt
+        assert patched.pairs is view.pairs and patched.node_index is view.node_index
 
 
 def test_view_basicstats(emails, posts, comments):

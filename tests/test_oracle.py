@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from noaga import (
     AttributeSchema,
     AttributeView,
+    ConfigInvalid,
     Edge,
     FitnessParams,
     GraphSnapshot,
@@ -47,6 +48,8 @@ def test_enumeration_caps():
         next(enumerate_labels(4, n_max=3))
     with pytest.raises(ValueError):
         next(enumerate_labels(0))
+    with pytest.raises(ConfigInvalid):
+        next(enumerate_labels(3, n_max=-1))
 
 
 def _reference_optimum(view, params):
