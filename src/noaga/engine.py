@@ -354,28 +354,31 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
     patches the view and re-scores each individual from its cached labels,
     cluster count and intra-cluster weight. Any other batch rebuilds the
     view, and re-repairs and re-evaluates every individual.
+
+    An event that cannot be applied, or a batch that leaves the view with
+    no active nodes, raises EventError before the run state changes.
     """
     snapshot = state.view.base
-    start = len(state.applied)
+    done: list[AppliedEvent] = []
     for ev in batch:
         try:
             snapshot, applied = snapshot.apply_traced(ev)
         except (NoagaError, ValueError) as exc:
             raise EventError(ev.tick, str(exc)) from exc
-        state.applied.append(applied)
+        done.append(applied)
     old = state.view
-    done = state.applied[start:]
     view = None
     if all(a.event.kind is EventKind.UPDATE_WEIGHT for a in done):
         view = old.reweighted(snapshot, [a.pair for a in done])
-    if view is None:
+    weight_only = view is not None
+    if not weight_only:
         # the run stays on the attrs/aggregation of the view it started from
-        state.view = AttributeView(snapshot, old.attrs, old.aggregation)
-        for i, ind in enumerate(state.population):
-            state.population[i] = _evaluate(state, encoding.repair(ind.chromosome, state.view))
-        state.best = _evaluate(state, encoding.repair(state.best.chromosome, state.view))
-    else:
-        state.view = view
+        view = AttributeView(snapshot, old.attrs, old.aggregation)
+        if view.node_count == 0:
+            raise EventError(batch[-1].tick, "the batch leaves the view with no active nodes")
+    state.applied.extend(done)
+    state.view = view
+    if weight_only:
         idxs = {old.pair_index[a.pair] for a in done if a.pair in old.pair_index}
         deltas = [
             (view.ea[i], view.eb[i], view.weights[i] - old.weights[i])
@@ -385,6 +388,10 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
         for i, ind in enumerate(state.population):
             state.population[i] = _rescore(state, ind, old.version, deltas)
         state.best = _rescore(state, state.best, old.version, deltas)
+    else:
+        for i, ind in enumerate(state.population):
+            state.population[i] = _evaluate(state, encoding.repair(ind.chromosome, view))
+        state.best = _evaluate(state, encoding.repair(state.best.chromosome, view))
     for ind in state.population:
         if ind.value.total > state.best.value.total:
             state.best = replace(ind)

@@ -442,9 +442,6 @@ class AttributeView:
     def has_node(self, node: int) -> bool:
         return node in self.node_index
 
-    def is_active(self, a: int, b: int) -> bool:
-        return edge_key(a, b) in self.pair_index
-
     def weight_of(self, a: int, b: int) -> int:
         """Aggregated weight of an active edge; ForeignEdge if not active here."""
         idx = self.pair_index.get(edge_key(a, b))
@@ -530,12 +527,6 @@ class Partition:
             for n in cluster:
                 out[n] = i
         return out
-
-    def cluster_of(self, node: int) -> int:
-        for i, cluster in enumerate(self.clusters):
-            if node in cluster:
-                return i
-        raise UnknownNode(f"node {node} is in no cluster")
 
 
 def component_labels(view: AttributeView, keep: Sequence[bool]) -> list[int]:

@@ -13,7 +13,8 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .analysis import NoARecord
 from .engine import Checkpoint
@@ -50,6 +51,25 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+@contextmanager
+def _read_text(path: str) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8 raise
+    ParseError naming their line, not UnicodeDecodeError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder works in chunks, so find the bad byte's line anew
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ParseError(line, f"not UTF-8 text: {exc.reason}") from None
+            raise
+
+
 def sha256_of(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -74,7 +94,7 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
     schema: AttributeSchema | None = None
     bare = False
     edges: dict[Pair, tuple[int, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -156,7 +176,7 @@ def parse_event_stream(path: str) -> list[UpdateEvent]:
     """
     events: list[UpdateEvent] = []
     last_tick: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -294,7 +314,7 @@ def write_partition_json(
 def read_partition_json(path: str) -> tuple[dict, Partition]:
     """Load the meta block and the partition (members only) back."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _read_text(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"bad JSON: {exc.msg}") from exc
@@ -362,7 +382,7 @@ def write_noa_log(records: Sequence[NoARecord], meta: dict, path: str) -> None:
 def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
     meta: dict = {}
     records: list[NoARecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -1,11 +1,17 @@
 """Exhaustive partition search for small views.
 
-Enumerates every set partition of the active nodes as a restricted-growth
-string: a cluster label per node, numbered in Partition cluster order, so
-it is scored as it is and only a candidate that can win becomes a
-Partition. Bell numbers grow fast (Bell(10) = 115,975), so a hard node cap
-protects callers; anything bigger raises TooLarge. This is the ground
-truth the GA is checked against.
+A depth-first search gives the active nodes cluster labels in view order,
+in restricted-growth order: clusters are numbered as in Partition order,
+and every set partition is reached exactly once, as a leaf. Each step keeps
+the cluster sizes, intra-cluster tie counts and intra-cluster weight up to
+date from the edges to earlier nodes only. At a leaf those give the exact
+`closeness_mean - lambda_cut * cut_fraction`, computed as `score` computes
+it; the small-part term only subtracts from that, so a leaf whose bound is
+already below the best total cannot win and is skipped. The rest are scored
+by `score`, and only one that can win becomes a Partition. Bell numbers
+grow fast (Bell(10) = 115,975), so a cap of 10 nodes by default protects
+callers; anything bigger raises TooLarge. This is the ground truth the GA
+is checked against.
 """
 
 from __future__ import annotations
@@ -32,6 +38,16 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+def _check_cap(n: int, n_max: int) -> None:
+    if n_max < 0:
+        raise ConfigInvalid(f"n_max must be >= 0, got {n_max}")
+    if n > n_max:
+        raise TooLarge(
+            f"{n} nodes exceeds the enumeration cap {n_max} "
+            f"(Bell({n_max}) = {bell_number(n_max)})"
+        )
+
+
 def enumerate_labels(n: int, *, n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[int, ...]]:
     """All set partitions of n elements as restricted-growth label tuples.
 
@@ -40,13 +56,7 @@ def enumerate_labels(n: int, *, n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[in
     """
     if n == 0:
         raise ValueError("no nodes to partition")
-    if n_max < 0:
-        raise ConfigInvalid(f"n_max must be >= 0, got {n_max}")
-    if n > n_max:
-        raise TooLarge(
-            f"{n} nodes exceeds the enumeration cap {n_max} "
-            f"(Bell({n_max}) = {bell_number(n_max)})"
-        )
+    _check_cap(n, n_max)
     rgs = [0] * n
     while True:
         yield tuple(rgs)
@@ -66,21 +76,48 @@ def optimal_partition(
     params: FitnessParams | None = None,
     n_max: int = DEFAULT_N_MAX,
 ) -> tuple[Partition, FitnessValue]:
-    """Brute-force best partition of the view's active nodes.
+    """Best partition of the view's active nodes, by exhaustive search.
 
     Exact ties fall to fewer clusters, then lexicographic cluster order, so
     the answer is unique and stable.
     """
     if params is None:
         params = FitnessParams()
-    if view.node_count == 0:
+    n = view.node_count
+    if n == 0:
         raise ConfigInvalid("cannot run on an empty view")
+    _check_cap(n, n_max)
+    # view pairs are (low, high) and view order is ascending, so eb is the
+    # later endpoint: each edge is listed once, at the node placed last
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, w in zip(view.ea, view.eb, view.weights):
+        earlier[b].append((a, w))
+    total_weight = view.total_weight
+    lambda_cut = params.lambda_cut
+    labels = [0] * n
+    sizes = [0] * n
+    ties_in = [0] * n
+    weight_in = 0
     best: Partition | None = None
     best_value: FitnessValue | None = None
-    for labels in enumerate_labels(view.node_count, n_max=n_max):
+
+    def leaf(k: int) -> None:
+        nonlocal best, best_value
+        # the float operations of fitness.score_terms and _value, in order
+        weighted = 0.0
+        for c in range(k):
+            s = sizes[c]
+            if s > 1:
+                weighted += 2.0 * ties_in[c] / (s - 1)
+        closeness_mean = weighted / n
+        cut_fraction = (total_weight - weight_in) / total_weight if total_weight > 0 else 0.0
+        # total = bound - mu_small * (small / k), and fl(x - y) <= x for
+        # y >= 0: a leaf whose bound is below the best total is below it too
+        if best_value is not None and closeness_mean - lambda_cut * cut_fraction < best_value.total:
+            return
         value = score(labels, part_labels(view, labels), view, params)
         if best_value is not None and value.total < best_value.total:
-            continue
+            return
         part = Partition.from_labels(view, labels)
         if (
             best is None
@@ -88,4 +125,28 @@ def optimal_partition(
             or (part.cluster_count, part.clusters) < (best.cluster_count, best.clusters)
         ):
             best, best_value = part, value
+
+    def place(i: int, k: int) -> None:
+        """Label node i and every later node; labels 0..k-1 are in use."""
+        nonlocal weight_in
+        if i == n:
+            leaf(k)
+            return
+        nbrs = earlier[i]
+        for c in range(k + 1):
+            labels[i] = c
+            ties = weight = 0
+            for j, w in nbrs:
+                if labels[j] == c:
+                    ties += 1
+                    weight += w
+            sizes[c] += 1
+            ties_in[c] += ties
+            weight_in += weight
+            place(i + 1, k + 1 if c == k else k)
+            sizes[c] -= 1
+            ties_in[c] -= ties
+            weight_in -= weight
+
+    place(0, 0)
     return best, best_value

@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, formats on disk, exit codes."""
 
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noaga import connected_components, datasets, io
 from noaga.cli import main
@@ -109,6 +115,24 @@ def test_stream_reports_unknown_label(table1, tmp_path, capsys):
     ])
     assert code == 2
     assert "tick 7" in capsys.readouterr().err
+
+
+def test_stream_refuses_a_batch_that_empties_the_view(tmp_path, capsys):
+    # (1, 2) carries only b, so zeroing (0, 1) on a leaves no node in the view
+    src = tmp_path / "g.tsv"
+    src.write_text("node_a\tnode_b\ta\tb\n0\t1\t3\t1\n1\t2\t0\t2\n")
+    events = tmp_path / "events.jsonl"
+    events.write_text(
+        '{"tick": 1, "kind": "update_weight", "a": 0, "b": 1, "attr": "a", "value": 0}\n'
+    )
+    out = tmp_path / "part.json"
+    code = main(["stream", "-i", str(src), "--events", str(events), "--attr", "a",
+                 "--seed", "0", "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "noaga: error: event at tick 1: the batch leaves the view with no active nodes"
+    ]
+    assert not out.exists()
 
 
 def test_oracle_exceeds_cap(table1, tmp_path, capsys):
@@ -277,3 +301,78 @@ def test_data_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("node_a\tnode_b\tw1\n1\t1\t3\n")
     assert main(["cluster", "-i", str(bad), "--seed", "1", "-o", out]) == 2
+
+
+FUZZ_TSV = (
+    b"node_a\tnode_b\ta\tb\n"
+    b"1\t2\t3\t1\n2\t3\t2\t0\n1\t3\t1\t2\n4\t5\t2\t2\n5\t6\t1\t0\n3\t4\t0\t1\n"
+)
+FUZZ_EVENTS = (
+    b'{"tick": 1, "kind": "add_node", "node": "X"}\n'
+    b'{"tick": 1, "kind": "add_edge", "a": "X", "b": 2, "weights": [2, 0]}\n'
+    b'{"tick": 3, "kind": "update_weight", "a": 1, "b": 2, "attr": "a", "value": 0}\n'
+    b'{"tick": 4, "kind": "remove_edge", "a": 4, "b": 5}\n'
+)
+# bytes that mean something to one of the parsers, and some that mean nothing
+FUZZ_TOKENS = [
+    b"0", b"1", b"2", b"3", b"5", b"7", b"10", b"-1", b"99999999999999999999", b"1.5",
+    b"\t", b"\n", b"\r", b" ", b"#", b'"', b"{", b"}", b"[", b"]", b",", b":", b"null",
+    b"true", b'"x"', b"\x00", b"\xff", b"\xc2\xb2",
+]
+FUZZ_ARGV = [
+    ["cluster", "-i", "{tsv}", "--attr", "a", "--seed", "0", "--population-size", "4",
+     "--iterations", "20", "-o", "{out}"],
+    ["stream", "-i", "{tsv}", "--events", "{events}", "--attr", "a", "--seed", "0",
+     "--population-size", "4", "--iterations", "20", "-o", "{out}"],
+    ["oracle", "-i", "{tsv}", "-o", "{out}"],
+]
+
+
+def _mutated(base):
+    """`base` with up to three edits, each cutting up to two bytes at one
+    place and inserting a token there."""
+    edit = st.tuples(
+        st.sampled_from(range(len(base) + 1)), st.integers(0, 2), st.sampled_from(FUZZ_TOKENS)
+    )
+
+    def apply(edits):
+        data = base
+        for at, cut, insert in edits:
+            at = min(at, len(data))
+            data = data[:at] + insert + data[at + cut:]
+        return data
+
+    return st.lists(edit, max_size=3).map(apply)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_mutated(FUZZ_TSV), st.just(FUZZ_EVENTS)),
+        st.tuples(st.just(FUZZ_TSV), _mutated(FUZZ_EVENTS)),
+        st.tuples(_mutated(FUZZ_TSV), _mutated(FUZZ_EVENTS)),
+    )
+)
+@example((FUZZ_TSV.replace(b"3\t1\n", b"\xff\t1\n", 1), FUZZ_EVENTS))
+@example((FUZZ_TSV, FUZZ_EVENTS.replace(b'"X"', b'"\xff"', 1)))
+def test_mutated_inputs_end_in_a_documented_exit(files):
+    """cluster, stream and oracle on damaged input files: exit 0, 1 or 2,
+    never a traceback, and a failed run says why and writes no output."""
+    tsv, events = files
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("tsv", "events", "out")}
+        for name, data in (("tsv", tsv), ("events", events)):
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        for argv in FUZZ_ARGV:
+            err = StringIO()
+            with redirect_stderr(err), redirect_stdout(StringIO()):
+                code = main([arg.format(**paths) for arg in argv])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2), (argv[0], lines)
+            assert not any("Traceback" in line for line in lines), (argv[0], lines)
+            if code:
+                assert any(line.startswith("noaga: error: ") for line in lines), (argv[0], lines)
+                assert not os.path.exists(paths["out"]), argv[0]
+            elif os.path.exists(paths["out"]):
+                os.unlink(paths["out"])

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noaga import (
@@ -313,9 +313,11 @@ def test_apply_events_wraps_errors_with_tick(two_triangle):
     config = GAConfig(population_size=4, max_evaluations=100, seed=5)
     state = init_population(two_triangle, config)
     with pytest.raises(EventError) as info:
-        apply_events(state, [UpdateEvent.add_edge(7, 99, 100, (1,))])
+        apply_events(state, [UpdateEvent.add_node(7, 50), UpdateEvent.add_edge(7, 99, 100, (1,))])
     assert info.value.tick == 7
     assert "99" in str(info.value)
+    # the batch is refused whole: the event before the bad one is not kept
+    assert state.applied == [] and state.view is two_triangle
 
 
 def test_run_rejects_decreasing_ticks(two_triangle):
@@ -466,13 +468,45 @@ def _run_state(state):
         [(i.chromosome, i.value, i.version, i.labels, i.k, i.weight_in) for i in state.population],
         (state.best.chromosome, state.best.value, state.best.version, state.best.labels,
          state.best.k, state.best.weight_in),
-        state.evaluations, state.iteration, state.rng.getstate(),
+        state.evaluations, state.iteration, state.rng.getstate(), list(state.applied),
         state.view.pairs, state.view.weights, state.view.total_weight, state.view.nodes,
     )
 
 
+def _outcome(state, batch, *, full=False):
+    """`_apply_counting_decodes`, or the message of the EventError it raised."""
+    try:
+        return _apply_counting_decodes(state, batch, full=full)
+    except EventError as exc:
+        return str(exc)
+
+
+class _ScriptedData:
+    """Stands in for `st.data()` in an @example: hands out fixed draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def draw(self, strategy):
+        return self.draws.pop(0)
+
+
+def _emptied_view():
+    """View on a: (0, 1) is its only active edge and (1, 2) carries only b,
+    so zeroing (0, 1) on a leaves the view with no active nodes while both
+    edges stay in the snapshot."""
+    schema = AttributeSchema(("a", "b"))
+    edges = [Edge(0, 1, (3, 1)), Edge(1, 2, (0, 2))]
+    return AttributeView(GraphSnapshot.build(schema, edges), ("a",))
+
+
+EMPTYING = [UpdateEvent.update_weight(1, 0, 1, "a", 0)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(REWEIGHT_VIEWS, st.sampled_from(SCHEMES), st.integers(0, 2**32), st.data())
+@example(_emptied_view(), EDGE_REMOVAL, 0,
+         _ScriptedData(EMPTYING, [UpdateEvent.update_weight(1, 0, 1, "a", 5)], EMPTYING))
 def test_weight_only_batches_rescore_like_a_full_rebuild(view, scheme, seed, data):
     if view.node_count == 0:
         return
@@ -481,10 +515,21 @@ def test_weight_only_batches_rescore_like_a_full_rebuild(view, scheme, seed, dat
     fast, full = init_population(view, config), init_population(view, config)
     for _ in range(3):
         before = fast.view
+        kept = _run_state(fast)
         batch = data.draw(reweight_batches(before))
-        decoded = _apply_counting_decodes(fast, batch)
-        assert _apply_counting_decodes(full, batch, full=True) == config.population_size + 1
-        after = AttributeView(fast.view.base, view.attrs, view.aggregation)
+        snapshot = before.base
+        for ev in batch:
+            snapshot = snapshot.apply(ev)
+        after = AttributeView(snapshot, view.attrs, view.aggregation)
+        decoded = _outcome(fast, batch)
+        rebuilt = _outcome(full, batch, full=True)
+        if after.node_count == 0:
+            # both paths refuse a batch that empties the view, and neither moves the run
+            assert decoded == rebuilt
+            assert rebuilt.startswith("event at tick 1: ")
+            assert _run_state(fast) == _run_state(full) == kept
+            continue
+        assert rebuilt == config.population_size + 1
         touched = {(min(ev.a, ev.b), max(ev.a, ev.b)) for ev in batch}
         weight_only = all(
             k in after.base.edges and (k in after.pair_index) == (k in before.pair_index)

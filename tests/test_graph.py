@@ -314,11 +314,8 @@ def test_partition_normalization_and_validation(emails):
     assert p.clusters == EMAILS_TARGET
     assert p.cluster_count == 3
     assert p.node_count == 15
-    assert p.cluster_of(11) == 2
     assert p.membership()[6] == 1
     assert list(p.members()) == list(range(1, 16))
-    with pytest.raises(UnknownNode):
-        p.cluster_of(99)
     with pytest.raises(EmptyCluster):
         Partition(((1, 2), ()), ("emails",), 0)
     with pytest.raises(ValueError):

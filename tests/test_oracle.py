@@ -18,6 +18,8 @@ from noaga import (
     fitness,
     optimal_partition,
 )
+from noaga import oracle
+from noaga.fitness import score
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -54,18 +56,34 @@ def test_enumeration_caps():
 
 def _reference_optimum(view, params):
     """Every candidate built as a Partition and scored with the reference
-    `fitness`; ties go to fewer clusters, then lexicographic clusters."""
+    `fitness`; ties go to fewer clusters, then lexicographic clusters. Also
+    counts the candidates that can still win when reached in enumeration
+    order: those whose closeness_mean - lambda_cut * cut_fraction is not
+    below the best total before them."""
     best = None
+    can_win = 0
     for labels in enumerate_labels(view.node_count):
         clusters = [[] for _ in range(max(labels) + 1)]
         for node, label in zip(view.nodes, labels):
             clusters[label].append(node)
         part = Partition(clusters, view.attrs, view.version)
         value = fitness(part, view, params)
+        bound = value.closeness_mean - params.lambda_cut * value.cut_fraction
+        if best is None or bound >= best[2].total:
+            can_win += 1
         key = (-value.total, part.cluster_count, part.clusters)
         if best is None or key < best[0]:
             best = (key, part, value)
-    return best[1], best[2]
+    return best[1], best[2], can_win
+
+
+def _optimum_and_scores(view, params):
+    """`optimal_partition`, plus how many candidates it scored."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "score", lambda *a: calls.append(1) or score(*a))
+        part, value = optimal_partition(view, params)
+    return part, value, len(calls)
 
 
 def _view(n, rows):
@@ -75,13 +93,17 @@ def _view(n, rows):
 
 
 @st.composite
-def connected_views(draw):
-    """Random connected graphs of up to 7 nodes: a random tree plus chords."""
-    n = draw(st.integers(1, 7))
-    tree = {(draw(st.integers(1, b - 1)), b) for b in range(2, n + 1)}
+def oracle_views(draw):
+    """Random graphs of up to 8 nodes: a random forest plus chords, so some
+    are not connected and some have isolated nodes. Weights often come from
+    a narrow set, so that ties come up often. The draws lean to 7 or 8
+    nodes, where most of the search is."""
+    n = draw(st.integers(1, 8) | st.integers(7, 8))
+    forest = {(draw(st.integers(1, b - 1)), b) for b in range(2, n + 1) if draw(st.booleans())}
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    chords = set(draw(st.lists(st.sampled_from(pairs), max_size=6))) if pairs else set()
-    return _view(n, [(a, b, draw(st.integers(1, 5))) for a, b in sorted(tree | chords)])
+    chords = set(draw(st.lists(st.sampled_from(pairs), max_size=8))) if pairs else set()
+    weights = draw(st.sampled_from([st.just(1), st.sampled_from([1, 2]), st.integers(1, 5)]))
+    return _view(n, [(a, b, draw(weights)) for a, b in sorted(forest | chords)])
 
 
 PARAMS = st.builds(
@@ -90,9 +112,9 @@ PARAMS = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(connected_views(), PARAMS)
+@given(oracle_views(), PARAMS)
 def test_label_optimum_matches_reference(view, params):
-    assert optimal_partition(view, params) == _reference_optimum(view, params)
+    assert _optimum_and_scores(view, params) == _reference_optimum(view, params)
 
 
 @pytest.mark.parametrize(
@@ -111,8 +133,8 @@ def test_label_optimum_matches_reference(view, params):
     ids=["edgeless", "k6-minus-edge"],
 )
 def test_tied_optimum_matches_reference(view, params):
-    part, value = optimal_partition(view, params)
-    assert (part, value) == _reference_optimum(view, params)
+    part, value, scored = _optimum_and_scores(view, params)
+    assert (part, value, scored) == _reference_optimum(view, params)
     ties = [
         labels
         for labels in enumerate_labels(view.node_count)
