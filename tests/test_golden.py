@@ -44,6 +44,10 @@ WEIGHT_EVENTS = "".join(json.dumps(ev) + "\n" for ev in (
 ))
 
 GA_FLAGS = ["--population-size", "30", "--iterations", "300", "--checkpoint-every", "100"]
+# half the edges listed at first and nearly every gene mutated: crossover
+# splices repeat edges and replacement draws collide
+DUPLICATE_FLAGS = ["--p-init", "0.5", "--mutation-rate", "0.9", "--population-size", "12",
+                   "--iterations", "300", "--checkpoint-every", "100"]
 STREAM_FLAGS = ["--population-size", "20", "--iterations", "4000", "--checkpoint-every", "500"]
 OUTPUTS = (("part.json", "-o"), ("part.dot", "--dot"),
            ("ck.jsonl", "--checkpoint-log"), ("noa.jsonl", "--noa-log"))
@@ -84,6 +88,18 @@ GOLDEN = {
         "noa.jsonl": "5e9944e731aa5406dcb856ad6fbc992a2f32c76d5ddad5bb0bc033e09f68b9f8",
         "part.dot": "5ad296df1988d8eeffcb6d7a272ee58fbeee51bf615119affd587a9038630e71",
         "part.json": "59bfc1305bbe51351091bd5b262587b85408474fef58570c68b310c0226e3b0d",
+    },
+    "cluster-duplicates-emails-edge-removal": {
+        "ck.jsonl": "bed9d66a35fe3ec7acadb34293a87ac8409da0de4581069be12d02e16724b949",
+        "noa.jsonl": "fe6bc5ea543382a3e712d5ed9432c717f8a9ebfaa9f76b3c7b895e4186e99720",
+        "part.dot": "c02f3928a298c001c8e19fbc9f2731b19f60b48069a83e0589c2b07c25357138",
+        "part.json": "c87795fa1a7eace4547ca60e6017990e8e4589f356aada54435d9ae1025b5d01",
+    },
+    "cluster-duplicates-posts-edge-removal": {
+        "ck.jsonl": "fcad53869ea14b0811c2b3e0e6b781d0b69d4e9b80caa57c520aded6382f9da2",
+        "noa.jsonl": "41f98e3448f0cc6e79d1d59a7484d97502e5525c5acaf889b84be70e89ae6a74",
+        "part.dot": "088c550c8c1317f4a6a8984ef850c58e0d49fbda7428593087c7ea125f0675a9",
+        "part.json": "62b0a3223ffb70a7f43612343d0fc6b52ea2639c09f952bfa41e113dfae63bb9",
     },
     "cluster-all-sum": {
         "ck.jsonl": "3abe882d57488435557d758c6ed58f3a905e63d99488bcca2a0ac052debb7a19",
@@ -163,6 +179,11 @@ def _runs(inputs):
                 "cluster", "-i", table1, "--attr", attr, "--scheme", scheme,
                 "--seed", seed, *GA_FLAGS,
             ]
+    for attr in ("emails", "posts"):
+        yield f"cluster-duplicates-{attr}-edge-removal", [
+            "cluster", "-i", table1, "--attr", attr, "--scheme", "edge-removal",
+            "--seed", "3", *DUPLICATE_FLAGS,
+        ]
     yield "cluster-all-sum", ["cluster", "-i", table1, "--seed", "2", *GA_FLAGS]
     yield "cluster-emails+posts-max", [
         "cluster", "-i", table1, "--attr", "emails", "--attr", "posts", "--agg", "max",
