@@ -5,8 +5,10 @@ counted in evaluations: initialization costs population_size, every step
 costs 2, and each event batch costs population_size + 1 re-evaluations
 (whole population plus the elite, all against the new snapshot).
 
-Chromosomes are repaired only where they are made (crossover, mutation;
-random ones are canonical) or where the view changes (an event batch).
+Edge-removal chromosomes are repaired only where the view changes (a
+structural event batch): random ones are canonical, and from canonical
+parents the operators can only repeat an edge, so they drop repeats and
+nothing else. Decode rejects anything that is not canonical.
 
 A weight-only batch, whose every event re-weights an edge without turning
 it active or inactive in the view, cannot change a decoded partition. Its
@@ -126,7 +128,7 @@ class GAState:
 
 
 def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
-    """Decode a repaired chromosome to labels against the live view, score.
+    """Decode a canonical chromosome to labels against the live view, score.
     Costs one evaluation."""
     labels, parts = encoding.decode_labels(chrom, state.view)
     value, k, weight_in = score_terms(labels, parts, state.view, state.config.fitness_params)
@@ -192,16 +194,15 @@ def single_point_crossover(
     """Splice prefix of one parent onto suffix of the other.
 
     Cut points are drawn independently per parent (a shared index is
-    undefined when lengths differ). Children come back repaired.
+    undefined when lengths differ). Parents must be canonical for `view`;
+    a child keeps the first occurrence of a repeated edge, as repair would.
     """
     r1, r2 = p1.removed, p2.removed
     cut1 = rng.randint(0, len(r1))
     cut2 = rng.randint(0, len(r2))
-    child1 = EdgeRemovalChromosome(r1[:cut1] + r2[cut2:])
-    child2 = EdgeRemovalChromosome(r2[:cut2] + r1[cut1:])
     return (
-        encoding.repair_edge_removal(child1, view),
-        encoding.repair_edge_removal(child2, view),
+        EdgeRemovalChromosome(tuple(dict.fromkeys(r1[:cut1] + r2[cut2:]))),
+        EdgeRemovalChromosome(tuple(dict.fromkeys(r2[:cut2] + r1[cut1:]))),
     )
 
 
@@ -251,22 +252,28 @@ def _mutate_edge_removal(
     rate: float,
     rng: random.Random,
 ) -> EdgeRemovalChromosome:
+    # kept genes are distinct and never drawn, so only a draw can repeat one
     listed = set(chrom.removed)
+    drawn: set = set()
     out: list = []
     for gene in chrom.removed:
         if rng.random() < rate:
             if rng.random() < 0.5:
                 continue  # drop the removal
             repl = _draw_unlisted(view, listed, rng)
-            out.append(repl if repl is not None else gene)
+            if repl is None:
+                out.append(gene)
+            elif repl not in drawn:
+                drawn.add(repl)
+                out.append(repl)
         else:
             out.append(gene)
     # growth move: without it the empty chromosome would be absorbing
     if rng.random() < rate:
         extra = _draw_unlisted(view, listed, rng)
-        if extra is not None:
+        if extra is not None and extra not in drawn:
             out.append(extra)
-    return encoding.repair_edge_removal(EdgeRemovalChromosome(tuple(out)), view)
+    return EdgeRemovalChromosome(tuple(out))
 
 
 def _mutate_separator(
@@ -295,7 +302,8 @@ def _mutate_separator(
 def mutate(
     chrom: Chromosome, view: AttributeView, rate: float, rng: random.Random
 ) -> Chromosome:
-    """Per-gene mutation at the given rate; the result is repaired."""
+    """Per-gene mutation at the given rate: canonical in, canonical out. An
+    edge-removal mutant is not repaired, so decode rejects a bad parent's."""
     if isinstance(chrom, EdgeRemovalChromosome):
         return _mutate_edge_removal(chrom, view, rate, rng)
     if isinstance(chrom, SeparatorChromosome):

@@ -137,7 +137,9 @@ def score_terms(
             ties_in[ca] += 1
             weight_in += w
 
-    small = sum(1 for s in _sizes(parts) if s < params.sigma_small)
+    # edge-removal clusters are their own parts: decode hands the same list
+    part_sizes = sizes if parts is labels else _sizes(parts)
+    small = sum(1 for s in part_sizes if s < params.sigma_small)
 
     weighted = 0.0
     for ci, s in enumerate(sizes):

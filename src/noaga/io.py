@@ -207,6 +207,12 @@ def _require(obj: dict, key: str):
 def _label(value):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"node label must be an integer or string, got {value!r}")
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            # a JSON-escaped lone surrogate: no writer could encode the label
+            raise ValueError(f"node label is not valid Unicode text: {value!r}") from None
     return value
 
 

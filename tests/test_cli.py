@@ -135,6 +135,24 @@ def test_stream_refuses_a_batch_that_empties_the_view(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stream_refuses_a_label_that_is_not_unicode_text(tmp_path, capsys):
+    # JSON accepts an escaped lone surrogate, which no writer can encode as UTF-8
+    src = tmp_path / "g.tsv"
+    src.write_text("node_a\tnode_b\tw\n1\t2\t3\n2\t3\t1\n")
+    events = tmp_path / "events.jsonl"
+    events.write_text(
+        '{"tick": 1, "kind": "add_node", "node": "\\udcff"}\n'
+        '{"tick": 1, "kind": "add_edge", "a": "\\udcff", "b": 1, "weights": [2]}\n'
+    )
+    out, dot = tmp_path / "part.json", tmp_path / "part.dot"
+    code = main(["stream", "-i", str(src), "--events", str(events), "--seed", "0",
+                 "-o", str(out), "--dot", str(dot)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("noaga: error: line 1: ")
+    assert not out.exists() and not dot.exists()
+
+
 def test_oracle_exceeds_cap(table1, tmp_path, capsys):
     code = main(["oracle", "-i", table1, "--attr", "emails"])
     assert code == 2
@@ -355,6 +373,7 @@ def _mutated(base):
 )
 @example((FUZZ_TSV.replace(b"3\t1\n", b"\xff\t1\n", 1), FUZZ_EVENTS))
 @example((FUZZ_TSV, FUZZ_EVENTS.replace(b'"X"', b'"\xff"', 1)))
+@example((FUZZ_TSV, FUZZ_EVENTS.replace(b'"X"', b'"\\udcff"')))
 def test_mutated_inputs_end_in_a_documented_exit(files):
     """cluster, stream and oracle on damaged input files: exit 0, 1 or 2,
     never a traceback, and a failed run says why and writes no output."""

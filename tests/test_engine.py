@@ -35,7 +35,7 @@ from noaga import (
     swap_crossover,
 )
 from noaga import encoding
-from noaga.engine import GAState, apply_events
+from noaga.engine import GAState, _draw_unlisted, _evaluate, apply_events
 
 from conftest import REWEIGHT_VIEWS, TABLE1_VIEWS, raw_chromosomes, reweight_batches, small_views
 
@@ -422,6 +422,84 @@ def test_operators_make_canonical_chromosomes(view, scheme, p_init, seed):
     for chrom in (p1, p2, *children):
         assert _canonical(chrom, view)
         assert _canonical(mutate(chrom, view, 0.5, rng), view)
+
+
+def _replay(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def _repaired_raw_mutant(chrom, view, rate, rng):
+    """The edge-removal mutation as a raw gene list, repaired afterwards."""
+    listed = set(chrom.removed)
+    out = []
+    for gene in chrom.removed:
+        if rng.random() < rate:
+            if rng.random() < 0.5:
+                continue
+            repl = _draw_unlisted(view, listed, rng)
+            out.append(repl if repl is not None else gene)
+        else:
+            out.append(gene)
+    if rng.random() < rate:
+        extra = _draw_unlisted(view, listed, rng)
+        if extra is not None:
+            out.append(extra)
+    return encoding.repair_edge_removal(EdgeRemovalChromosome(tuple(out)), view)
+
+
+@settings(max_examples=300, deadline=None)
+@given(views, st.sampled_from([0.1, 0.5, 1.0]), st.sampled_from([0.1, 0.5, 1.0]),
+       st.integers(0, 2**32))
+def test_edge_removal_operators_equal_repair_of_the_raw_genes(view, p_init, rate, seed):
+    # canonical parents: dropping repeats alone gives what repair would give
+    rng = random.Random(seed)
+    p1, p2 = (encoding.random_edge_removal(view, rng, p_init) for _ in range(2))
+    twin = _replay(rng)
+    children = single_point_crossover(p1, p2, view, rng)
+    r1, r2 = p1.removed, p2.removed
+    cut1, cut2 = twin.randint(0, len(r1)), twin.randint(0, len(r2))
+    splices = (r1[:cut1] + r2[cut2:], r2[:cut2] + r1[cut1:])
+    for child, splice in zip(children, splices):
+        assert child == encoding.repair_edge_removal(EdgeRemovalChromosome(splice), view)
+    for chrom in (p1, p2, *children):
+        twin = _replay(rng)
+        assert mutate(chrom, view, rate, rng) == _repaired_raw_mutant(chrom, view, rate, twin)
+        assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(views, st.integers(0, 2**32))
+def test_run_without_events_never_repairs(view, seed):
+    config = GAConfig(population_size=8, max_evaluations=300, p_init=0.5, mutation_rate=0.5,
+                      checkpoint_every=40, seed=seed)
+    want = run(view, config)
+
+    def refuse(*args):
+        raise AssertionError("repair called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoding, "repair", refuse)
+        mp.setattr(encoding, "repair_edge_removal", refuse)
+        got = run(view, config)
+    assert (got.partition, got.value, got.checkpoints, got.noa_history) == (
+        want.partition, want.value, want.checkpoints, want.noa_history
+    )
+    assert _run_state(got.state) == _run_state(want.state)
+
+
+@pytest.mark.parametrize("removed", [((4, 7), (5, 6), (4, 7)), ((7, 4),), ((1, 15),)])
+def test_mutation_passes_a_non_canonical_chromosome_to_decode(emails, removed):
+    # a duplicate, a reversed pair, a pair that is no edge of the view
+    chrom = EdgeRemovalChromosome(removed)
+    assert not _canonical(chrom, emails)
+    state = init_population(emails, GAConfig(population_size=2, max_evaluations=10))
+    mutant = mutate(chrom, emails, 0.0, state.rng)
+    assert mutant == chrom
+    with pytest.raises(UnrepairedChromosome):
+        _evaluate(state, mutant)
+    assert state.evaluations == 2
 
 
 @settings(max_examples=100, deadline=None)

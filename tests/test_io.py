@@ -130,6 +130,11 @@ def test_event_stream_skips_comments(tmp_path):
         ('{"tick": 1, "kind": "update_weight", "a": 1, "b": 2, "attr": "w1", "value": true}\n', 1),
         ('{"tick": 1, "kind": "add_node", "node": null}\n', 1),
         (
+            '{"tick": 1, "kind": "add_node", "node": "X"}\n'
+            '{"tick": 1, "kind": "add_edge", "a": "\\udcff", "b": 1, "weights": [2]}\n',
+            2,
+        ),
+        (
             '{"tick": 5, "kind": "add_node", "node": 1}\n'
             '{"tick": 4, "kind": "add_node", "node": 2}\n',
             2,
