@@ -49,6 +49,9 @@ GA_FLAGS = ["--population-size", "30", "--iterations", "300", "--checkpoint-ever
 DUPLICATE_FLAGS = ["--p-init", "0.5", "--mutation-rate", "0.9", "--population-size", "12",
                    "--iterations", "300", "--checkpoint-every", "100"]
 STREAM_FLAGS = ["--population-size", "20", "--iterations", "4000", "--checkpoint-every", "500"]
+# little crossover and mutation: most children equal a parent; at seed 1
+# the elite still improves between checkpoints
+REUSE_FLAGS = ["--crossover-rate", "0.2", "--mutation-rate", "0.02"]
 OUTPUTS = (("part.json", "-o"), ("part.dot", "--dot"),
            ("ck.jsonl", "--checkpoint-log"), ("noa.jsonl", "--noa-log"))
 
@@ -113,6 +116,12 @@ GOLDEN = {
         "part.dot": "5c12c812522e549801b51f84697a10a1a576258e09be22fdee86165b5084a638",
         "part.json": "8ff3d1d111f7de00df8d49b85977469dd1f2438475e386aa83fb109bbbf71613",
     },
+    "cluster-reuse-emails-separator": {
+        "ck.jsonl": "375a6e31107d487bf9257a628284a14f6d6259e265241aed2a2dccf5858fc7d5",
+        "noa.jsonl": "5a5db0a776ba33bdddd68cf7dcd44d08c246f0e9fc27852491e23d4ebed584d0",
+        "part.dot": "9e1ed0e9540679a21adc53479b6bbe7a0164201a011525d5429d8f1c7f071f6e",
+        "part.json": "423e16b175d723031ae1656cc958b59ae356e8f96ffe2d707d5d828697e3990f",
+    },
     "stream-edge-removal": {
         "ck.jsonl": "91e923a52aa7bdd267ba0b05dc47f8f62352a913985c010a0a60abf2f111d212",
         "noa.jsonl": "bdeb66d7e8e907bdb9a0cdc3711b6687188fa67145b6db0dfe1022c10681d8e5",
@@ -148,6 +157,12 @@ GOLDEN = {
         "noa.jsonl": "8cd6d224e850bd7e788469b98ccb5dae27f20c0a63ef27e5a1e2922f73e53e92",
         "part.dot": "2daaa393636c43192ddc39a2dae3992325c57371d740351ef8c8179ba5413327",
         "part.json": "e8fd4019bccc320d01971f643af5c82058265b7acf914fb1218d60fcb37c76a7",
+    },
+    "stream-reuse-edge-removal": {
+        "ck.jsonl": "0adfd18657106bae066ea8ce06bee91e9a2eb4c42c31005454d215392c9e8f35",
+        "noa.jsonl": "52dcadbe2df99752ea8e26f3a92c8b4e277f8703dc6eac1002a75186c83b675e",
+        "part.dot": "ded72cdef54643b7274a49b6a784d5182f9d42ec3382f9ee5cca8a647ca581c3",
+        "part.json": "c0bf353e64bf2609f2273e09546eb323270081619d9b7998f3c2f48d80492a62",
     },
     "oracle-max": {
         "part.json": "e053e876e069de9aa8d8c89be0334176fb8b80b4c0be054bca68060287c56127",
@@ -189,6 +204,10 @@ def _runs(inputs):
         "cluster", "-i", table1, "--attr", "emails", "--attr", "posts", "--agg", "max",
         "--seed", "2", *GA_FLAGS,
     ]
+    yield "cluster-reuse-emails-separator", [
+        "cluster", "-i", table1, "--attr", "emails", "--scheme", "separator",
+        "--seed", "1", *REUSE_FLAGS, *GA_FLAGS,
+    ]
     for scheme in ("edge-removal", "separator"):
         yield f"stream-{scheme}", [
             "stream", "-i", table1, "--events", events, "--attr", "emails",
@@ -203,6 +222,12 @@ def _runs(inputs):
                 "stream", "-i", table1, "--events", weights, *flags,
                 "--scheme", scheme, "--seed", "4", *STREAM_FLAGS,
             ]
+    # clones and light mutants between event batches, which reset the worst member
+    yield "stream-reuse-edge-removal", [
+        "stream", "-i", table1, "--events", events, "--attr", "emails",
+        "--scheme", "edge-removal", "--seed", "3", "--crossover-rate", "0",
+        "--mutation-rate", "0.05", *STREAM_FLAGS,
+    ]
     yield "oracle-max", ["oracle", "-i", graph, "--agg", "max"]
 
 
