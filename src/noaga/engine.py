@@ -16,6 +16,11 @@ re-evaluations skip repair and decode: each individual is re-scored from
 the cluster labels, cluster count and intra-cluster weight cached when it
 was scored, and each still counts as one evaluation.
 
+A child equal to one of its parents decodes to the parent's labels against
+the same view, so it takes the parent's score and cached terms without
+decode or score, and still counts as one evaluation. The worst member is
+looked up again only after the population changed.
+
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
 """
@@ -125,6 +130,9 @@ class GAState:
     evaluations: int = 0
     iteration: int = 0
     applied: list[AppliedEvent] = field(default_factory=list)
+    # index of the first member with the lowest total; None once the
+    # population has changed since it was found
+    worst: int | None = None
 
 
 def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
@@ -156,6 +164,21 @@ def _rescore(
     value = rescore(ind.value, ind.k, weight_in, view.total_weight, state.config.fitness_params)
     state.evaluations += 1
     return Individual(ind.chromosome, value, view.version, labels, ind.k, weight_in)
+
+
+def _reuse(state: GAState, parent: Individual) -> Individual:
+    """Score a child equal to `parent`, which was scored against the live
+    view, from the parent's cache. Costs one evaluation."""
+    if parent.version != state.view.version:
+        raise StaleSnapshot(
+            f"individual is from snapshot version {parent.version}, "
+            f"view is at {state.view.version}"
+        )
+    state.evaluations += 1
+    # the constructor: dataclasses.replace costs about four times as much per child
+    return Individual(
+        parent.chromosome, parent.value, parent.version, parent.labels, parent.k, parent.weight_in
+    )
 
 
 def init_population(view: AttributeView, config: GAConfig) -> GAState:
@@ -321,7 +344,10 @@ def _worst_index(population: list[Individual]) -> int:
 
 def step(state: GAState) -> GAState:
     """One steady-state iteration: two tournaments, crossover, mutation, two
-    evaluations, strict-improvement replacement of the current worst."""
+    evaluations, strict-improvement replacement of the current worst.
+
+    A child equal to a parent takes that parent's score instead of being
+    decoded and scored again; it is still charged one evaluation."""
     cfg = state.config
     if state.evaluations + 2 > cfg.max_evaluations:
         raise Exhausted(
@@ -341,10 +367,18 @@ def step(state: GAState) -> GAState:
     else:
         c1, c2 = p1.chromosome, p2.chromosome
     for chrom in (c1, c2):
-        child = _evaluate(state, mutate(chrom, state.view, cfg.mutation_rate, rng))
-        worst = _worst_index(state.population)
-        if child.value.total > state.population[worst].value.total:
-            state.population[worst] = child
+        chrom = mutate(chrom, state.view, cfg.mutation_rate, rng)
+        if chrom == p1.chromosome:
+            child = _reuse(state, p1)
+        elif chrom == p2.chromosome:
+            child = _reuse(state, p2)
+        else:
+            child = _evaluate(state, chrom)
+        if state.worst is None:
+            state.worst = _worst_index(state.population)
+        if child.value.total > state.population[state.worst].value.total:
+            state.population[state.worst] = child
+            state.worst = None
         if child.value.total > state.best.value.total:
             state.best = replace(child)
     state.iteration += 1
@@ -386,6 +420,7 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
             raise EventError(batch[-1].tick, "the batch leaves the view with no active nodes")
     state.applied.extend(done)
     state.view = view
+    state.worst = None
     if weight_only:
         idxs = {old.pair_index[a.pair] for a in done if a.pair in old.pair_index}
         deltas = [

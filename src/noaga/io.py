@@ -426,6 +426,13 @@ def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
 # ------------------------------------------------------------------------ DOT
 
 
+def _dot_id(label: str) -> str:
+    """A double-quoted DOT ID: backslash, quote and newline escaped, so
+    undoing those three escapes gives the label back."""
+    text = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
+
+
 def dot_text(
     partition: Partition,
     view: AttributeView,
@@ -441,6 +448,8 @@ def dot_text(
     """
     snapshot = view.base
     reds = set(noa_nodes)
+    # quoted once per node, not once per edge end
+    ids = {node: _dot_id(snapshot.label_of(node)) for node in view.nodes}
     lines = []
     if meta_comment:
         lines.append(f"// {meta_comment}")
@@ -456,12 +465,11 @@ def dot_text(
             elif new_since is not None and snapshot.node_ticks.get(node, 0) > new_since:
                 attrs.append("color=blue")
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f'    "{snapshot.label_of(node)}"{suffix};')
+            quoted = ids[node] if node in ids else _dot_id(snapshot.label_of(node))
+            lines.append(f"    {quoted}{suffix};")
         lines.append("  }")
     for (a, b), w in zip(view.pairs, view.weights):
-        lines.append(
-            f'  "{snapshot.label_of(a)}" -- "{snapshot.label_of(b)}" [label={w}];'
-        )
+        lines.append(f"  {ids[a]} -- {ids[b]} [label={w}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

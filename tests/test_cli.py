@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -151,6 +152,34 @@ def test_stream_refuses_a_label_that_is_not_unicode_text(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("noaga: error: line 1: ")
     assert not out.exists() and not dot.exists()
+
+
+def test_dot_ids_escape_quotes_backslashes_and_newlines(tmp_path):
+    src = tmp_path / "g.tsv"
+    src.write_text("node_a\tnode_b\tw\n1\t2\t3\n2\t3\t1\n")
+    labels = ['a"b', "c\\", "e\nf"]
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(
+        json.dumps({"tick": 1, "kind": "add_node", "node": label}) + "\n"
+        + json.dumps({"tick": 1, "kind": "add_edge", "a": label, "b": 1, "weights": [2]}) + "\n"
+        for label in labels
+    ))
+    dot = tmp_path / "part.dot"
+    assert main(["stream", "-i", str(src), "--events", str(events), "--seed", "0",
+                 "-o", str(tmp_path / "part.json"), "--dot", str(dot)]) == 0
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    ids, edges = set(), []
+    for line in dot.read_text().splitlines():
+        if line.lstrip().startswith(("//", "label=")):
+            continue
+        assert '"' not in quoted.sub("", line)  # every quote opens or closes an ID
+        found = [re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), q)
+                 for q in quoted.findall(line)]
+        ids.update(found)
+        if " -- " in line:
+            edges.append(tuple(found))
+    assert ids == {"1", "2", "3", *labels}
+    assert sorted(edges) == sorted([("1", "2"), ("2", "3")] + [("1", label) for label in labels])
 
 
 def test_oracle_exceeds_cap(table1, tmp_path, capsys):

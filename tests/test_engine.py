@@ -35,7 +35,7 @@ from noaga import (
     swap_crossover,
 )
 from noaga import encoding
-from noaga.engine import GAState, _draw_unlisted, _evaluate, apply_events
+from noaga.engine import GAState, _draw_unlisted, _evaluate, _worst_index, apply_events
 
 from conftest import REWEIGHT_VIEWS, TABLE1_VIEWS, raw_chromosomes, reweight_batches, small_views
 
@@ -671,3 +671,94 @@ def test_weight_only_batch_rejects_a_stale_individual():
     state.population[2] = replace(state.population[2], version=7)
     with pytest.raises(StaleSnapshot):
         apply_events(state, [UpdateEvent.update_weight(1, 1, 2, "a", 7)])
+
+
+def _reference_step(state):
+    """`step` without score reuse or a kept worst index: every child is
+    decoded and scored, and the worst member is looked up before every
+    replacement test."""
+    cfg, rng = state.config, state.rng
+    p1 = binary_tournament(state)
+    p2 = binary_tournament(state)
+    if rng.random() < cfg.crossover_rate:
+        if cfg.scheme == EDGE_REMOVAL:
+            c1, c2 = single_point_crossover(p1.chromosome, p2.chromosome, state.view, rng)
+        else:
+            c1, c2 = swap_crossover(p1.chromosome, p2.chromosome, state.view.node_count, rng)
+    else:
+        c1, c2 = p1.chromosome, p2.chromosome
+    for chrom in (c1, c2):
+        child = _evaluate(state, mutate(chrom, state.view, cfg.mutation_rate, rng))
+        worst = _worst_index(state.population)
+        if child.value.total > state.population[worst].value.total:
+            state.population[worst] = child
+        if child.value.total > state.best.value.total:
+            state.best = replace(child)
+    state.iteration += 1
+
+
+def event_batches(view):
+    """A weight-only or structural batch: re-weights (`reweight_batches`),
+    a new node, a removed edge, or an edge added between two nodes."""
+    nodes = sorted(view.base.nodes)
+    free = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+            if (a, b) not in view.base.edges]
+    weights = (2,) * view.base.schema.arity
+    batches = [reweight_batches(view), st.just([UpdateEvent.add_node(1, "new")])]
+    if view.pairs:
+        batches.append(st.sampled_from(view.pairs).map(lambda p: [UpdateEvent.remove_edge(1, *p)]))
+    if free:
+        batches.append(st.sampled_from(free).map(lambda p: [UpdateEvent.add_edge(1, *p, weights)]))
+    return st.one_of(batches)
+
+
+@settings(max_examples=150, deadline=None)
+@given(views, st.sampled_from(SCHEMES), st.sampled_from([0.0, 0.1, 0.85]),
+       st.sampled_from([0.0, 0.1, 0.85]), st.integers(0, 2**32), st.data())
+def test_step_equals_scoring_every_child(view, scheme, crossover, mutation, seed, data):
+    # a child equal to a parent takes its score, and the worst member is
+    # looked up only after the population changed: same run as the old step
+    config = GAConfig(population_size=6, max_evaluations=400, crossover_rate=crossover,
+                      mutation_rate=mutation, scheme=scheme, p_init=0.5, k_max=4, seed=seed)
+    fast, slow = init_population(view, config), init_population(view, config)
+    batch = data.draw(event_batches(view))
+    for phase in range(2):
+        for _ in range(12):
+            step(fast)
+            _reference_step(slow)
+            assert _run_state(fast) == _run_state(slow)
+        if phase == 0:
+            try:
+                apply_events(slow, batch)
+            except EventError:
+                with pytest.raises(EventError):
+                    apply_events(fast, batch)
+            else:
+                apply_events(fast, batch)
+            assert _run_state(fast) == _run_state(slow)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_clone_steps_decode_nothing(emails, scheme):
+    config = GAConfig(population_size=6, max_evaluations=100, crossover_rate=0.0,
+                      mutation_rate=0.0, scheme=scheme, p_init=0.5, seed=3)
+    state = init_population(emails, config)
+    calls = []
+    decode_labels = encoding.decode_labels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoding, "decode_labels", lambda *a: calls.append(1) or decode_labels(*a))
+        for i in range(1, 21):
+            step(state)
+            assert state.evaluations == 6 + 2 * i
+    assert calls == []
+
+
+def test_step_rejects_a_parent_scored_at_an_older_version(two_triangle):
+    config = GAConfig(population_size=4, max_evaluations=100, crossover_rate=0.0,
+                      mutation_rate=0.0, seed=5)
+    state = init_population(two_triangle, config)
+    apply_events(state, [UpdateEvent.add_edge(1, 1, 4, (1,))])
+    state.population = [replace(ind, version=0) for ind in state.population]
+    with pytest.raises(StaleSnapshot):
+        step(state)
+    assert state.evaluations == 4 + 4 + 1
