@@ -43,6 +43,27 @@ WEIGHT_EVENTS = "".join(json.dumps(ev) + "\n" for ev in (
     _update(1800, 1, 5, "emails", 1), _update(1800, 12, 14, "posts", 9),
 ))
 
+
+
+def messy_table1(text):
+    """The table1 rows as a hand-edited file might hold them: CRLF endings,
+    comments and blank lines, space-padded fields, reversed pairs, and two
+    more edges that are zero in emails, one to a node with no other edge."""
+    header, *rows = text.splitlines()
+    name_a, name_b, *names = header.split("\t")
+    out = ["# table1, edited by hand", "\t".join([name_a, name_b, *(f" {n}" for n in names)]), ""]
+    for i, row in enumerate([*rows, "3\t9\t0\t1\t1", "15\t16\t0\t2\t0"]):
+        a, b, *weights = row.split("\t")
+        if i % 3 == 0:
+            a, b = b, a
+        if i % 4 == 1:
+            a, weights = f" {a}", [f" {w} " for w in weights]
+        out.append("\t".join([a, b, *weights]))
+        if i % 7 == 6:
+            out += ["", "   ", "  # a comment between rows"]
+    return "\r\n".join(out) + "\r\n"
+
+
 GA_FLAGS = ["--population-size", "30", "--iterations", "300", "--checkpoint-every", "100"]
 # half the edges listed at first and nearly every gene mutated: crossover
 # splices repeat edges and replacement draws collide
@@ -164,6 +185,12 @@ GOLDEN = {
         "part.dot": "ded72cdef54643b7274a49b6a784d5182f9d42ec3382f9ee5cca8a647ca581c3",
         "part.json": "c0bf353e64bf2609f2273e09546eb323270081619d9b7998f3c2f48d80492a62",
     },
+    "cluster-messy-emails-edge-removal": {
+        "ck.jsonl": "fed3ecac143b77fc762c9bee2dd81755335cf627fef747396417a10e2c9315fe",
+        "noa.jsonl": "b85fe465ccbd57c2f2e231367fe2c7f2b4108388488f4eb4f440c147419420c4",
+        "part.dot": "a3a44911b153b4e76d425c1b778b7bb3e35f3e4c02007de95151440237c182a5",
+        "part.json": "9af4bf4e4fd42207da78afec5d7c2e815dfccc3f9b3475c6f33117e4509e052b",
+    },
     "oracle-max": {
         "part.json": "e053e876e069de9aa8d8c89be0334176fb8b80b4c0be054bca68060287c56127",
     },
@@ -187,7 +214,7 @@ def _run(tmp_path, argv):
 
 
 def _runs(inputs):
-    table1, events, weights, graph = inputs
+    table1, events, weights, graph, messy = inputs
     for attr in ("emails", "posts", "comments"):
         for scheme, seed in (("edge-removal", "3"), ("separator", "5")):
             yield f"cluster-{attr}-{scheme}", [
@@ -228,20 +255,26 @@ def _runs(inputs):
         "--scheme", "edge-removal", "--seed", "3", "--crossover-rate", "0",
         "--mutation-rate", "0.05", *STREAM_FLAGS,
     ]
+    yield "cluster-messy-emails-edge-removal", [
+        "cluster", "-i", messy, "--attr", "emails", "--scheme", "edge-removal",
+        "--seed", "3", *GA_FLAGS,
+    ]
     yield "oracle-max", ["oracle", "-i", graph, "--agg", "max"]
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-inputs")
-    table1, events, weights, graph = (
-        str(root / n) for n in ("table1.tsv", "events.jsonl", "weights.jsonl", "g.tsv")
+    table1, events, weights, graph, messy = (
+        str(root / n)
+        for n in ("table1.tsv", "events.jsonl", "weights.jsonl", "g.tsv", "messy.tsv")
     )
     assert main(["gen", "--preset", "table1", "-o", table1]) == 0
     assert main(["gen", "--preset", "table2-events", "-o", events]) == 0
     (root / "weights.jsonl").write_text(WEIGHT_EVENTS)
     (root / "g.tsv").write_text(ORACLE_GRAPH)
-    return table1, events, weights, graph
+    (root / "messy.tsv").write_bytes(messy_table1((root / "table1.tsv").read_text()).encode())
+    return table1, events, weights, graph, messy
 
 
 def test_cli_outputs_match_golden_digests(inputs, tmp_path):
