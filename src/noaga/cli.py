@@ -7,6 +7,7 @@ error (unparsable input, missing entities, enumeration cap, event failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -301,10 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use. Each parse fills a fresh
+    Namespace, so calls in one process do not share arguments."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1

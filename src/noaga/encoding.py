@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Union
+from typing import AbstractSet, Union
 
 from .errors import ConfigInvalid, UnrepairedChromosome
 from .graph import AttributeView, Pair, Partition, component_labels, part_labels
@@ -143,6 +143,21 @@ def random_chromosome(
 def repair(chrom: Chromosome, view: AttributeView) -> Chromosome:
     if isinstance(chrom, EdgeRemovalChromosome):
         return repair_edge_removal(chrom, view)
+    if isinstance(chrom, SeparatorChromosome):
+        return repair_separator(chrom, view.node_count)
+    raise ConfigInvalid(f"not a chromosome: {chrom!r}")
+
+
+def carry_over(chrom: Chromosome, view: AttributeView, gone: AbstractSet[Pair]) -> Chromosome:
+    """A chromosome canonical for the previous view of a run, made canonical
+    for `view`, where `gone` holds the previous view's pairs that are not
+    active in `view`. Edge-removal genes lose the pairs in `gone` and the
+    chromosome is returned as it is when none of them is listed; separators
+    go through `repair_separator`. Equal to `repair` on such input."""
+    if isinstance(chrom, EdgeRemovalChromosome):
+        if gone.isdisjoint(chrom.removed):
+            return chrom
+        return EdgeRemovalChromosome(tuple(p for p in chrom.removed if p not in gone))
     if isinstance(chrom, SeparatorChromosome):
         return repair_separator(chrom, view.node_count)
     raise ConfigInvalid(f"not a chromosome: {chrom!r}")

@@ -5,10 +5,11 @@ counted in evaluations: initialization costs population_size, every step
 costs 2, and each event batch costs population_size + 1 re-evaluations
 (whole population plus the elite, all against the new snapshot).
 
-Edge-removal chromosomes are repaired only where the view changes (a
-structural event batch): random ones are canonical, and from canonical
-parents the operators can only repeat an edge, so they drop repeats and
-nothing else. Decode rejects anything that is not canonical.
+Edge-removal chromosomes are never repaired: random ones are canonical,
+and from canonical parents the operators can only repeat an edge, so they
+drop repeats and nothing else. After a structural event batch a chromosome
+only loses the edges that left the view. Decode rejects anything that is
+not canonical.
 
 A weight-only batch, whose every event re-weights an edge without turning
 it active or inactive in the view, cannot change a decoded partition. Its
@@ -395,7 +396,8 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
     in the snapshot, and active in the view exactly when it was before)
     patches the view and re-scores each individual from its cached labels,
     cluster count and intra-cluster weight. Any other batch rebuilds the
-    view, and re-repairs and re-evaluates every individual.
+    view, drops from each chromosome the edges that left it (separators are
+    re-clamped to the new node count) and re-evaluates every individual.
 
     An event that cannot be applied, or a batch that leaves the view with
     no active nodes, raises EventError before the run state changes.
@@ -432,9 +434,10 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
             state.population[i] = _rescore(state, ind, old.version, deltas)
         state.best = _rescore(state, state.best, old.version, deltas)
     else:
+        gone = old.pair_index.keys() - view.pair_index.keys()
         for i, ind in enumerate(state.population):
-            state.population[i] = _evaluate(state, encoding.repair(ind.chromosome, view))
-        state.best = _evaluate(state, encoding.repair(state.best.chromosome, view))
+            state.population[i] = _evaluate(state, encoding.carry_over(ind.chromosome, view, gone))
+        state.best = _evaluate(state, encoding.carry_over(state.best.chromosome, view, gone))
     for ind in state.population:
         if ind.value.total > state.best.value.total:
             state.best = replace(ind)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -184,9 +185,10 @@ class GraphSnapshot:
         names: Mapping[str, int] | None = None,
         tick: int = 0,
     ) -> "GraphSnapshot":
-        """Version-0 snapshot from an edge collection plus optional isolated nodes."""
+        """Version-0 snapshot from an edge collection plus optional isolated
+        nodes. Checks each edge's arity and that no pair repeats, then hands
+        the edge dict to `from_checked`, the one version-0 constructor."""
         edict: dict[Pair, tuple[int, ...]] = {}
-        nodes = set(extra_nodes)
         for e in edges:
             if len(e.weights) != schema.arity:
                 raise ConfigInvalid(
@@ -195,14 +197,28 @@ class GraphSnapshot:
             if e.key in edict:
                 raise DuplicateEdge(f"duplicate edge {e.key}")
             edict[e.key] = e.weights
-            nodes.add(e.a)
-            nodes.add(e.b)
+        return cls.from_checked(schema, edict, extra_nodes, names, tick)
+
+    @classmethod
+    def from_checked(
+        cls,
+        schema: AttributeSchema,
+        edges: dict[Pair, tuple[int, ...]],
+        extra_nodes: Iterable[int] = (),
+        names: Mapping[str, int] | None = None,
+        tick: int = 0,
+    ) -> "GraphSnapshot":
+        """Version-0 snapshot that takes over `edges` as it is: the caller
+        has checked that every key is a normalized pair (low, high) and
+        every value a tuple of `schema.arity` non-negative ints, not all
+        zero. The nodes are the edges' endpoints plus `extra_nodes`."""
+        nodes = frozenset(chain.from_iterable(edges)).union(extra_nodes)
         return cls(
             schema=schema,
-            nodes=frozenset(nodes),
-            edges=MappingProxyType(edict),
+            nodes=nodes,
+            edges=MappingProxyType(edges),
             names=MappingProxyType(dict(names or {})),
-            node_ticks=MappingProxyType({n: tick for n in nodes}),
+            node_ticks=MappingProxyType(dict.fromkeys(nodes, tick)),
             version=0,
             tick=tick,
         )
@@ -359,31 +375,33 @@ class AttributeView:
         self.aggregation = aggregation
         self.version = base.version
 
-        self._ix = ix = tuple(names.index(a) for a in chosen)
-        self._combine = combine = max if aggregation == "max" else sum
+        combine = max if aggregation == "max" else sum
+        pick = itemgetter(*(names.index(a) for a in chosen))
+        # weight vector -> aggregated weight
+        self._weigh = weigh = pick if len(chosen) == 1 else lambda vec: combine(pick(vec))
         pairs: list[Pair] = []
         weights: list[int] = []
-        ever_touched: set[int] = set()
-        active_touched: set[int] = set()
-        for key in sorted(base.edges):
-            ever_touched.update(key)
-            vec = base.edges[key]
-            w = combine(vec[i] for i in ix)
+        for key, vec in sorted(base.edges.items()):
+            w = weigh(vec)
             if w > 0:
                 pairs.append(key)
                 weights.append(w)
-                active_touched.update(key)
         self.pairs: tuple[Pair, ...] = tuple(pairs)
         self.weights: tuple[int, ...] = tuple(weights)
         self.total_weight = sum(weights)
-        self.nodes: tuple[int, ...] = tuple(
-            sorted(active_touched | (base.nodes - ever_touched))
-        )
-        self.node_index = {n: i for i, n in enumerate(self.nodes)}
+        # active nodes are the snapshot's nodes less those whose every edge
+        # is inactive here; with no inactive edge that is all of them
+        nodes = base.nodes
+        if len(pairs) != len(base.edges):
+            nodes = nodes.difference(chain.from_iterable(base.edges)).union(
+                chain.from_iterable(pairs)
+            )
+        self.nodes: tuple[int, ...] = tuple(sorted(nodes))
+        self.node_index = node_index = {n: i for i, n in enumerate(self.nodes)}
         self.pair_index = {p: i for i, p in enumerate(pairs)}
         # endpoint index arrays, the decode hot path walks these
-        self.ea = [self.node_index[a] for a, _ in pairs]
-        self.eb = [self.node_index[b] for _, b in pairs]
+        self.ea = [node_index[a] for a, _ in pairs]
+        self.eb = [node_index[b] for _, b in pairs]
         adj: dict[int, list[tuple[int, int]]] = {}
         for (a, b), w in zip(pairs, weights):
             adj.setdefault(a, []).append((b, w))
@@ -407,7 +425,7 @@ class AttributeView:
             vec = base.edges.get(key)
             if vec is None:
                 return None
-            w = self._combine(vec[i] for i in self._ix)
+            w = self._weigh(vec)
             idx = self.pair_index.get(key)
             if (w > 0) != (idx is not None):
                 return None

@@ -23,7 +23,6 @@ from .fitness import FitnessValue, closeness
 from .graph import (
     AttributeSchema,
     AttributeView,
-    Edge,
     EventKind,
     GraphSnapshot,
     Pair,
@@ -90,6 +89,11 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
     non-negative integer weight per attribute. A headerless file must have
     exactly two columns per row and is read as arity 1 with weight 1 on
     every edge. '#' lines and blank lines are skipped.
+
+    The row loop checks all that `Edge` and `GraphSnapshot.build` check
+    (column count, digits, self-loop, all-zero weights, repeated pair), so
+    no `Edge` is built: the loop's edge dict, in file order, goes straight
+    to `GraphSnapshot.from_checked`, the one version-0 constructor.
     """
     schema: AttributeSchema | None = None
     bare = False
@@ -112,15 +116,13 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
                     if any(not n for n in names) or len(set(names)) != len(names):
                         raise ParseError(lineno, f"attribute names must be unique and non-empty: {names}")
                     schema = AttributeSchema(names)
+                    expected = 2 + schema.arity
                     continue
             if bare:
                 if len(fields) != 2:
                     raise ParseError(lineno, f"headerless rows must have 2 columns, got {len(fields)}")
-                expected = 2
-            else:
-                expected = 2 + schema.arity
-                if len(fields) != expected:
-                    raise ParseError(lineno, f"expected {expected} columns, got {len(fields)}")
+            elif len(fields) != expected:
+                raise ParseError(lineno, f"expected {expected} columns, got {len(fields)}")
             values = []
             for f in fields:
                 f = f.strip()
@@ -141,10 +143,7 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
         schema = AttributeSchema(BARE_ATTRS)
     if schema is None:
         raise ParseError(1, "empty edge list (no header, no rows)")
-    snapshot = GraphSnapshot.build(
-        schema, [Edge(a, b, w) for (a, b), w in edges.items()]
-    )
-    return snapshot, schema
+    return GraphSnapshot.from_checked(schema, edges), schema
 
 
 def edge_list_text(snapshot: GraphSnapshot) -> str:

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import noaga
 from noaga import connected_components, datasets, io
 from noaga.cli import main
 from noaga.graph import AttributeView
@@ -104,6 +107,30 @@ def test_cluster_is_byte_deterministic(table1, tmp_path):
         ]) == 0
     for suffix in (".json", ".ck.jsonl", ".noa.jsonl"):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_calls_in_one_process_share_no_arguments(table1, tmp_path):
+    """`main` reuses one parser: a run without --attr after one with it
+    still clusters the default view, and both write what separate
+    processes write."""
+    runs = {
+        "emails": ["cluster", "-i", table1, "--attr", "emails", "--seed", "5",
+                   "--population-size", "20", "--iterations", "100"],
+        "all": ["cluster", "-i", table1, "--seed", "5",
+                "--population-size", "20", "--iterations", "100"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "-o", str(tmp_path / f"{name}.json")]) == 0
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(noaga.__file__))}
+    for name, argv in runs.items():
+        subprocess.run(
+            [sys.executable, "-m", "noaga.cli", *argv, "-o", str(tmp_path / f"{name}.alone.json")],
+            env=env, check=True, capture_output=True,
+        )
+        assert (tmp_path / f"{name}.json").read_bytes() == (
+            tmp_path / f"{name}.alone.json").read_bytes()
+    attrs = json.loads((tmp_path / "all.json").read_text())["attrs"]
+    assert attrs == ["emails", "posts", "comments"]
 
 
 def test_stream_reports_unknown_label(table1, tmp_path, capsys):

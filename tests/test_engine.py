@@ -37,7 +37,14 @@ from noaga import (
 from noaga import encoding
 from noaga.engine import GAState, _draw_unlisted, _evaluate, _worst_index, apply_events
 
-from conftest import REWEIGHT_VIEWS, TABLE1_VIEWS, raw_chromosomes, reweight_batches, small_views
+from conftest import (
+    REWEIGHT_VIEWS,
+    TABLE1_VIEWS,
+    multi_attr_views,
+    raw_chromosomes,
+    reweight_batches,
+    small_views,
+)
 
 
 def triangle_view():
@@ -514,6 +521,76 @@ def test_apply_events_repairs_for_the_new_view(view, scheme, seed, data):
     assert (a, b) not in state.view.pair_index
     for ind in (*state.population, state.best):
         assert _canonical(ind.chromosome, state.view)
+
+
+@st.composite
+def structural_batches(draw, view):
+    """One to four events that change the snapshot's edge or node set:
+    edges removed or given a zero weight (on a multi-attribute view that
+    can leave them in the snapshot but inactive in the view), edges added
+    between existing nodes, and new isolated nodes."""
+    snapshot = view.base
+    names = snapshot.schema.names
+    nodes = sorted(snapshot.nodes)
+    edges = dict(snapshot.edges)
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("remove", "zero", "add", "node")))
+        free = [(a, b) for a in nodes for b in nodes if a < b and (a, b) not in edges]
+        if kind in ("remove", "zero") and edges:
+            key = draw(st.sampled_from(sorted(edges)))
+            if kind == "remove":
+                batch.append(UpdateEvent.remove_edge(1, *key))
+                del edges[key]
+                continue
+            i = draw(st.integers(0, len(names) - 1))
+            batch.append(UpdateEvent.update_weight(1, *key, names[i], 0))
+            vec = edges[key][:i] + (0,) + edges[key][i + 1:]
+            if any(vec):
+                edges[key] = vec
+            else:
+                del edges[key]
+        elif kind == "add" and free:
+            key = draw(st.sampled_from(free))
+            weights = draw(st.lists(st.integers(0, 3), min_size=len(names),
+                                    max_size=len(names)).filter(any))
+            batch.append(UpdateEvent.add_edge(1, *key, weights))
+            edges[key] = tuple(weights)
+        else:
+            node = max(nodes, default=-1) + 1
+            batch.append(UpdateEvent.add_node(1, node))
+            nodes.append(node)
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_views(), multi_attr_views()), st.sampled_from(SCHEMES),
+       st.integers(0, 2**32), st.data())
+def test_structural_batches_drop_only_the_genes_that_left_the_view(view, scheme, seed, data):
+    if view.node_count == 0:
+        return
+    config = GAConfig(population_size=6, max_evaluations=100, scheme=scheme, p_init=0.5,
+                      k_max=4, seed=seed)
+    state = init_population(view, config)
+    old = [ind.chromosome for ind in (*state.population, state.best)]
+    try:
+        apply_events(state, data.draw(structural_batches(view)))
+    except EventError as exc:
+        assert "no active nodes" in str(exc)
+        return
+    new = state.view
+    for before, ind in zip(old, state.population):
+        after = ind.chromosome
+        if isinstance(before, EdgeRemovalChromosome):
+            assert after == encoding.repair_edge_removal(before, new)
+            if set(before.removed) <= new.pair_index.keys():
+                assert after is before  # nothing left the view: kept, not copied
+        else:
+            assert after == encoding.repair_separator(before, new.node_count)
+    # the elite is the old elite carried over, unless a member now beats it
+    assert state.best.chromosome in (
+        encoding.repair(old[-1], new), *(ind.chromosome for ind in state.population)
+    )
 
 
 @settings(max_examples=200, deadline=None)

@@ -229,6 +229,54 @@ def test_reweighted_view_equals_a_fresh_build(view, data):
         assert patched.pairs is view.pairs and patched.node_index is view.node_index
 
 
+def _reference_view_fields(snapshot, attrs, aggregation):
+    """`_view_fields` of the view, projected edge by edge from the snapshot."""
+    names = snapshot.schema.names
+    combine = max if aggregation == "max" else sum
+    weight = {k: combine(vec[names.index(a)] for a in attrs) for k, vec in snapshot.edges.items()}
+    pairs = tuple(sorted(k for k, w in weight.items() if w > 0))
+    touched = {n for k in snapshot.edges for n in k}
+    nodes = tuple(sorted({n for k in pairs for n in k} | (snapshot.nodes - touched)))
+    node_index = {n: i for i, n in enumerate(nodes)}
+    neighbors = {
+        n: tuple((b if a == n else a, weight[(a, b)]) for a, b in pairs if n in (a, b))
+        for n in nodes
+    }
+    return (
+        pairs, tuple(weight[k] for k in pairs), sum(weight[k] for k in pairs), nodes,
+        node_index, {k: i for i, k in enumerate(pairs)}, [node_index[a] for a, _ in pairs],
+        [node_index[b] for _, b in pairs], snapshot.version, tuple(attrs), aggregation,
+        neighbors,
+    )
+
+
+@st.composite
+def projections(draw):
+    """A snapshot of up to 10 nodes, some isolated, with one to three
+    attributes (weights 0..3, not all 0 on an edge), and a view on some of
+    them in any order, by sum or max: edges can be inactive in the view and
+    nodes can have only inactive edges."""
+    names = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 10))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)).filter(any)
+    edges = [Edge(b, a, draw(weights)) for a, b in chosen]
+    snapshot = GraphSnapshot.build(AttributeSchema(names), edges, extra_nodes=range(n + 2))
+    attrs = draw(st.permutations(names).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))
+    ))
+    return snapshot, attrs, draw(st.sampled_from(("sum", "max")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(projections())
+def test_view_equals_a_reference_projection(projection):
+    snapshot, attrs, aggregation = projection
+    view = AttributeView(snapshot, attrs, aggregation)
+    assert _view_fields(view) == _reference_view_fields(snapshot, attrs, aggregation)
+
+
 def test_view_basicstats(emails, posts, comments):
     assert emails.edge_count == posts.edge_count == comments.edge_count == 28
     assert emails.node_count == 15

@@ -1,8 +1,11 @@
 """File formats: edge lists, event streams, partition JSON, logs, DOT."""
 
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noaga import (
     AttributeSchema,
@@ -101,6 +104,119 @@ def test_parse_duplicate_edge(tmp_path):
     with pytest.raises(DuplicateEdge) as info:
         io.parse_edge_list(path)
     assert "line 3" in str(info.value)
+
+
+@st.composite
+def edge_list_files(draw):
+    """A valid edge list as a hand-edited file might hold it: with a header
+    or bare, '#' and blank lines anywhere, LF or CRLF endings, fields padded
+    with spaces and pairs written high-low. Returns the file's lines, its
+    line ending, its schema, its rows (a, b, weights) in file order and the
+    index in `lines` of each row."""
+    bare = draw(st.booleans())
+    names = ("w1",) if bare else tuple(
+        draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True))
+    )
+    n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    lines, rows, row_lines = [], [], []
+
+    def pad(field):
+        return draw(st.sampled_from([field, f" {field}", f"{field}  ", f" {field} "]))
+
+    def noise():
+        lines.extend(draw(st.lists(
+            st.sampled_from(["", "  ", " \t ", "# note", "  #\tindented note"]), max_size=2
+        )))
+
+    noise()
+    if not bare:
+        lines.append("node_a\tnode_b\t" + "\t".join(pad(name) for name in names))
+        noise()
+    for a, b in chosen:
+        if draw(st.booleans()):
+            a, b = b, a
+        weights = (1,) if bare else tuple(draw(
+            st.lists(st.integers(0, 9), min_size=len(names), max_size=len(names)).filter(any)
+        ))
+        fields = (a, b) if bare else (a, b, *weights)
+        row_lines.append(len(lines))
+        lines.append("\t".join(pad(str(f)) for f in fields))
+        rows.append((a, b, weights))
+        noise()
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return lines, eol, AttributeSchema(names), rows, row_lines
+
+
+def _parse_lines(lines, eol):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.tsv")
+        with open(path, "wb") as fh:
+            fh.write((eol.join(lines) + eol).encode("utf-8"))
+        return io.parse_edge_list(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_files())
+def test_parse_equals_build_over_the_rows(file):
+    lines, eol, schema, rows, _ = file
+    snap, got_schema = _parse_lines(lines, eol)
+    want = GraphSnapshot.build(schema, [Edge(a, b, w) for a, b, w in rows])
+    assert got_schema == snap.schema == want.schema == schema
+    assert snap.nodes == want.nodes
+    assert snap.node_ticks == want.node_ticks
+    assert list(snap.edges.items()) == list(want.edges.items())  # file order
+    assert (dict(snap.names), snap.version, snap.tick) == (dict(want.names), 0, 0)
+
+
+BAD_FIELDS = ["x", "-3", "+3", "\u00b2", "\u0663", "1_0", "3.0", "", " "]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_files(), st.data())
+def test_each_malformed_row_kind_fails_at_its_line(file, data):
+    lines, eol, schema, rows, row_lines = file
+    # after the first row, so the file is already known to be bare or not
+    at = data.draw(st.integers(row_lines[0] + 1, len(lines)))
+    line = at + 1
+    bare = schema.names == io.BARE_ATTRS
+    arity = schema.arity
+    kinds = ["columns", "field", "self-loop", "duplicate"] + ([] if bare else ["zero"])
+    kind = data.draw(st.sampled_from(kinds))
+    a, b = data.draw(st.sampled_from([(0, 1), (1, 0), (3, 7)]))
+    weights = [] if bare else [1] * arity
+    if kind == "columns":
+        width = data.draw(st.sampled_from([1, 3] if bare else [arity + 1, arity + 3]))
+        fields = ["5"] * width
+        message = (f"headerless rows must have 2 columns, got {width}" if bare
+                   else f"expected {arity + 2} columns, got {width}")
+    elif kind == "field":
+        fields = [str(a), str(b), *map(str, weights)]
+        i = data.draw(st.integers(0, len(fields) - 1))
+        fields[i] = data.draw(st.sampled_from(BAD_FIELDS))
+        message = f"not a non-negative integer: {fields[i].strip()!r}"
+    elif kind == "self-loop":
+        fields = [str(a), str(a), *map(str, weights)]
+        message = f"self-loop on node {a}"
+    elif kind == "zero":
+        fields = [str(a), str(b), *["0"] * arity]
+        message = f"edge ({a}, {b}) has all-zero weights"
+    else:
+        a, b, _ = data.draw(st.sampled_from([r for r, i in zip(rows, row_lines) if i < at]))
+        if data.draw(st.booleans()):
+            a, b = b, a
+        fields = [str(a), str(b), *map(str, weights)]
+        message = None
+    lines = [*lines[:at], "\t".join(fields), *lines[at:]]
+    if message is None:  # a repeated pair
+        with pytest.raises(DuplicateEdge) as info:
+            _parse_lines(lines, eol)
+        assert str(info.value) == f"line {line}: duplicate edge {(min(a, b), max(a, b))}"
+    else:
+        with pytest.raises(ParseError) as info:
+            _parse_lines(lines, eol)
+        assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
 
 
 def test_event_stream_round_trip(tmp_path):
