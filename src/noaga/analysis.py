@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigInvalid, EmptyCluster, StaleSnapshot
+from .errors import ConfigInvalid, StaleSnapshot, UnknownNode
 from .graph import (
     AppliedEvent,
     AttributeView,
@@ -84,54 +84,66 @@ class MergeSignal:
     window: tuple[int, int]
 
 
-def cluster_stats(cluster: Iterable[int], view: AttributeView) -> tuple[int, int, int]:
-    """(intra edge count, intra weight, NoA) of a cluster, in one pass.
+def cluster_stats(partition: Partition, view: AttributeView) -> list[tuple[int, int, int]]:
+    """(intra edge count, intra weight, NoA) of every cluster, in cluster
+    order, from one pass over the view's edges.
 
     The NoA is the most intra-active member; ties fall to intra weight, then
-    smallest id. Members must be active in the view (UnknownNode otherwise).
+    smallest id. Members must be active in the view (UnknownNode otherwise);
+    the partition need not cover every active node.
     """
-    members = sorted(cluster)
-    if not members:
-        raise EmptyCluster("statistics of an empty cluster")
-    inside = set(members)
-    ties = 0
-    weight = 0
-    best = members[0]
-    best_key = (-1, -1)
-    for node in members:  # ascending ids, strict > keeps the smallest on ties
-        key = view.weighted_degree(node, inside)
-        ties += key[0]
-        weight += key[1]
-        if key > best_key:
-            best, best_key = node, key
-    return ties // 2, weight // 2, best  # each intra edge counted from both ends
-
-
-def find_noa(cluster: Iterable[int], view: AttributeView) -> int:
-    """Most intra-active member; ties fall to intra weight, then smallest id."""
-    return cluster_stats(cluster, view)[2]
-
-
-def noa_records(partition: Partition, view: AttributeView, tick: int) -> tuple[NoARecord, ...]:
-    """One record per cluster, in cluster order."""
     if partition.source_version != view.version:
         raise StaleSnapshot(
             f"partition from version {partition.source_version}, view at {view.version}"
         )
+    node_index = view.node_index
+    labels = [-1] * len(view.nodes)
+    for ci, cluster in enumerate(partition.clusters):
+        for node in cluster:
+            ix = node_index.get(node)
+            if ix is None:
+                raise UnknownNode(f"node {node} is not active in this view")
+            labels[ix] = ci
+    # per node: (intra ties, intra weight), the NoA key
+    ties = [0] * len(labels)
+    weight = [0] * len(labels)
+    for a, b, w in zip(view.ea, view.eb, view.weights):
+        if labels[a] == labels[b]:  # nodes outside the partition are never read
+            ties[a] += 1
+            ties[b] += 1
+            weight[a] += w
+            weight[b] += w
     out = []
     for cluster in partition.clusters:
-        edges, weight, noa = cluster_stats(cluster, view)
-        out.append(
-            NoARecord(
-                tick=tick,
-                attrs=view.attrs,
-                members=tuple(cluster),
-                noa=noa,
-                edge_count=edges,
-                total_weight=weight,
-            )
+        ixs = [node_index[node] for node in cluster]
+        # members ascend, and max keeps the first of equal keys: smallest id
+        noa = max(zip(cluster, ixs), key=lambda m: (ties[m[1]], weight[m[1]]))[0]
+        # each intra edge is counted from both ends
+        out.append((sum(ties[i] for i in ixs) // 2, sum(weight[i] for i in ixs) // 2, noa))
+    return out
+
+
+def find_noa(cluster: Iterable[int], view: AttributeView) -> int:
+    """Most intra-active member; ties fall to intra weight, then smallest id.
+    EmptyCluster for no members, ValueError for a member listed twice."""
+    return cluster_stats(Partition((tuple(cluster),), view.attrs, view.version), view)[0][2]
+
+
+def noa_records(partition: Partition, view: AttributeView, tick: int) -> tuple[NoARecord, ...]:
+    """One record per cluster, in cluster order."""
+    return tuple(
+        NoARecord(
+            tick=tick,
+            attrs=view.attrs,
+            members=cluster,
+            noa=noa,
+            edge_count=edges,
+            total_weight=weight,
         )
-    return tuple(out)
+        for cluster, (edges, weight, noa) in zip(
+            partition.clusters, cluster_stats(partition, view)
+        )
+    )
 
 
 def linkage_nodes(partition: Partition, view: AttributeView) -> LinkageReport:
@@ -231,10 +243,10 @@ def merge_signals(
     for rec in history:  # later records win: iterate in order
         if rec.attrs == view.attrs:
             recorded[rec.members] = rec.noa
-    noas: list[int] = []
-    for cluster in partition.clusters:
-        hit = recorded.get(tuple(cluster))
-        noas.append(hit if hit is not None else find_noa(cluster, view))
+    noas = [recorded.get(cluster) for cluster in partition.clusters]
+    if None in noas:
+        stats = cluster_stats(partition, view)
+        noas = [noa if noa is not None else s[2] for noa, s in zip(noas, stats)]
 
     names = view.base.schema.names
     ixs = tuple(names.index(a) for a in view.attrs)

@@ -13,11 +13,11 @@ import sys
 from typing import Sequence
 
 from . import datasets, io
-from .analysis import find_noa, overlay
+from .analysis import cluster_stats, overlay
 from .encoding import EDGE_REMOVAL, SCHEMES
 from .engine import GAConfig, run
 from .errors import ConfigInvalid, NoagaError
-from .fitness import FitnessParams
+from .fitness import FitnessParams, density
 from .graph import AttributeView
 from .oracle import DEFAULT_N_MAX, optimal_partition
 
@@ -121,11 +121,18 @@ def _run_meta(args: argparse.Namespace, config: GAConfig, view: AttributeView) -
     return meta
 
 
+def _noas_and_closeness(partition, view) -> tuple[list[int], list[float]]:
+    """Each cluster's NoA and closeness, from one `cluster_stats` pass."""
+    stats = cluster_stats(partition, view)
+    noas = [noa for _, _, noa in stats]
+    return noas, [density(s[0], len(c)) for c, s in zip(partition.clusters, stats)]
+
+
 def _finish_run(args, config, result) -> int:
     view = result.state.view
-    noas = [find_noa(c, view) for c in result.partition.clusters]
+    noas, closeness = _noas_and_closeness(result.partition, view)
     meta = _run_meta(args, config, view)
-    io.write_partition_json(result.partition, view, result.value, noas, meta, args.output)
+    io.write_partition_json(result.partition, result.value, noas, closeness, meta, args.output)
     if args.dot:
         comment = f"{io.TOOL} seed={config.seed} input=sha256:{meta['input_sha256']}"
         io.write_dot(
@@ -170,7 +177,7 @@ def _cmd_oracle(args) -> int:
     params = FitnessParams(args.lambda_cut, args.mu_small, args.sigma_small)
     view = AttributeView(snapshot, args.attr, args.agg)
     partition, value = optimal_partition(view, params, n_max=args.n_max)
-    noas = [find_noa(c, view) for c in partition.clusters]
+    noas, closeness = _noas_and_closeness(partition, view)
     meta = {
         "tool": io.TOOL,
         "input_sha256": io.sha256_of(args.input),
@@ -181,7 +188,7 @@ def _cmd_oracle(args) -> int:
         "mu_small": params.mu_small,
         "sigma_small": params.sigma_small,
     }
-    text = io.partition_json_text(partition, view, value, noas, meta)
+    text = io.partition_json_text(partition, value, noas, closeness, meta)
     if args.output:
         io.atomic_write_text(args.output, text)
     else:

@@ -57,11 +57,17 @@ class FitnessValue:
     small_count: int
 
 
-def closeness(cluster: Iterable[int], view: AttributeView) -> float:
-    """Intra-cluster tie density in [0, 1]; singletons score 0."""
-    members = tuple(cluster)
-    edges, size = cluster_stats(members, view)[0], len(members)
+def density(edges: int, size: int) -> float:
+    """Tie density of `size` members with `edges` ties among them, in
+    [0, 1]; singletons score 0."""
     return 2 * edges / (size * (size - 1)) if size > 1 else 0.0
+
+
+def closeness(cluster: Iterable[int], view: AttributeView) -> float:
+    """Intra-cluster tie density in [0, 1]; singletons score 0. EmptyCluster
+    for no members, ValueError for a member listed twice."""
+    part = Partition((tuple(cluster),), view.attrs, view.version)
+    return density(cluster_stats(part, view)[0][0], len(part.clusters[0]))
 
 
 def fitness(

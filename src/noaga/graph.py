@@ -4,8 +4,8 @@ A snapshot is immutable, its mappings read-only proxies; applying an update
 event yields a successor with version + 1. An attribute view projects a
 snapshot onto a subset of attributes and aggregates each edge's weight vector
 into one number; an edge is active in the view iff that aggregate is
-positive. Views precompute their edge list and adjacency so clustering code
-can treat them as read-only.
+positive. Views precompute their sorted edge list and endpoint index arrays
+so clustering code can treat them as read-only.
 """
 
 from __future__ import annotations
@@ -402,11 +402,6 @@ class AttributeView:
         # endpoint index arrays, the decode hot path walks these
         self.ea = [node_index[a] for a, _ in pairs]
         self.eb = [node_index[b] for _, b in pairs]
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for (a, b), w in zip(pairs, weights):
-            adj.setdefault(a, []).append((b, w))
-            adj.setdefault(b, []).append((a, w))
-        self._adj = {n: tuple(nbrs) for n, nbrs in adj.items()}
 
     def reweighted(
         self, base: GraphSnapshot, pairs: Iterable[Pair]
@@ -417,9 +412,8 @@ class AttributeView:
         (every weight zeroed) or turns active or inactive here: the node or
         edge set can then change, which needs a full build.
 
-        Shares the edge and node tables with this view; only the weights,
-        the total and the touched nodes' adjacency are new. Nothing is
-        re-sorted."""
+        Shares the edge and node tables with this view; only the weights
+        and the total are new. Nothing is re-sorted."""
         changed: dict[int, int] = {}
         for key in set(pairs):
             vec = base.edges.get(key)
@@ -440,13 +434,6 @@ class AttributeView:
                 view.total_weight += w - weights[idx]
                 weights[idx] = w
             view.weights = tuple(weights)
-            view._adj = adj = dict(self._adj)
-            pair_index = self.pair_index
-            for node in {n for idx in changed for n in self.pairs[idx]}:
-                adj[node] = tuple(
-                    (other, weights[pair_index[edge_key(node, other)]])
-                    for other, _ in self._adj[node]
-                )
         return view
 
     @property
@@ -466,29 +453,6 @@ class AttributeView:
         if idx is None:
             raise ForeignEdge(f"edge {edge_key(a, b)} is not active in this view")
         return self.weights[idx]
-
-    def neighbors(self, node: int) -> tuple[tuple[int, int], ...]:
-        """(neighbor, aggregated weight) pairs; empty for isolated actives."""
-        if node not in self.node_index:
-            raise UnknownNode(f"node {node} is not active in this view")
-        return self._adj.get(node, ())
-
-    def weighted_degree(
-        self, node: int, within: Iterable[int] | None = None
-    ) -> tuple[int, int]:
-        """(tie count, summed aggregated weight), optionally only counting
-        neighbors inside `within`."""
-        nbrs = self.neighbors(node)
-        if within is None:
-            return len(nbrs), sum(w for _, w in nbrs)
-        inside = within if isinstance(within, (set, frozenset)) else set(within)
-        count = 0
-        weight = 0
-        for other, w in nbrs:
-            if other in inside:
-                count += 1
-                weight += w
-        return count, weight
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .analysis import NoARecord
 from .engine import Checkpoint
 from .errors import DuplicateEdge, ParseError
-from .fitness import FitnessValue, closeness
+from .fitness import FitnessValue
 from .graph import (
     AttributeSchema,
     AttributeView,
@@ -276,20 +276,17 @@ def write_event_stream(events: Sequence[UpdateEvent], path: str) -> None:
 
 def partition_json_text(
     partition: Partition,
-    view: AttributeView,
     value: FitnessValue,
     noas: Sequence[int],
+    closeness: Sequence[float],
     meta: dict,
 ) -> str:
-    clusters = []
-    for i, cluster in enumerate(partition.clusters):
-        clusters.append(
-            {
-                "members": list(cluster),
-                "noa": noas[i],
-                "closeness": closeness(cluster, view),
-            }
-        )
+    """The partition file: each cluster with its NoA and closeness (given in
+    cluster order), the fitness and the run's meta block."""
+    clusters = [
+        {"members": list(cluster), "noa": noa, "closeness": dens}
+        for cluster, noa, dens in zip(partition.clusters, noas, closeness)
+    ]
     obj = {
         "meta": meta,
         "version": partition.source_version,
@@ -307,13 +304,13 @@ def partition_json_text(
 
 def write_partition_json(
     partition: Partition,
-    view: AttributeView,
     value: FitnessValue,
     noas: Sequence[int],
+    closeness: Sequence[float],
     meta: dict,
     path: str,
 ) -> None:
-    atomic_write_text(path, partition_json_text(partition, view, value, noas, meta))
+    atomic_write_text(path, partition_json_text(partition, value, noas, closeness, meta))
 
 
 def read_partition_json(path: str) -> tuple[dict, Partition]:

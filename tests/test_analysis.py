@@ -13,12 +13,14 @@ from noaga import (
     Partition,
     StaleSnapshot,
     UpdateEvent,
+    UnknownNode,
     find_noa,
     linkage_nodes,
     merge_signals,
     noa_records,
     overlay,
 )
+from noaga.analysis import cluster_stats
 from noaga.errors import ConfigInvalid, EmptyCluster
 
 from conftest import EMAILS_TARGET, POSTS_TARGET
@@ -35,6 +37,35 @@ def test_find_noa_frozen(emails, posts, comments):
     assert find_noa((7,), emails) == 7
     with pytest.raises(EmptyCluster):
         find_noa((), emails)
+    with pytest.raises(UnknownNode):
+        find_noa((1, 99), emails)
+    # a repeated member is an error, not an extra vote for that member
+    with pytest.raises(ValueError):
+        find_noa((15, 14, 15), emails)
+
+
+def test_cluster_stats_frozen(emails):
+    def stats(*clusters):
+        return cluster_stats(Partition(clusters, emails.attrs, emails.version), emails)
+
+    assert stats(*EMAILS_TARGET) == [(8, 28, 1), (6, 23, 6), (10, 35, 14)]
+    # a member's intra ties and weight are what the cluster loses without it
+    team = (10, 11, 12, 13, 14, 15)
+    (edges, weight, noa), = stats(team)
+    (edges_less, weight_less, _), = stats(tuple(n for n in team if n != 14))
+    assert noa == 14 and (edges - edges_less, weight - weight_less) == (5, 19)
+    (edges, weight, noa), = stats(emails.nodes)
+    assert (edges, weight, noa) == (28, 91, 14)
+    (edges_less, weight_less, _), = stats(emails.nodes[1:])
+    assert (edges - edges_less, weight - weight_less) == (4, 15)
+    (edges_less, weight_less, _), = stats(emails.nodes[:-1])
+    assert (edges - edges_less, weight - weight_less) == (1, 3)
+    # the partition need not cover the view
+    assert stats((7,), (14, 15)) == [(0, 0, 7), (1, 3, 14)]
+    with pytest.raises(UnknownNode):
+        stats((1, 99))
+    with pytest.raises(StaleSnapshot):
+        cluster_stats(Partition(EMAILS_TARGET, ("emails",), 9), emails)
 
 
 def test_noa_records_fields(emails):

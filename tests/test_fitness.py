@@ -66,6 +66,9 @@ def test_closeness_values(emails):
         closeness((), emails)
     with pytest.raises(UnknownNode):
         closeness((1, 99), emails)
+    # a repeated member is an error, not a bigger cluster
+    with pytest.raises(ValueError):
+        closeness((1, 2, 2), emails)
 
 
 def test_triangle_one_cluster_is_perfect():

@@ -20,6 +20,7 @@ from noaga import (
     connected_components,
     edge_key,
 )
+from noaga.analysis import cluster_stats
 from noaga.errors import EmptyCluster
 
 from conftest import EMAILS_TARGET, REWEIGHT_VIEWS, reweight_batches
@@ -158,7 +159,7 @@ def test_remove_edge_isolates_leaf(sample):
     # 15 keeps existing but is edgeless, so every view shows it as a singleton
     view = AttributeView(snap, ("emails",))
     assert view.has_node(15)
-    assert view.neighbors(15) == ()
+    assert all(15 not in pair for pair in view.pairs)
     part = connected_components(view)
     assert (15,) in part.clusters
     with pytest.raises(UnknownEdge):
@@ -202,8 +203,35 @@ def _view_fields(view):
     return (
         view.pairs, view.weights, view.total_weight, view.nodes, view.node_index,
         view.pair_index, view.ea, view.eb, view.version, view.attrs, view.aggregation,
-        {n: view.neighbors(n) for n in view.nodes},
     )
+
+
+def _label_partition(view, labels):
+    """Partition of the nodes labelled 0.. by their labels; nodes labelled
+    -1 are left out."""
+    clusters = [
+        tuple(n for n, label in zip(view.nodes, labels) if label == c)
+        for c in set(labels) - {-1}
+    ]
+    return Partition(clusters, view.attrs, view.version)
+
+
+def _reference_stats(partition, view):
+    """`cluster_stats` by brute force over the view's active pairs."""
+    out = []
+    for cluster in partition.clusters:
+        inside = [
+            (pair, w) for pair, w in zip(view.pairs, view.weights)
+            if pair[0] in cluster and pair[1] in cluster
+        ]
+
+        def key(node):
+            return (sum(node in p for p, _ in inside), sum(w for p, w in inside if node in p))
+
+        top = max(map(key, cluster))
+        noa = min(n for n in cluster if key(n) == top)
+        out.append((len(inside), sum(w for _, w in inside), noa))
+    return out
 
 
 @settings(max_examples=400, deadline=None)
@@ -224,6 +252,11 @@ def test_reweighted_view_equals_a_fresh_build(view, data):
     assert (patched is not None) == weight_only
     if patched is not None:
         assert _view_fields(patched) == _view_fields(fresh)
+        labels = data.draw(st.lists(
+            st.integers(-1, 3), min_size=fresh.node_count, max_size=fresh.node_count
+        ))
+        part = _label_partition(fresh, labels)
+        assert cluster_stats(part, patched) == cluster_stats(part, fresh)
         assert patched.base is snap
         # the edge and node tables are shared, not rebuilt
         assert patched.pairs is view.pairs and patched.node_index is view.node_index
@@ -238,15 +271,10 @@ def _reference_view_fields(snapshot, attrs, aggregation):
     touched = {n for k in snapshot.edges for n in k}
     nodes = tuple(sorted({n for k in pairs for n in k} | (snapshot.nodes - touched)))
     node_index = {n: i for i, n in enumerate(nodes)}
-    neighbors = {
-        n: tuple((b if a == n else a, weight[(a, b)]) for a, b in pairs if n in (a, b))
-        for n in nodes
-    }
     return (
         pairs, tuple(weight[k] for k in pairs), sum(weight[k] for k in pairs), nodes,
         node_index, {k: i for i, k in enumerate(pairs)}, [node_index[a] for a, _ in pairs],
         [node_index[b] for _, b in pairs], snapshot.version, tuple(attrs), aggregation,
-        neighbors,
     )
 
 
@@ -275,6 +303,17 @@ def test_view_equals_a_reference_projection(projection):
     snapshot, attrs, aggregation = projection
     view = AttributeView(snapshot, attrs, aggregation)
     assert _view_fields(view) == _reference_view_fields(snapshot, attrs, aggregation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(projections(), st.data())
+def test_cluster_stats_equal_a_brute_force_count(projection, data):
+    view = AttributeView(*projection)
+    labels = data.draw(st.lists(
+        st.integers(-1, 3), min_size=view.node_count, max_size=view.node_count
+    ))
+    part = _label_partition(view, labels)
+    assert cluster_stats(part, view) == _reference_stats(part, view)
 
 
 def test_view_basicstats(emails, posts, comments):
@@ -314,8 +353,6 @@ def test_view_excludes_zero_weight_edges_and_their_orphans():
     # 3 and 4 have edges in the snapshot, just none active here: not in view
     assert view.nodes == (1, 2)
     assert not view.has_node(3)
-    with pytest.raises(UnknownNode):
-        view.neighbors(3)
 
 
 def test_view_includes_snapshot_isolates():
@@ -323,15 +360,7 @@ def test_view_includes_snapshot_isolates():
     snap = GraphSnapshot.build(schema, [Edge(1, 2, (1,))], extra_nodes=[7])
     view = AttributeView(snap)
     assert view.nodes == (1, 2, 7)
-    assert view.neighbors(7) == ()
-
-
-def test_weighted_degree(emails):
-    assert emails.weighted_degree(1) == (4, 15)
-    assert emails.weighted_degree(14, within={10, 11, 12, 13, 14, 15}) == (5, 19)
-    assert emails.weighted_degree(15) == (1, 3)
-    with pytest.raises(UnknownNode):
-        emails.weighted_degree(99)
+    assert (7,) in connected_components(view).clusters
 
 
 def test_weight_of_foreign_edge(emails):

@@ -22,6 +22,7 @@ from noaga import (
 )
 from noaga.analysis import find_noa, noa_records
 from noaga.engine import Checkpoint
+from noaga.fitness import closeness
 
 from conftest import EMAILS_TARGET
 
@@ -268,14 +269,15 @@ def test_partition_json_round_trip(emails, tmp_path):
     part = Partition(EMAILS_TARGET, ("emails",), 0)
     value = fitness(part, emails)
     noas = [find_noa(c, emails) for c in part.clusters]
+    dens = [closeness(c, emails) for c in part.clusters]
     meta = {"tool": io.TOOL, "seed": 3}
     path = str(tmp_path / "part.json")
-    io.write_partition_json(part, emails, value, noas, meta, path)
+    io.write_partition_json(part, value, noas, dens, meta, path)
     got_meta, got = io.read_partition_json(path)
     assert got_meta == meta
     assert got == part
     text = (tmp_path / "part.json").read_text()
-    assert '"noa": 6' in text
+    assert '"noa": 6' in text and '"closeness": 0.8' in text
     assert f'"total": {value.total!r}' in text
 
 
