@@ -41,6 +41,8 @@ from .encoding import (
     decode,
     random_chromosome,
     repair,
+    single_point_crossover,
+    swap_crossover,
 )
 from .errors import (
     ConfigInvalid,
@@ -70,10 +72,8 @@ from .engine import (
     init_population,
     mutate,
     run,
-    single_point_crossover,
     snapshot_best,
     step,
-    swap_crossover,
 )
 from .fitness import FitnessParams, FitnessValue, closeness, fitness
 from .graph import (

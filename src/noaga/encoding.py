@@ -1,15 +1,18 @@
 """Chromosome encodings for partition search.
 
-Two schemes. The edge-removal list (default) holds candidate edges to delete;
-decoding takes connected components of the view minus those edges, so any
-all-connected partition is expressible. The separator chromosome holds a
-group count k and k-1 cut positions over the id-ascending node order, giving
-contiguous runs; it is cheap but can only express interval partitions.
+Each encoding is one `Scheme` record in `SCHEME_TABLE`, and `SCHEMES` lists
+their names. A record holds the chromosome type, its operators (random,
+repair, crossover, mutate, decode to labels, carry_over to a run's next
+view) and whether its clusters are connected. The engine reaches a
+chromosome only through its run's record, so a new encoding is one record
+plus its operators, which sit next to its chromosome type.
 
-Repair turns arbitrary gene material into canonical form and is idempotent.
-Decoding insists on repaired input and raises UnrepairedChromosome otherwise.
-It yields one cluster label per active node, which the GA scores directly;
-`decode` wraps them in a Partition where one is needed.
+The edge-removal list (default) holds edges to delete; decoding takes the
+connected components of the view minus those edges, so any all-connected
+partition is expressible. The separator chromosome holds a group count k and
+k-1 cut positions over the id-ascending node order: contiguous runs, cheap
+but only interval partitions. Repair makes any gene material canonical and
+is idempotent; decoding raises UnrepairedChromosome on anything else.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Union
+from typing import Callable, Union
 
 from .errors import ConfigInvalid, UnrepairedChromosome
 from .graph import AttributeView, Pair, Partition, component_labels, part_labels
 
 EDGE_REMOVAL = "edge-removal"
 SEPARATOR = "separator"
-SCHEMES = (EDGE_REMOVAL, SEPARATOR)
 
 
 @dataclass(frozen=True)
@@ -41,15 +43,11 @@ class EdgeRemovalChromosome:
         return len(self.removed)
 
 
-@dataclass(frozen=True)
-class SeparatorChromosome:
-    """Group count k plus k-1 cut positions over the id-ascending node order."""
-
-    k: int
-    separators: tuple[int, ...]
-
-
-Chromosome = Union[EdgeRemovalChromosome, SeparatorChromosome]
+def random_edge_removal(
+    view: AttributeView, rng: random.Random, p_init: float = 0.1, k_max: int = 32
+) -> EdgeRemovalChromosome:
+    """Each active edge joins the removal list independently with prob p_init."""
+    return EdgeRemovalChromosome(tuple(p for p in view.pairs if rng.random() < p_init))
 
 
 def repair_edge_removal(
@@ -70,6 +68,68 @@ def repair_edge_removal(
     return EdgeRemovalChromosome(tuple(out))
 
 
+def single_point_crossover(
+    p1: EdgeRemovalChromosome, p2: EdgeRemovalChromosome, view: AttributeView, rng: random.Random
+) -> tuple[EdgeRemovalChromosome, EdgeRemovalChromosome]:
+    """Splice prefix of one parent onto suffix of the other.
+
+    Cut points are drawn independently per parent (a shared index is
+    undefined when lengths differ). Parents must be canonical for `view`;
+    a child keeps the first occurrence of a repeated edge, as repair would.
+    """
+    r1, r2 = p1.removed, p2.removed
+    cut1 = rng.randint(0, len(r1))
+    cut2 = rng.randint(0, len(r2))
+    return (
+        EdgeRemovalChromosome(tuple(dict.fromkeys(r1[:cut1] + r2[cut2:]))),
+        EdgeRemovalChromosome(tuple(dict.fromkeys(r2[:cut2] + r1[cut1:]))),
+    )
+
+
+def _draw_unlisted(view: AttributeView, listed: set, rng: random.Random, tries: int = 8):
+    """Random active edge not already in the list; None when unlucky.
+
+    Rejection sampling keeps this O(1) on big graphs; with the usual short
+    removal lists a miss is rare, and a None simply skips the insertion.
+    """
+    pairs = view.pairs
+    if not pairs:
+        return None
+    for _ in range(tries):
+        p = pairs[rng.randrange(len(pairs))]
+        if p not in listed:
+            return p
+    return None
+
+
+def mutate_edge_removal(
+    chrom: EdgeRemovalChromosome, view: AttributeView, rate: float, rng: random.Random
+) -> EdgeRemovalChromosome:
+    """Not repaired: decode rejects the mutant of a non-canonical parent."""
+    # kept genes are distinct and never drawn, so only a draw can repeat one
+    listed = set(chrom.removed)
+    drawn: set = set()
+    out: list = []
+    for gene in chrom.removed:
+        if rng.random() < rate:
+            if rng.random() < 0.5:
+                continue  # drop the removal
+            repl = _draw_unlisted(view, listed, rng)
+            if repl is None:
+                out.append(gene)
+            elif repl not in drawn:
+                drawn.add(repl)
+                out.append(repl)
+        else:
+            out.append(gene)
+    # growth move: without it the empty chromosome would be absorbing
+    if rng.random() < rate:
+        extra = _draw_unlisted(view, listed, rng)
+        if extra is not None and extra not in drawn:
+            out.append(extra)
+    return EdgeRemovalChromosome(tuple(out))
+
+
 def decode_edge_removal(chrom: EdgeRemovalChromosome, view: AttributeView) -> list[int]:
     """Component labels of the view after removing the listed edges."""
     keep = [True] * len(view.pairs)
@@ -83,13 +143,80 @@ def decode_edge_removal(chrom: EdgeRemovalChromosome, view: AttributeView) -> li
     return component_labels(view, keep)
 
 
-def repair_separator(chrom: SeparatorChromosome, node_count: int) -> SeparatorChromosome:
+def carry_over_edge_removal(
+    chrom: EdgeRemovalChromosome, view: AttributeView
+) -> EdgeRemovalChromosome:
+    """Drop the genes not active in `view`; the chromosome itself when all are."""
+    active = view.pair_index
+    if all(map(active.__contains__, chrom.removed)):
+        return chrom
+    return EdgeRemovalChromosome(tuple(p for p in chrom.removed if p in active))
+
+
+@dataclass(frozen=True)
+class SeparatorChromosome:
+    """Group count k plus k-1 cut positions over the id-ascending node order."""
+
+    k: int
+    separators: tuple[int, ...]
+
+
+def random_separator(
+    view: AttributeView, rng: random.Random, p_init: float = 0.1, k_max: int = 32
+) -> SeparatorChromosome:
+    """k uniform in [1, min(k_max, n)], separators a sorted distinct sample."""
+    n = view.node_count
+    if n <= 1:
+        return SeparatorChromosome(1, ())
+    k = rng.randint(1, min(k_max, n))
+    seps = sorted(rng.sample(range(1, n), k - 1))
+    return SeparatorChromosome(k, tuple(seps))
+
+
+def repair_separator(chrom: SeparatorChromosome, view: AttributeView) -> SeparatorChromosome:
     """Clamp separators into [1, n-1], sort, dedupe, and recompute k. Idempotent."""
-    n = node_count
+    n = view.node_count
     if n <= 1:
         return SeparatorChromosome(1, ())
     seps = sorted({min(max(int(s), 1), n - 1) for s in chrom.separators})
     return SeparatorChromosome(len(seps) + 1, tuple(seps))
+
+
+def swap_crossover(
+    p1: SeparatorChromosome, p2: SeparatorChromosome, view: AttributeView, rng: random.Random
+) -> tuple[SeparatorChromosome, SeparatorChromosome]:
+    """Swap the k fields with p=0.5 and each aligned separator with p=0.5.
+
+    Repair then reconciles k with the separator count, so a lone k swap is
+    absorbed; the separator exchanges carry the genetic material.
+    """
+    k1, k2 = p1.k, p2.k
+    s1, s2 = list(p1.separators), list(p2.separators)
+    if rng.random() < 0.5:
+        k1, k2 = k2, k1
+    for i in range(min(len(s1), len(s2))):
+        if rng.random() < 0.5:
+            s1[i], s2[i] = s2[i], s1[i]
+    return (
+        repair_separator(SeparatorChromosome(k1, tuple(s1)), view),
+        repair_separator(SeparatorChromosome(k2, tuple(s2)), view),
+    )
+
+
+def mutate_separator(
+    chrom: SeparatorChromosome, view: AttributeView, rate: float, rng: random.Random
+) -> SeparatorChromosome:
+    n = view.node_count
+    if n <= 1:
+        return SeparatorChromosome(1, ())
+    seps = [rng.randint(1, n - 1) if rng.random() < rate else s for s in chrom.separators]
+    if rng.random() < rate:  # k + 1: draw one more cut
+        if len(seps) < n - 1:
+            seps.append(rng.randint(1, n - 1))
+    if rng.random() < rate:  # k - 1: drop a random cut
+        if seps:
+            seps.pop(rng.randrange(len(seps)))
+    return repair_separator(SeparatorChromosome(len(seps) + 1, tuple(seps)), view)
 
 
 def decode_separator(chrom: SeparatorChromosome, view: AttributeView) -> list[int]:
@@ -106,74 +233,72 @@ def decode_separator(chrom: SeparatorChromosome, view: AttributeView) -> list[in
     return [bisect_right(seps, i) for i in range(n)]
 
 
-def random_edge_removal(
-    view: AttributeView, rng: random.Random, p_init: float = 0.1
-) -> EdgeRemovalChromosome:
-    """Each active edge joins the removal list independently with prob p_init."""
-    return EdgeRemovalChromosome(tuple(p for p in view.pairs if rng.random() < p_init))
+Chromosome = Union[EdgeRemovalChromosome, SeparatorChromosome]
 
 
-def random_separator(
-    view: AttributeView, rng: random.Random, k_max: int = 32
-) -> SeparatorChromosome:
-    """k uniform in [1, min(k_max, n)], separators a sorted distinct sample."""
-    n = view.node_count
-    if n <= 1:
-        return SeparatorChromosome(1, ())
-    k = rng.randint(1, min(k_max, n))
-    seps = sorted(rng.sample(range(1, n), k - 1))
-    return SeparatorChromosome(k, tuple(seps))
+@dataclass(frozen=True)
+class Scheme:
+    """One encoding: its chromosome type and its operators, which all but
+    `random` and `repair` apply to canonical chromosomes only. `carry_over`
+    is `repair` for a chromosome canonical for the run's previous view.
+    `connected`: decoded clusters are connected, so they are their own parts."""
+
+    chromosome: type
+    random: Callable[..., Chromosome]  # (view, rng, p_init, k_max): each uses its own
+    repair: Callable[..., Chromosome]  # (chrom, view)
+    crossover: Callable[..., tuple[Chromosome, Chromosome]]  # (p1, p2, view, rng)
+    mutate: Callable[..., Chromosome]  # (chrom, view, rate, rng)
+    decode: Callable[..., list[int]]  # (chrom, view): a label per active node, in view order
+    carry_over: Callable[..., Chromosome]  # (chrom, view)
+    connected: bool
+
+
+SCHEME_TABLE: dict[str, Scheme] = {
+    EDGE_REMOVAL: Scheme(
+        EdgeRemovalChromosome, random_edge_removal, repair_edge_removal, single_point_crossover,
+        mutate_edge_removal, decode_edge_removal, carry_over_edge_removal, connected=True,
+    ),
+    SEPARATOR: Scheme(
+        SeparatorChromosome, random_separator, repair_separator, swap_crossover,
+        mutate_separator, decode_separator, repair_separator, connected=False,
+    ),
+}
+SCHEMES = tuple(SCHEME_TABLE)
+_BY_TYPE = {scheme.chromosome: scheme for scheme in SCHEME_TABLE.values()}
+
+
+def scheme_of(chrom: Chromosome) -> Scheme:
+    """The record of a chromosome's type; ConfigInvalid for anything else."""
+    scheme = _BY_TYPE.get(type(chrom))
+    if scheme is None:
+        raise ConfigInvalid(f"not a chromosome: {chrom!r}")
+    return scheme
 
 
 def random_chromosome(
-    view: AttributeView,
-    scheme: str,
-    rng: random.Random,
-    *,
-    p_init: float = 0.1,
-    k_max: int = 32,
+    view: AttributeView, scheme: str, rng: random.Random, *, p_init: float = 0.1, k_max: int = 32
 ) -> Chromosome:
-    if scheme == EDGE_REMOVAL:
-        return random_edge_removal(view, rng, p_init)
-    if scheme == SEPARATOR:
-        return random_separator(view, rng, k_max)
-    raise ConfigInvalid(f"unknown scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ConfigInvalid(f"unknown scheme {scheme!r}")
+    return SCHEME_TABLE[scheme].random(view, rng, p_init, k_max)
 
 
 def repair(chrom: Chromosome, view: AttributeView) -> Chromosome:
-    if isinstance(chrom, EdgeRemovalChromosome):
-        return repair_edge_removal(chrom, view)
-    if isinstance(chrom, SeparatorChromosome):
-        return repair_separator(chrom, view.node_count)
-    raise ConfigInvalid(f"not a chromosome: {chrom!r}")
+    return scheme_of(chrom).repair(chrom, view)
 
 
-def carry_over(chrom: Chromosome, view: AttributeView, gone: AbstractSet[Pair]) -> Chromosome:
+def carry_over(chrom: Chromosome, view: AttributeView) -> Chromosome:
     """A chromosome canonical for the previous view of a run, made canonical
-    for `view`, where `gone` holds the previous view's pairs that are not
-    active in `view`. Edge-removal genes lose the pairs in `gone` and the
-    chromosome is returned as it is when none of them is listed; separators
-    go through `repair_separator`. Equal to `repair` on such input."""
-    if isinstance(chrom, EdgeRemovalChromosome):
-        if gone.isdisjoint(chrom.removed):
-            return chrom
-        return EdgeRemovalChromosome(tuple(p for p in chrom.removed if p not in gone))
-    if isinstance(chrom, SeparatorChromosome):
-        return repair_separator(chrom, view.node_count)
-    raise ConfigInvalid(f"not a chromosome: {chrom!r}")
+    for `view`: equal to `repair`, and cheaper."""
+    return scheme_of(chrom).carry_over(chrom, view)
 
 
 def decode_labels(chrom: Chromosome, view: AttributeView) -> tuple[list[int], list[int]]:
-    """Cluster labels and part labels (the connected parts of the clusters).
-    Edge-removal clusters are components, so they are their own parts."""
-    if isinstance(chrom, EdgeRemovalChromosome):
-        labels = decode_edge_removal(chrom, view)
-        return labels, labels
-    if isinstance(chrom, SeparatorChromosome):
-        labels = decode_separator(chrom, view)
-        return labels, part_labels(view, labels)
-    raise ConfigInvalid(f"not a chromosome: {chrom!r}")
+    """Cluster labels and part labels (the connected parts of the clusters)."""
+    scheme = scheme_of(chrom)
+    labels = scheme.decode(chrom, view)
+    return labels, labels if scheme.connected else part_labels(view, labels)
 
 
 def decode(chrom: Chromosome, view: AttributeView) -> Partition:
-    return Partition.from_labels(view, decode_labels(chrom, view)[0])
+    return Partition.from_labels(view, scheme_of(chrom).decode(chrom, view))

@@ -5,11 +5,10 @@ counted in evaluations: initialization costs population_size, every step
 costs 2, and each event batch costs population_size + 1 re-evaluations
 (whole population plus the elite, all against the new snapshot).
 
-Edge-removal chromosomes are never repaired: random ones are canonical,
-and from canonical parents the operators can only repeat an edge, so they
-drop repeats and nothing else. After a structural event batch a chromosome
-only loses the edges that left the view. Decode rejects anything that is
-not canonical.
+The engine reaches a chromosome only through the `encoding.Scheme` record
+of the run's scheme, resolved once per run state: it makes, crosses,
+mutates, decodes and carries chromosomes over with the record's operators,
+which keep them canonical, and never repairs one.
 
 A weight-only batch, whose every event re-weights an edge without turning
 it active or inactive in the view, cannot change a decoded partition. Its
@@ -33,13 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import analysis, encoding
-from .encoding import (
-    EDGE_REMOVAL,
-    SCHEMES,
-    Chromosome,
-    EdgeRemovalChromosome,
-    SeparatorChromosome,
-)
+from .encoding import EDGE_REMOVAL, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
 from .errors import ConfigInvalid, EventError, Exhausted, NoagaError, StaleSnapshot
 from .fitness import FitnessParams, FitnessValue, rescore, score_terms
 from .graph import (
@@ -48,6 +41,7 @@ from .graph import (
     EventKind,
     Partition,
     UpdateEvent,
+    part_labels,
 )
 
 
@@ -134,12 +128,18 @@ class GAState:
     # index of the first member with the lowest total; None once the
     # population has changed since it was found
     worst: int | None = None
+    # the record of config.scheme: the engine's only way to a chromosome
+    scheme: Scheme = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scheme = SCHEME_TABLE[self.config.scheme]
 
 
 def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
     """Decode a canonical chromosome to labels against the live view, score.
     Costs one evaluation."""
-    labels, parts = encoding.decode_labels(chrom, state.view)
+    labels = state.scheme.decode(chrom, state.view)
+    parts = labels if state.scheme.connected else part_labels(state.view, labels)
     value, k, weight_in = score_terms(labels, parts, state.view, state.config.fitness_params)
     state.evaluations += 1
     return Individual(chrom, value, state.view.version, labels, k, weight_in)
@@ -188,9 +188,7 @@ def init_population(view: AttributeView, config: GAConfig) -> GAState:
         raise ConfigInvalid("cannot run on an empty view")
     state = GAState(view, config, random.Random(config.seed), [])
     for _ in range(config.population_size):
-        chrom = encoding.random_chromosome(
-            view, config.scheme, state.rng, p_init=config.p_init, k_max=config.k_max
-        )
+        chrom = state.scheme.random(view, state.rng, config.p_init, config.k_max)
         state.population.append(_evaluate(state, chrom))
     best = state.population[0]
     for ind in state.population[1:]:
@@ -209,130 +207,11 @@ def binary_tournament(state: GAState) -> Individual:
     return second if second.value.total > first.value.total else first
 
 
-def single_point_crossover(
-    p1: EdgeRemovalChromosome,
-    p2: EdgeRemovalChromosome,
-    view: AttributeView,
-    rng: random.Random,
-) -> tuple[EdgeRemovalChromosome, EdgeRemovalChromosome]:
-    """Splice prefix of one parent onto suffix of the other.
-
-    Cut points are drawn independently per parent (a shared index is
-    undefined when lengths differ). Parents must be canonical for `view`;
-    a child keeps the first occurrence of a repeated edge, as repair would.
-    """
-    r1, r2 = p1.removed, p2.removed
-    cut1 = rng.randint(0, len(r1))
-    cut2 = rng.randint(0, len(r2))
-    return (
-        EdgeRemovalChromosome(tuple(dict.fromkeys(r1[:cut1] + r2[cut2:]))),
-        EdgeRemovalChromosome(tuple(dict.fromkeys(r2[:cut2] + r1[cut1:]))),
-    )
-
-
-def swap_crossover(
-    p1: SeparatorChromosome,
-    p2: SeparatorChromosome,
-    node_count: int,
-    rng: random.Random,
-) -> tuple[SeparatorChromosome, SeparatorChromosome]:
-    """Swap the k fields with p=0.5 and each aligned separator with p=0.5.
-
-    Repair then reconciles k with the separator count, so a lone k swap is
-    absorbed; the separator exchanges carry the genetic material.
-    """
-    k1, k2 = p1.k, p2.k
-    s1, s2 = list(p1.separators), list(p2.separators)
-    if rng.random() < 0.5:
-        k1, k2 = k2, k1
-    for i in range(min(len(s1), len(s2))):
-        if rng.random() < 0.5:
-            s1[i], s2[i] = s2[i], s1[i]
-    return (
-        encoding.repair_separator(SeparatorChromosome(k1, tuple(s1)), node_count),
-        encoding.repair_separator(SeparatorChromosome(k2, tuple(s2)), node_count),
-    )
-
-
-def _draw_unlisted(view: AttributeView, listed: set, rng: random.Random, tries: int = 8):
-    """Random active edge not already in the list; None when unlucky.
-
-    Rejection sampling keeps this O(1) on big graphs; with the usual short
-    removal lists a miss is rare, and a None simply skips the insertion.
-    """
-    pairs = view.pairs
-    if not pairs:
-        return None
-    for _ in range(tries):
-        p = pairs[rng.randrange(len(pairs))]
-        if p not in listed:
-            return p
-    return None
-
-
-def _mutate_edge_removal(
-    chrom: EdgeRemovalChromosome,
-    view: AttributeView,
-    rate: float,
-    rng: random.Random,
-) -> EdgeRemovalChromosome:
-    # kept genes are distinct and never drawn, so only a draw can repeat one
-    listed = set(chrom.removed)
-    drawn: set = set()
-    out: list = []
-    for gene in chrom.removed:
-        if rng.random() < rate:
-            if rng.random() < 0.5:
-                continue  # drop the removal
-            repl = _draw_unlisted(view, listed, rng)
-            if repl is None:
-                out.append(gene)
-            elif repl not in drawn:
-                drawn.add(repl)
-                out.append(repl)
-        else:
-            out.append(gene)
-    # growth move: without it the empty chromosome would be absorbing
-    if rng.random() < rate:
-        extra = _draw_unlisted(view, listed, rng)
-        if extra is not None and extra not in drawn:
-            out.append(extra)
-    return EdgeRemovalChromosome(tuple(out))
-
-
-def _mutate_separator(
-    chrom: SeparatorChromosome,
-    view: AttributeView,
-    rate: float,
-    rng: random.Random,
-) -> SeparatorChromosome:
-    n = view.node_count
-    if n <= 1:
-        return SeparatorChromosome(1, ())
-    seps = [
-        rng.randint(1, n - 1) if rng.random() < rate else s for s in chrom.separators
-    ]
-    if rng.random() < rate:  # k + 1: draw one more cut
-        if len(seps) < n - 1:
-            seps.append(rng.randint(1, n - 1))
-    if rng.random() < rate:  # k - 1: drop a random cut
-        if seps:
-            seps.pop(rng.randrange(len(seps)))
-    return encoding.repair_separator(
-        SeparatorChromosome(len(seps) + 1, tuple(seps)), n
-    )
-
-
 def mutate(
     chrom: Chromosome, view: AttributeView, rate: float, rng: random.Random
 ) -> Chromosome:
-    """Per-gene mutation at the given rate: canonical in, canonical out. An
-    edge-removal mutant is not repaired, so decode rejects a bad parent's."""
-    if isinstance(chrom, EdgeRemovalChromosome):
-        return _mutate_edge_removal(chrom, view, rate, rng)
-    if isinstance(chrom, SeparatorChromosome):
-        return _mutate_separator(chrom, view, rate, rng)
-    raise ConfigInvalid(f"not a chromosome: {chrom!r}")
+    """Per-gene mutation by the chromosome's scheme: canonical in, canonical out."""
+    return encoding.scheme_of(chrom).mutate(chrom, view, rate, rng)
 
 
 def _worst_index(population: list[Individual]) -> int:
@@ -358,17 +237,13 @@ def step(state: GAState) -> GAState:
     rng = state.rng
     p1 = binary_tournament(state)
     p2 = binary_tournament(state)
+    scheme = state.scheme
     if rng.random() < cfg.crossover_rate:
-        if cfg.scheme == EDGE_REMOVAL:
-            c1, c2 = single_point_crossover(p1.chromosome, p2.chromosome, state.view, rng)
-        else:
-            c1, c2 = swap_crossover(
-                p1.chromosome, p2.chromosome, state.view.node_count, rng
-            )
+        c1, c2 = scheme.crossover(p1.chromosome, p2.chromosome, state.view, rng)
     else:
         c1, c2 = p1.chromosome, p2.chromosome
     for chrom in (c1, c2):
-        chrom = mutate(chrom, state.view, cfg.mutation_rate, rng)
+        chrom = scheme.mutate(chrom, state.view, cfg.mutation_rate, rng)
         if chrom == p1.chromosome:
             child = _reuse(state, p1)
         elif chrom == p2.chromosome:
@@ -396,8 +271,8 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
     in the snapshot, and active in the view exactly when it was before)
     patches the view and re-scores each individual from its cached labels,
     cluster count and intra-cluster weight. Any other batch rebuilds the
-    view, drops from each chromosome the edges that left it (separators are
-    re-clamped to the new node count) and re-evaluates every individual.
+    view, carries each chromosome over to it with the scheme's `carry_over`
+    and re-evaluates every individual.
 
     An event that cannot be applied, or a batch that leaves the view with
     no active nodes, raises EventError before the run state changes.
@@ -434,10 +309,10 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
             state.population[i] = _rescore(state, ind, old.version, deltas)
         state.best = _rescore(state, state.best, old.version, deltas)
     else:
-        gone = old.pair_index.keys() - view.pair_index.keys()
+        carry_over = state.scheme.carry_over
         for i, ind in enumerate(state.population):
-            state.population[i] = _evaluate(state, encoding.carry_over(ind.chromosome, view, gone))
-        state.best = _evaluate(state, encoding.carry_over(state.best.chromosome, view, gone))
+            state.population[i] = _evaluate(state, carry_over(ind.chromosome, view))
+        state.best = _evaluate(state, carry_over(state.best.chromosome, view))
     for ind in state.population:
         if ind.value.total > state.best.value.total:
             state.best = replace(ind)

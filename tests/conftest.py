@@ -126,6 +126,46 @@ def reweight_batches(draw, view):
     return batch
 
 
+@st.composite
+def structural_batches(draw, view):
+    """One to four events that change the snapshot's edge or node set:
+    edges removed or given a zero weight (on a multi-attribute view that
+    can leave them in the snapshot but inactive in the view), edges added
+    between existing nodes, and new isolated nodes."""
+    snapshot = view.base
+    names = snapshot.schema.names
+    nodes = sorted(snapshot.nodes)
+    edges = dict(snapshot.edges)
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("remove", "zero", "add", "node")))
+        free = [(a, b) for a in nodes for b in nodes if a < b and (a, b) not in edges]
+        if kind in ("remove", "zero") and edges:
+            key = draw(st.sampled_from(sorted(edges)))
+            if kind == "remove":
+                batch.append(UpdateEvent.remove_edge(1, *key))
+                del edges[key]
+                continue
+            i = draw(st.integers(0, len(names) - 1))
+            batch.append(UpdateEvent.update_weight(1, *key, names[i], 0))
+            vec = edges[key][:i] + (0,) + edges[key][i + 1:]
+            if any(vec):
+                edges[key] = vec
+            else:
+                del edges[key]
+        elif kind == "add" and free:
+            key = draw(st.sampled_from(free))
+            weights = draw(st.lists(st.integers(0, 3), min_size=len(names),
+                                    max_size=len(names)).filter(any))
+            batch.append(UpdateEvent.add_edge(1, *key, weights))
+            edges[key] = tuple(weights)
+        else:
+            node = max(nodes, default=-1) + 1
+            batch.append(UpdateEvent.add_node(1, node))
+            nodes.append(node)
+    return batch
+
+
 # views for weight-only batches, multi-attribute ones twice over: only
 # they have edges inactive in the view
 REWEIGHT_VIEWS = st.one_of(

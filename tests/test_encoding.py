@@ -1,6 +1,9 @@
-"""Chromosome repair and decode for both encoding schemes."""
+"""Chromosome repair and decode for both encoding schemes, and the scheme
+table every encoding choice goes through."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +20,16 @@ from noaga import (
     SeparatorChromosome,
     UnrepairedChromosome,
     decode,
+    engine,
     random_chromosome,
     repair,
 )
 from noaga.encoding import (
+    SCHEME_TABLE,
+    SCHEMES,
+    carry_over,
     decode_edge_removal,
+    decode_labels,
     decode_separator,
     random_edge_removal,
     random_separator,
@@ -29,8 +37,9 @@ from noaga.encoding import (
     repair_separator,
 )
 from noaga.errors import ConfigInvalid
+from noaga.graph import part_labels
 
-from conftest import EMAILS_TARGET
+from conftest import EMAILS_TARGET, TABLE1_VIEWS, small_views, structural_batches
 
 
 def test_repair_edge_removal_dedupes_keeping_first(emails):
@@ -54,15 +63,19 @@ def test_decode_edge_removal_rejects_unrepaired(emails):
         decode_edge_removal(EdgeRemovalChromosome(((1, 2), (1, 2))), emails)
 
 
-def test_repair_separator_clamps_sorts_dedupes():
-    fixed = repair_separator(SeparatorChromosome(5, (2, 2, 9, 0)), node_count=6)
+def test_repair_separator_clamps_sorts_dedupes(two_triangle):
+    assert two_triangle.node_count == 6
+    fixed = repair_separator(SeparatorChromosome(5, (2, 2, 9, 0)), two_triangle)
     assert fixed == SeparatorChromosome(4, (1, 2, 5))
-    assert repair_separator(fixed, 6) == fixed
+    assert repair_separator(fixed, two_triangle) == fixed
 
 
 def test_repair_separator_tiny_views():
-    assert repair_separator(SeparatorChromosome(9, (3, 4)), 1) == SeparatorChromosome(1, ())
-    assert repair_separator(SeparatorChromosome(9, (3, 4)), 0) == SeparatorChromosome(1, ())
+    schema = AttributeSchema(("w1",))
+    for n in (1, 0):
+        view = AttributeView(GraphSnapshot.build(schema, [], extra_nodes=range(n)))
+        assert view.node_count == n
+        assert repair_separator(SeparatorChromosome(9, (3, 4)), view) == SeparatorChromosome(1, ())
 
 
 def test_decode_separator_slices_node_order(emails):
@@ -121,6 +134,12 @@ def test_dispatchers(emails):
         repair("junk", emails)
     with pytest.raises(ConfigInvalid):
         decode("junk", emails)
+    with pytest.raises(ConfigInvalid):
+        carry_over("junk", emails)
+    with pytest.raises(ConfigInvalid):
+        decode_labels("junk", emails)
+    with pytest.raises(ConfigInvalid):
+        engine.mutate("junk", emails, 0.1, rng)
 
 
 pair_lists = st.lists(
@@ -145,3 +164,81 @@ def test_separator_repair_always_decodable(emails, k, seps):
     part = decode(fixed, emails)
     assert sorted(part.members()) == list(emails.nodes)
     assert part.cluster_count == fixed.k
+
+
+CHROMOSOME_TYPES = {"EdgeRemovalChromosome", "SeparatorChromosome"}
+SCHEME_NAMES = {"EDGE_REMOVAL", "SEPARATOR", EDGE_REMOVAL, SEPARATOR}
+
+
+def _names(node, wanted):
+    """Whether a name, attribute or string constant in `wanted` occurs in `node`."""
+    return any(
+        (isinstance(n, ast.Name) and n.id in wanted)
+        or (isinstance(n, ast.Attribute) and n.attr in wanted)
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in wanted)
+        for n in ast.walk(node)
+    )
+
+
+def _exempt(tree):
+    """The nodes of the scheme table and of GAConfig.__post_init__."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "SCHEME_TABLE" for t in targets):
+                roots.append(node)
+        elif isinstance(node, ast.ClassDef) and node.name == "GAConfig":
+            roots += [f for f in node.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+    return {id(n) for root in roots for n in ast.walk(root)}
+
+
+def test_encoding_choice_lives_in_the_table():
+    # an encoding is picked only through its record, so a new one touches
+    # one table entry, not every operation that handles a chromosome
+    found = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = _exempt(tree)
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and _names(node.args[1], CHROMOSOME_TYPES)):
+                found.append(f"{path.name}:{node.lineno}: isinstance on a chromosome type")
+            if isinstance(node, ast.Compare) and any(
+                _names(operand, SCHEME_NAMES) for operand in (node.left, *node.comparators)
+            ):
+                found.append(f"{path.name}:{node.lineno}: comparison with a scheme name")
+    assert found == []
+
+
+views = st.one_of(st.sampled_from(TABLE1_VIEWS), small_views())
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@settings(max_examples=100, deadline=None)
+@given(view=views, p_init=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_scheme_records_keep_chromosomes_canonical(name, view, p_init, seed, data):
+    # every record's operators, checked through the table: a new record
+    # gets these checks without new test code
+    scheme = SCHEME_TABLE[name]
+    rng = random.Random(seed)
+    p1, p2 = (scheme.random(view, rng, p_init, 8) for _ in range(2))
+    made = [p1, p2, *scheme.crossover(p1, p2, view, rng)]
+    made += [scheme.mutate(chrom, view, rate, rng) for chrom in made for rate in (0.0, 0.1, 1.0)]
+    for chrom in made:
+        assert repair(chrom, view) == chrom
+        labels = scheme.decode(chrom, view)
+        assert len(labels) == view.node_count
+        if scheme.connected:
+            assert part_labels(view, labels) == labels
+    snapshot = view.base
+    for ev in data.draw(structural_batches(view)):
+        snapshot = snapshot.apply(ev)
+    new = AttributeView(snapshot, view.attrs, view.aggregation)
+    for chrom in made:
+        assert scheme.carry_over(chrom, new) == repair(chrom, new)

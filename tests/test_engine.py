@@ -35,7 +35,8 @@ from noaga import (
     swap_crossover,
 )
 from noaga import encoding
-from noaga.engine import GAState, _draw_unlisted, _evaluate, _worst_index, apply_events
+from noaga.encoding import _draw_unlisted
+from noaga.engine import GAState, _evaluate, _worst_index, apply_events
 
 from conftest import (
     REWEIGHT_VIEWS,
@@ -44,6 +45,7 @@ from conftest import (
     raw_chromosomes,
     reweight_batches,
     small_views,
+    structural_batches,
 )
 
 
@@ -183,7 +185,7 @@ def test_swap_crossover_example(emails):
     p1 = SeparatorChromosome(3, (2, 4))
     p2 = SeparatorChromosome(2, (5,))
     rng = ScriptRng(floats=[0.9, 0.3])  # keep k fields, swap separator 0
-    c1, c2 = swap_crossover(p1, p2, emails.node_count, rng)
+    c1, c2 = swap_crossover(p1, p2, emails, rng)
     assert c1 == SeparatorChromosome(3, (4, 5))
     assert c2 == SeparatorChromosome(2, (2,))
 
@@ -192,7 +194,7 @@ def test_swap_crossover_identical_parents(emails):
     rng = random.Random(21)
     p = SeparatorChromosome(4, (3, 7, 11))
     for _ in range(20):
-        c1, c2 = swap_crossover(p, p, emails.node_count, rng)
+        c1, c2 = swap_crossover(p, p, emails, rng)
         assert c1 == p
         assert c2 == p
 
@@ -425,7 +427,7 @@ def test_operators_make_canonical_chromosomes(view, scheme, p_init, seed):
     if scheme == EDGE_REMOVAL:
         children = single_point_crossover(p1, p2, view, rng)
     else:
-        children = swap_crossover(p1, p2, view.node_count, rng)
+        children = swap_crossover(p1, p2, view, rng)
     for chrom in (p1, p2, *children):
         assert _canonical(chrom, view)
         assert _canonical(mutate(chrom, view, 0.5, rng), view)
@@ -489,6 +491,8 @@ def test_run_without_events_never_repairs(view, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(encoding, "repair", refuse)
         mp.setattr(encoding, "repair_edge_removal", refuse)
+        record = encoding.SCHEME_TABLE[EDGE_REMOVAL]
+        mp.setitem(encoding.SCHEME_TABLE, EDGE_REMOVAL, replace(record, repair=refuse))
         got = run(view, config)
     assert (got.partition, got.value, got.checkpoints, got.noa_history) == (
         want.partition, want.value, want.checkpoints, want.noa_history
@@ -523,46 +527,6 @@ def test_apply_events_repairs_for_the_new_view(view, scheme, seed, data):
         assert _canonical(ind.chromosome, state.view)
 
 
-@st.composite
-def structural_batches(draw, view):
-    """One to four events that change the snapshot's edge or node set:
-    edges removed or given a zero weight (on a multi-attribute view that
-    can leave them in the snapshot but inactive in the view), edges added
-    between existing nodes, and new isolated nodes."""
-    snapshot = view.base
-    names = snapshot.schema.names
-    nodes = sorted(snapshot.nodes)
-    edges = dict(snapshot.edges)
-    batch = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(("remove", "zero", "add", "node")))
-        free = [(a, b) for a in nodes for b in nodes if a < b and (a, b) not in edges]
-        if kind in ("remove", "zero") and edges:
-            key = draw(st.sampled_from(sorted(edges)))
-            if kind == "remove":
-                batch.append(UpdateEvent.remove_edge(1, *key))
-                del edges[key]
-                continue
-            i = draw(st.integers(0, len(names) - 1))
-            batch.append(UpdateEvent.update_weight(1, *key, names[i], 0))
-            vec = edges[key][:i] + (0,) + edges[key][i + 1:]
-            if any(vec):
-                edges[key] = vec
-            else:
-                del edges[key]
-        elif kind == "add" and free:
-            key = draw(st.sampled_from(free))
-            weights = draw(st.lists(st.integers(0, 3), min_size=len(names),
-                                    max_size=len(names)).filter(any))
-            batch.append(UpdateEvent.add_edge(1, *key, weights))
-            edges[key] = tuple(weights)
-        else:
-            node = max(nodes, default=-1) + 1
-            batch.append(UpdateEvent.add_node(1, node))
-            nodes.append(node)
-    return batch
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(small_views(), multi_attr_views()), st.sampled_from(SCHEMES),
        st.integers(0, 2**32), st.data())
@@ -586,7 +550,7 @@ def test_structural_batches_drop_only_the_genes_that_left_the_view(view, scheme,
             if set(before.removed) <= new.pair_index.keys():
                 assert after is before  # nothing left the view: kept, not copied
         else:
-            assert after == encoding.repair_separator(before, new.node_count)
+            assert after == encoding.repair_separator(before, new)
     # the elite is the old elite carried over, unless a member now beats it
     assert state.best.chromosome in (
         encoding.repair(old[-1], new), *(ind.chromosome for ind in state.population)
@@ -605,13 +569,20 @@ def test_snapshot_best_rejects_an_unrepaired_elite(view, raw):
             snapshot_best(state)
 
 
+def _counting_decodes(mp, state):
+    """Make the run's scheme record count its decodes into the returned list."""
+    calls = []
+    decode = state.scheme.decode
+    counted = replace(state.scheme, decode=lambda *a: calls.append(1) or decode(*a))
+    mp.setattr(state, "scheme", counted)
+    return calls
+
+
 def _apply_counting_decodes(state, batch, *, full=False):
     """apply_events, returning how many chromosomes it decoded; `full`
     forces the rebuild path, as if no batch were weight-only."""
-    calls = []
-    decode_labels = encoding.decode_labels
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoding, "decode_labels", lambda *a: calls.append(1) or decode_labels(*a))
+        calls = _counting_decodes(mp, state)
         if full:
             mp.setattr(AttributeView, "reweighted", lambda *a: None)
         apply_events(state, batch)
@@ -761,7 +732,7 @@ def _reference_step(state):
         if cfg.scheme == EDGE_REMOVAL:
             c1, c2 = single_point_crossover(p1.chromosome, p2.chromosome, state.view, rng)
         else:
-            c1, c2 = swap_crossover(p1.chromosome, p2.chromosome, state.view.node_count, rng)
+            c1, c2 = swap_crossover(p1.chromosome, p2.chromosome, state.view, rng)
     else:
         c1, c2 = p1.chromosome, p2.chromosome
     for chrom in (c1, c2):
@@ -820,10 +791,8 @@ def test_clone_steps_decode_nothing(emails, scheme):
     config = GAConfig(population_size=6, max_evaluations=100, crossover_rate=0.0,
                       mutation_rate=0.0, scheme=scheme, p_init=0.5, seed=3)
     state = init_population(emails, config)
-    calls = []
-    decode_labels = encoding.decode_labels
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoding, "decode_labels", lambda *a: calls.append(1) or decode_labels(*a))
+        calls = _counting_decodes(mp, state)
         for i in range(1, 21):
             step(state)
             assert state.evaluations == 6 + 2 * i
