@@ -319,8 +319,14 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
 
 
 def snapshot_best(state: GAState) -> tuple[Partition, FitnessValue]:
-    """Decode the elite against the live snapshot without touching the run."""
-    return encoding.decode(state.best.chromosome, state.view), state.best.value
+    """The elite's partition of the live view, from the labels cached when
+    it was scored, without touching the run."""
+    best = state.best
+    if best.version != state.view.version:
+        raise StaleSnapshot(
+            f"elite is from snapshot version {best.version}, view is at {state.view.version}"
+        )
+    return Partition.from_labels(state.view, best.labels), best.value
 
 
 @dataclass

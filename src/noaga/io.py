@@ -5,6 +5,13 @@ All writers are atomic (temp file + rename) and byte-deterministic for equal
 inputs: iteration orders are sorted or fixed, floats go through repr, and no
 timestamps or process ids appear anywhere. Field names are documented in
 docs/formats.md and are part of the public contract.
+
+The DOT and NoA-log writers stream their lines into the temp file through
+`atomic_write_chunks`, with the same rename, so the whole text is never held
+at once; `dot_text` and `noa_log_text` join the same line generators. The
+edge-list parser keeps one int per distinct field text and one tuple per
+distinct weight vector, so each node id is one object however many rows
+name it.
 """
 
 from __future__ import annotations
@@ -34,13 +41,15 @@ from .graph import (
 TOOL = "noaga 0.1.0"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename over."""
+def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write each text chunk into a temp file in the same directory as it
+    comes, then rename the file over `path`. Whatever goes wrong, also
+    inside `chunks`, the temp file is removed and `path` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -48,6 +57,11 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write via a temp file in the same directory, then rename over."""
+    atomic_write_chunks(path, (text,))
 
 
 @contextmanager
@@ -98,6 +112,11 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
     schema: AttributeSchema | None = None
     bare = False
     edges: dict[Pair, tuple[int, ...]] = {}
+    # one int per distinct field text (stripped or not) and one tuple per
+    # distinct weight vector, so each node id is one object however many
+    # rows name it; a text is checked only the first time it is seen
+    ints: dict[str, int] = {}
+    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
     with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -125,16 +144,23 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
                 raise ParseError(lineno, f"expected {expected} columns, got {len(fields)}")
             values = []
             for f in fields:
-                f = f.strip()
-                if not (f.isdigit() and f.isascii()):  # is_digits, inlined in this hot loop
-                    raise ParseError(lineno, f"not a non-negative integer: {f!r}")
-                values.append(int(f))
+                v = ints.get(f)
+                if v is None:
+                    s = f.strip()
+                    if not is_digits(s):
+                        raise ParseError(lineno, f"not a non-negative integer: {s!r}")
+                    v = ints[f] = ints.setdefault(s, int(s))
+                values.append(v)
             a, b = values[0], values[1]
             if a == b:
                 raise ParseError(lineno, f"self-loop on node {a}")
-            weights = tuple(values[2:]) if not bare else (1,)
-            if not any(weights):
-                raise ParseError(lineno, f"edge ({a}, {b}) has all-zero weights")
+            if bare:
+                weights = (1,)
+            else:
+                weights = tuple(values[2:])
+                if not any(weights):
+                    raise ParseError(lineno, f"edge ({a}, {b}) has all-zero weights")
+                weights = vectors.setdefault(weights, weights)
             key = (a, b) if a < b else (b, a)
             if key in edges:
                 raise DuplicateEdge(f"line {lineno}: duplicate edge {key}")
@@ -359,26 +385,27 @@ def write_checkpoint_log(checkpoints: Sequence[Checkpoint], meta: dict, path: st
     atomic_write_text(path, checkpoint_log_text(checkpoints, meta))
 
 
-def noa_log_text(records: Sequence[NoARecord], meta: dict) -> str:
-    lines = [json.dumps({"header": meta})]
+def _noa_log_lines(records: Iterable[NoARecord], meta: dict) -> Iterator[str]:
+    yield json.dumps({"header": meta}) + "\n"
     for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "tick": r.tick,
-                    "attrs": list(r.attrs),
-                    "members": list(r.members),
-                    "noa": r.noa,
-                    "edges": r.edge_count,
-                    "weight": r.total_weight,
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"
+        yield json.dumps(
+            {
+                "tick": r.tick,
+                "attrs": list(r.attrs),
+                "members": list(r.members),
+                "noa": r.noa,
+                "edges": r.edge_count,
+                "weight": r.total_weight,
+            }
+        ) + "\n"
+
+
+def noa_log_text(records: Sequence[NoARecord], meta: dict) -> str:
+    return "".join(_noa_log_lines(records, meta))
 
 
 def write_noa_log(records: Sequence[NoARecord], meta: dict, path: str) -> None:
-    atomic_write_text(path, noa_log_text(records, meta))
+    atomic_write_chunks(path, _noa_log_lines(records, meta))
 
 
 def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
@@ -429,6 +456,40 @@ def _dot_id(label: str) -> str:
     return f'"{text}"'
 
 
+def _dot_lines(
+    partition: Partition,
+    view: AttributeView,
+    noa_nodes: Iterable[int],
+    new_since: int | None,
+    meta_comment: str,
+) -> Iterator[str]:
+    snapshot = view.base
+    reds = set(noa_nodes)
+    # quoted once per node in view order, not once per edge end
+    ids = [_dot_id(snapshot.label_of(node)) for node in view.nodes]
+    index = view.node_index
+    if meta_comment:
+        yield f"// {meta_comment}\n"
+    yield "graph clusters {\n"
+    yield "  node [shape=circle];\n"
+    for i, cluster in enumerate(partition.clusters):
+        yield f"  subgraph cluster_{i} {{\n"
+        yield f'    label="cluster {i}";\n'
+        for node in cluster:
+            attrs = []
+            if node in reds:
+                attrs.append("color=red")
+            elif new_since is not None and snapshot.node_ticks.get(node, 0) > new_since:
+                attrs.append("color=blue")
+            suffix = f" [{', '.join(attrs)}]" if attrs else ""
+            quoted = ids[index[node]] if node in index else _dot_id(snapshot.label_of(node))
+            yield f"    {quoted}{suffix};\n"
+        yield "  }\n"
+    for a, b, w in zip(view.ea, view.eb, view.weights):
+        yield f"  {ids[a]} -- {ids[b]} [label={w}];\n"
+    yield "}\n"
+
+
 def dot_text(
     partition: Partition,
     view: AttributeView,
@@ -442,32 +503,7 @@ def dot_text(
     NoA nodes are red; nodes that joined after `new_since` are blue (red
     wins when both apply). Edge labels carry the aggregated weight.
     """
-    snapshot = view.base
-    reds = set(noa_nodes)
-    # quoted once per node, not once per edge end
-    ids = {node: _dot_id(snapshot.label_of(node)) for node in view.nodes}
-    lines = []
-    if meta_comment:
-        lines.append(f"// {meta_comment}")
-    lines.append("graph clusters {")
-    lines.append("  node [shape=circle];")
-    for i, cluster in enumerate(partition.clusters):
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="cluster {i}";')
-        for node in cluster:
-            attrs = []
-            if node in reds:
-                attrs.append("color=red")
-            elif new_since is not None and snapshot.node_ticks.get(node, 0) > new_since:
-                attrs.append("color=blue")
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            quoted = ids[node] if node in ids else _dot_id(snapshot.label_of(node))
-            lines.append(f"    {quoted}{suffix};")
-        lines.append("  }")
-    for (a, b), w in zip(view.pairs, view.weights):
-        lines.append(f"  {ids[a]} -- {ids[b]} [label={w}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_lines(partition, view, noa_nodes, new_since, meta_comment))
 
 
 def write_dot(
@@ -479,13 +515,5 @@ def write_dot(
     new_since: int | None = None,
     meta_comment: str = "",
 ) -> None:
-    atomic_write_text(
-        path,
-        dot_text(
-            partition,
-            view,
-            noa_nodes=noa_nodes,
-            new_since=new_since,
-            meta_comment=meta_comment,
-        ),
-    )
+    """`dot_text`, streamed into the file line by line."""
+    atomic_write_chunks(path, _dot_lines(partition, view, noa_nodes, new_since, meta_comment))

@@ -34,7 +34,7 @@ from noaga import (
     step,
     swap_crossover,
 )
-from noaga import encoding
+from noaga import encoding, engine
 from noaga.encoding import _draw_unlisted
 from noaga.engine import GAState, _evaluate, _worst_index, apply_events
 
@@ -42,7 +42,6 @@ from conftest import (
     REWEIGHT_VIEWS,
     TABLE1_VIEWS,
     multi_attr_views,
-    raw_chromosomes,
     reweight_batches,
     small_views,
     structural_batches,
@@ -557,16 +556,57 @@ def test_structural_batches_drop_only_the_genes_that_left_the_view(view, scheme,
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(views, raw_chromosomes)
-def test_snapshot_best_rejects_an_unrepaired_elite(view, raw):
-    state = init_population(view, GAConfig(population_size=2, max_evaluations=10))
-    state.best = replace(state.best, chromosome=raw)
-    if _canonical(raw, view):
-        assert snapshot_best(state)[0] == encoding.decode(raw, view)
-    else:
-        with pytest.raises(UnrepairedChromosome):
-            snapshot_best(state)
+@settings(max_examples=100, deadline=None)
+@given(views, st.sampled_from(SCHEMES))
+def test_snapshot_best_is_the_elite_decode_and_rejects_a_stale_elite(view, scheme):
+    state = init_population(view, GAConfig(population_size=2, max_evaluations=10, scheme=scheme))
+    assert snapshot_best(state) == (encoding.decode(state.best.chromosome, view), state.best.value)
+    state.best = replace(state.best, version=state.best.version + 1)
+    with pytest.raises(StaleSnapshot):
+        snapshot_best(state)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_snapshot_best_decodes_nothing(two_triangle, scheme):
+    # checkpoints, NoA observations after batches and the result all take
+    # the elite's partition from its cached labels
+    config = GAConfig(population_size=6, max_evaluations=300, seed=5, checkpoint_every=7,
+                      scheme=scheme)
+    events = [
+        UpdateEvent.add_edge(4, 1, 4, (2,)),
+        UpdateEvent.update_weight(11, 1, 2, "w1", 9),
+        UpdateEvent.add_node(11, "Z"),
+        UpdateEvent.remove_edge(20, 3, 4),
+    ]
+    want = run(two_triangle, config, events)
+    inside = []
+
+    def only_outside(decode):
+        def guarded(*args):
+            if inside:
+                raise AssertionError("snapshot_best decoded a chromosome")
+            return decode(*args)
+        return guarded
+
+    def flagged(state):
+        inside.append(1)
+        try:
+            return snapshot_best(state)
+        finally:
+            inside.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoding, "decode", only_outside(encoding.decode))
+        record = encoding.SCHEME_TABLE[scheme]
+        mp.setitem(encoding.SCHEME_TABLE, scheme,
+                   replace(record, decode=only_outside(record.decode)))
+        mp.setattr(engine, "snapshot_best", flagged)
+        got = run(two_triangle, config, events)
+    assert got.state.view.version == 4 and len(got.checkpoints) > 3
+    assert (got.partition, got.value, got.checkpoints, got.noa_history, got.unapplied_ticks) == (
+        want.partition, want.value, want.checkpoints, want.noa_history, want.unapplied_ticks
+    )
+    assert _run_state(got.state) == _run_state(want.state)
 
 
 def _counting_decodes(mp, state):

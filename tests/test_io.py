@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,15 @@ def test_parse_duplicate_edge(tmp_path):
     with pytest.raises(DuplicateEdge) as info:
         io.parse_edge_list(path)
     assert "line 3" in str(info.value)
+
+
+def test_parse_shares_node_ids_and_weight_vectors(tmp_path):
+    text = "node_a\tnode_b\tw1\tw2\n300\t1000\t5\t2\n2000\t 300 \t5\t2\n1000\t2000\t1\t7\n"
+    snap, _ = io.parse_edge_list(write(tmp_path, "shared.tsv", text))
+    (k1, w1), (k2, w2), _ = snap.edges.items()
+    assert (k1, k2, w1, w2) == ((300, 1000), (300, 2000), (5, 2), (5, 2))
+    assert k1[0] is k2[0]  # one int for node 300, padded or not
+    assert w1 is w2  # one tuple for the weight vector (5, 2)
 
 
 @st.composite
@@ -384,8 +394,47 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert path.read_text() == "payload\n"
     io.atomic_write_text(str(path), "replaced\n")
     assert path.read_text() == "replaced\n"
+
+    def failing():
+        yield "line 1\n"
+        yield "line 2\n"
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        io.atomic_write_chunks(str(path), failing())
+    assert path.read_text() == "replaced\n"
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_streamed_writers_write_their_text(emails, tmp_path):
+    snap = emails.base.apply(UpdateEvent.add_node(9, "new \"one\""))
+    view = AttributeView(snap, emails.attrs)
+    part = Partition(EMAILS_TARGET + ((snap.resolve("new \"one\""),),), view.attrs, view.version)
+    kwargs = {"noa_nodes": [1, 6], "new_since": 0, "meta_comment": "demo"}
+    io.write_dot(part, view, str(tmp_path / "g.dot"), **kwargs)
+    assert (tmp_path / "g.dot").read_bytes() == io.dot_text(part, view, **kwargs).encode()
+    records = noa_records(Partition(EMAILS_TARGET, ("emails",), 0), emails, tick=3)
+    io.write_noa_log(records, {"seed": 2}, str(tmp_path / "noa.jsonl"))
+    assert (tmp_path / "noa.jsonl").read_bytes() == io.noa_log_text(records, {"seed": 2}).encode()
+
+
+def test_write_dot_never_holds_the_whole_text(tmp_path):
+    # streamed line by line, the traced peak stays below the file's size;
+    # joining the text first would take that much on its own
+    snap = GraphSnapshot.from_checked(
+        AttributeSchema(("w1",)), {pair: (1,) for pair in datasets.scale_pairs()}
+    )
+    view = AttributeView(snap)
+    part = Partition((view.nodes,), view.attrs, view.version)
+    path = tmp_path / "scale.dot"
+    tracemalloc.start()
+    try:
+        io.write_dot(part, view, str(path), noa_nodes=[1], new_since=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_sha256_of(tmp_path):
