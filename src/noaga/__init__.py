@@ -38,9 +38,6 @@ from .encoding import (
     SEPARATOR,
     EdgeRemovalChromosome,
     SeparatorChromosome,
-    decode,
-    random_chromosome,
-    repair,
     single_point_crossover,
     swap_crossover,
 )
@@ -70,7 +67,6 @@ from .engine import (
     apply_events,
     binary_tournament,
     init_population,
-    mutate,
     run,
     snapshot_best,
     step,
@@ -85,7 +81,6 @@ from .graph import (
     GraphSnapshot,
     Partition,
     UpdateEvent,
-    connected_components,
     edge_key,
 )
 from .oracle import bell_number, enumerate_labels, optimal_partition

@@ -147,7 +147,9 @@ def noa_records(partition: Partition, view: AttributeView, tick: int) -> tuple[N
 
 
 def linkage_nodes(partition: Partition, view: AttributeView) -> LinkageReport:
-    """Nodes incident to at least one inter-cluster edge."""
+    """Nodes incident to at least one inter-cluster edge. The partition need
+    not cover every active node: an edge with an endpoint outside it is
+    skipped."""
     if partition.source_version != view.version:
         raise StaleSnapshot(
             f"partition from version {partition.source_version}, view at {view.version}"
@@ -156,8 +158,8 @@ def linkage_nodes(partition: Partition, view: AttributeView) -> LinkageReport:
     foreign: dict[int, set[int]] = {}
     bridges: dict[int, list[Pair]] = {}
     for a, b in view.pairs:
-        ca, cb = member[a], member[b]
-        if ca == cb:
+        ca, cb = member.get(a), member.get(b)
+        if ca is None or cb is None or ca == cb:
             continue
         foreign.setdefault(a, set()).add(cb)
         bridges.setdefault(a, []).append((a, b))
@@ -248,14 +250,8 @@ def merge_signals(
         stats = cluster_stats(partition, view)
         noas = [noa if noa is not None else s[2] for noa, s in zip(noas, stats)]
 
-    names = view.base.schema.names
-    ixs = tuple(names.index(a) for a in view.attrs)
-    combine = max if view.aggregation == "max" else sum
-
     def agg(vec: tuple[int, ...] | None) -> int:
-        if vec is None:
-            return 0
-        return combine(vec[i] for i in ixs)
+        return 0 if vec is None else view.weigh(vec)
 
     witnesses: dict[tuple[int, int], set[int]] = {}
     for ap in applied_events:

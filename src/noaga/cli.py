@@ -155,17 +155,10 @@ def _finish_run(args, config, result) -> int:
     return 0
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_run(args) -> int:
+    """`cluster`, and `stream` when the subcommand takes --events."""
     snapshot, _ = io.parse_edge_list(args.input)
-    config = _config(args)
-    view = AttributeView(snapshot, args.attr, args.agg)
-    result = run(view, config)
-    return _finish_run(args, config, result)
-
-
-def _cmd_stream(args) -> int:
-    snapshot, _ = io.parse_edge_list(args.input)
-    events = io.parse_event_stream(args.events)
+    events = io.parse_event_stream(args.events) if "events" in args else ()
     config = _config(args)
     view = AttributeView(snapshot, args.attr, args.agg)
     result = run(view, config, events)
@@ -260,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_view_flags(p)
     _add_run_flags(p)
     _add_fitness_flags(p)
-    p.set_defaults(func=_cmd_cluster)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("stream", help="cluster while applying an update-event stream")
     _add_view_flags(p)
     p.add_argument("--events", required=True, help="event-stream JSONL")
     _add_run_flags(p)
     _add_fitness_flags(p)
-    p.set_defaults(func=_cmd_stream)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("oracle", help="exact best partition by enumeration (small graphs)")
     _add_view_flags(p)

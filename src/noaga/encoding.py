@@ -1,11 +1,12 @@
 """Chromosome encodings for partition search.
 
 Each encoding is one `Scheme` record in `SCHEME_TABLE`, and `SCHEMES` lists
-their names. A record holds the chromosome type, its operators (random,
+their names. A record holds the operators of one chromosome type (random,
 repair, crossover, mutate, decode to labels, carry_over to a run's next
-view) and whether its clusters are connected. The engine reaches a
-chromosome only through its run's record, so a new encoding is one record
-plus its operators, which sit next to its chromosome type.
+view) and whether its clusters are connected. The record is the only way
+to an operator: the engine and every other caller look it up by scheme
+name, never by a chromosome's type, so a new encoding is one record plus
+its operators, which sit next to its chromosome type.
 
 The edge-removal list (default) holds edges to delete; decoding takes the
 connected components of the view minus those edges, so any all-connected
@@ -22,8 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import ConfigInvalid, UnrepairedChromosome
-from .graph import AttributeView, Pair, Partition, component_labels, part_labels
+from .errors import UnrepairedChromosome
+from .graph import AttributeView, Pair, component_labels
 
 EDGE_REMOVAL = "edge-removal"
 SEPARATOR = "separator"
@@ -238,12 +239,11 @@ Chromosome = Union[EdgeRemovalChromosome, SeparatorChromosome]
 
 @dataclass(frozen=True)
 class Scheme:
-    """One encoding: its chromosome type and its operators, which all but
+    """One encoding: the operators of its chromosome type, which all but
     `random` and `repair` apply to canonical chromosomes only. `carry_over`
     is `repair` for a chromosome canonical for the run's previous view.
     `connected`: decoded clusters are connected, so they are their own parts."""
 
-    chromosome: type
     random: Callable[..., Chromosome]  # (view, rng, p_init, k_max): each uses its own
     repair: Callable[..., Chromosome]  # (chrom, view)
     crossover: Callable[..., tuple[Chromosome, Chromosome]]  # (p1, p2, view, rng)
@@ -255,50 +255,12 @@ class Scheme:
 
 SCHEME_TABLE: dict[str, Scheme] = {
     EDGE_REMOVAL: Scheme(
-        EdgeRemovalChromosome, random_edge_removal, repair_edge_removal, single_point_crossover,
+        random_edge_removal, repair_edge_removal, single_point_crossover,
         mutate_edge_removal, decode_edge_removal, carry_over_edge_removal, connected=True,
     ),
     SEPARATOR: Scheme(
-        SeparatorChromosome, random_separator, repair_separator, swap_crossover,
+        random_separator, repair_separator, swap_crossover,
         mutate_separator, decode_separator, repair_separator, connected=False,
     ),
 }
 SCHEMES = tuple(SCHEME_TABLE)
-_BY_TYPE = {scheme.chromosome: scheme for scheme in SCHEME_TABLE.values()}
-
-
-def scheme_of(chrom: Chromosome) -> Scheme:
-    """The record of a chromosome's type; ConfigInvalid for anything else."""
-    scheme = _BY_TYPE.get(type(chrom))
-    if scheme is None:
-        raise ConfigInvalid(f"not a chromosome: {chrom!r}")
-    return scheme
-
-
-def random_chromosome(
-    view: AttributeView, scheme: str, rng: random.Random, *, p_init: float = 0.1, k_max: int = 32
-) -> Chromosome:
-    if scheme not in SCHEMES:
-        raise ConfigInvalid(f"unknown scheme {scheme!r}")
-    return SCHEME_TABLE[scheme].random(view, rng, p_init, k_max)
-
-
-def repair(chrom: Chromosome, view: AttributeView) -> Chromosome:
-    return scheme_of(chrom).repair(chrom, view)
-
-
-def carry_over(chrom: Chromosome, view: AttributeView) -> Chromosome:
-    """A chromosome canonical for the previous view of a run, made canonical
-    for `view`: equal to `repair`, and cheaper."""
-    return scheme_of(chrom).carry_over(chrom, view)
-
-
-def decode_labels(chrom: Chromosome, view: AttributeView) -> tuple[list[int], list[int]]:
-    """Cluster labels and part labels (the connected parts of the clusters)."""
-    scheme = scheme_of(chrom)
-    labels = scheme.decode(chrom, view)
-    return labels, labels if scheme.connected else part_labels(view, labels)
-
-
-def decode(chrom: Chromosome, view: AttributeView) -> Partition:
-    return Partition.from_labels(view, scheme_of(chrom).decode(chrom, view))

@@ -6,9 +6,9 @@ costs 2, and each event batch costs population_size + 1 re-evaluations
 (whole population plus the elite, all against the new snapshot).
 
 The engine reaches a chromosome only through the `encoding.Scheme` record
-of the run's scheme, resolved once per run state: it makes, crosses,
-mutates, decodes and carries chromosomes over with the record's operators,
-which keep them canonical, and never repairs one.
+of the run's scheme, looked up by name once per run state: it makes,
+crosses, mutates, decodes and carries chromosomes over with the record's
+operators, which keep them canonical, and never repairs one.
 
 A weight-only batch, whose every event re-weights an edge without turning
 it active or inactive in the view, cannot change a decoded partition. Its
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from . import analysis, encoding
+from . import analysis
 from .encoding import EDGE_REMOVAL, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
 from .errors import ConfigInvalid, EventError, Exhausted, NoagaError, StaleSnapshot
 from .fitness import FitnessParams, FitnessValue, rescore, score_terms
@@ -75,7 +75,7 @@ class GAConfig:
             )
         for name in ("crossover_rate", "mutation_rate", "p_init"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
                 raise ConfigInvalid(f"{name} must be in [0, 1], got {v!r}")
         if self.scheme not in SCHEMES:
             raise ConfigInvalid(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -205,13 +205,6 @@ def binary_tournament(state: GAState) -> Individual:
     first = pop[state.rng.randrange(len(pop))]
     second = pop[state.rng.randrange(len(pop))]
     return second if second.value.total > first.value.total else first
-
-
-def mutate(
-    chrom: Chromosome, view: AttributeView, rate: float, rng: random.Random
-) -> Chromosome:
-    """Per-gene mutation by the chromosome's scheme: canonical in, canonical out."""
-    return encoding.scheme_of(chrom).mutate(chrom, view, rate, rng)
 
 
 def _worst_index(population: list[Individual]) -> int:

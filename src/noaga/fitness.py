@@ -11,10 +11,10 @@ share of aggregated edge weight crossing clusters, which is where weights
 connected parts below sigma_small nodes, so a stray node is penalized the
 same whether it sits alone or is glued onto an unrelated cluster.
 
-`score` works on the per-node labels the GA decodes to; `fitness` is the
-reference scorer of a Partition and reaches the same numbers through it.
-`score_terms` also returns the cluster count and intra-cluster weight, from
-which `rescore` updates a score when only edge weights change.
+`score_terms` scores the per-node labels the GA decodes to and also
+returns the cluster count and intra-cluster weight, from which `rescore`
+updates a score when only edge weights change. `fitness` is the reference
+scorer of a Partition and reaches the same numbers through `score_terms`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from .graph import AttributeView, Partition, part_labels
 
 @dataclass(frozen=True)
 class FitnessParams:
-    """Weights of the three fitness terms. All must be finite and >= 0."""
+    """Weights of the three fitness terms. All must be finite and >= 0;
+    the two weights are numbers, stored as floats, and sigma_small is an
+    integer. ConfigInvalid otherwise."""
 
     lambda_cut: float = 2.5
     mu_small: float = 0.5
@@ -38,13 +40,14 @@ class FitnessParams:
 
     def __post_init__(self):
         for name in ("lambda_cut", "mu_small"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0:
+            v = getattr(self, name)
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not math.isfinite(v) or v < 0):
                 raise ConfigInvalid(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        if int(self.sigma_small) < 0:
-            raise ConfigInvalid(f"sigma_small must be >= 0, got {self.sigma_small!r}")
-        object.__setattr__(self, "sigma_small", int(self.sigma_small))
+            object.__setattr__(self, name, float(v))
+        v = self.sigma_small
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ConfigInvalid(f"sigma_small must be an integer >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def fitness(
             labels[ix] = ci
     if -1 in labels:
         raise ValueError(f"partition covers {n - labels.count(-1)} of {n} active nodes")
-    return score(labels, part_labels(view, labels), view, params)
+    return score_terms(labels, part_labels(view, labels), view, params)[0]
 
 
 def _sizes(labels: Sequence[int]) -> list[int]:
@@ -110,27 +113,18 @@ def _sizes(labels: Sequence[int]) -> list[int]:
     return sizes
 
 
-def score(
-    labels: Sequence[int],
-    parts: Sequence[int],
-    view: AttributeView,
-    params: FitnessParams,
-) -> FitnessValue:
-    """Score a cluster label and a part label (connected part of its cluster)
-    per active node, in view order. Clusters are numbered 0..k-1 in Partition
-    order, which fixes the order closeness is summed in."""
-    return score_terms(labels, parts, view, params)[0]
-
-
 def score_terms(
     labels: Sequence[int],
     parts: Sequence[int],
     view: AttributeView,
     params: FitnessParams,
 ) -> tuple[FitnessValue, int, int]:
-    """`score`, plus the integer terms the edge weights enter through: the
-    cluster count k and the intra-cluster aggregated weight. Those two and
-    the value are all `rescore` needs after a weight-only change."""
+    """Score a cluster label and a part label (connected part of its cluster)
+    per active node, in view order, and return the value with the integer
+    terms the edge weights enter through: the cluster count k and the
+    intra-cluster aggregated weight. Those two and the value are all
+    `rescore` needs after a weight-only change. Clusters are numbered
+    0..k-1 in Partition order, which fixes the order closeness is summed in."""
     if not labels:
         raise EmptyPartition("fitness of a partition with no clusters")
     sizes = _sizes(labels)
@@ -162,7 +156,7 @@ def rescore(
 ) -> FitnessValue:
     """Score of the same clusters after edge weights changed but not which
     edges are active: closeness and the small parts carry over, the cut
-    takes the new intra-cluster and total weight. Equal to a full `score`."""
+    takes the new intra-cluster and total weight. Equal to a full score."""
     return _value(value.closeness_mean, value.small_count, k, weight_in, total_weight, params)
 
 

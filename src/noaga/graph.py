@@ -349,8 +349,10 @@ class AttributeView:
     Active nodes are the endpoints of active edges plus nodes that have no
     edges at all in the snapshot (just-added isolates). Nodes whose every
     incident edge is zero under the chosen attributes are not in the view.
-    `reweighted` derives the view of a snapshot that only re-weighted edges
-    from the view of its predecessor.
+    `weigh(vec)` aggregates a snapshot weight vector into this view's edge
+    weight; the edge is active iff that is positive. `reweighted` derives
+    the view of a snapshot that only re-weighted edges from the view of its
+    predecessor.
     """
 
     def __init__(
@@ -377,8 +379,7 @@ class AttributeView:
 
         combine = max if aggregation == "max" else sum
         pick = itemgetter(*(names.index(a) for a in chosen))
-        # weight vector -> aggregated weight
-        self._weigh = weigh = pick if len(chosen) == 1 else lambda vec: combine(pick(vec))
+        self.weigh = weigh = pick if len(chosen) == 1 else lambda vec: combine(pick(vec))
         pairs: list[Pair] = []
         weights: list[int] = []
         for key, vec in sorted(base.edges.items()):
@@ -419,7 +420,7 @@ class AttributeView:
             vec = base.edges.get(key)
             if vec is None:
                 return None
-            w = self._weigh(vec)
+            w = self.weigh(vec)
             idx = self.pair_index.get(key)
             if (w > 0) != (idx is not None):
                 return None
@@ -448,10 +449,12 @@ class AttributeView:
         return node in self.node_index
 
     def weight_of(self, a: int, b: int) -> int:
-        """Aggregated weight of an active edge; ForeignEdge if not active here."""
-        idx = self.pair_index.get(edge_key(a, b))
+        """Aggregated weight of an active edge; ForeignEdge if not active
+        here, a self-loop included."""
+        key = (a, b) if a < b else (b, a)
+        idx = self.pair_index.get(key)
         if idx is None:
-            raise ForeignEdge(f"edge {edge_key(a, b)} is not active in this view")
+            raise ForeignEdge(f"edge {key} is not active in this view")
         return self.weights[idx]
 
 
@@ -543,18 +546,3 @@ def part_labels(view: AttributeView, labels: Sequence[int]) -> list[int]:
     edges whose endpoints share a cluster label."""
     return component_labels(view, [labels[a] == labels[b] for a, b in zip(view.ea, view.eb)])
 
-
-def connected_components(view: AttributeView, removed: Iterable[Pair] = ()) -> Partition:
-    """Partition of the view's active nodes after deleting `removed` edges.
-
-    Every entry of `removed` must be active in the view (ForeignEdge
-    otherwise); isolated actives come out as singleton clusters.
-    """
-    keep = [True] * len(view.pairs)
-    for p in removed:
-        key = edge_key(*p)
-        idx = view.pair_index.get(key)
-        if idx is None:
-            raise ForeignEdge(f"edge {key} is not active in this view")
-        keep[idx] = False
-    return Partition.from_labels(view, component_labels(view, keep))

@@ -5,13 +5,13 @@ in restricted-growth order: clusters are numbered as in Partition order,
 and every set partition is reached exactly once, as a leaf. Each step keeps
 the cluster sizes, intra-cluster tie counts and intra-cluster weight up to
 date from the edges to earlier nodes only. At a leaf those give the exact
-`closeness_mean - lambda_cut * cut_fraction`, computed as `score` computes
-it; the small-part term only subtracts from that, so a leaf whose bound is
-already below the best total cannot win and is skipped. The rest are scored
-by `score`, and only one that can win becomes a Partition. Bell numbers
-grow fast (Bell(10) = 115,975), so a cap of 10 nodes by default protects
-callers; anything bigger raises TooLarge. This is the ground truth the GA
-is checked against.
+`closeness_mean - lambda_cut * cut_fraction`, computed as `score_terms`
+computes it; the small-part term only subtracts from that, so a leaf whose
+bound is already below the best total cannot win and is skipped. The rest
+are scored by `score_terms`, and only one that can win becomes a Partition.
+Bell numbers grow fast (Bell(10) = 115,975), so a cap of 10 nodes by
+default protects callers; anything bigger raises TooLarge. This is the
+ground truth the GA is checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import ConfigInvalid, TooLarge
-from .fitness import FitnessParams, FitnessValue, score
+from .fitness import FitnessParams, FitnessValue, score_terms
 from .graph import AttributeView, Partition, part_labels
 
 DEFAULT_N_MAX = 10
@@ -115,7 +115,7 @@ def optimal_partition(
         # y >= 0: a leaf whose bound is below the best total is below it too
         if best_value is not None and closeness_mean - lambda_cut * cut_fraction < best_value.total:
             return
-        value = score(labels, part_labels(view, labels), view, params)
+        value = score_terms(labels, part_labels(view, labels), view, params)[0]
         if best_value is not None and value.total < best_value.total:
             return
         part = Partition.from_labels(view, labels)

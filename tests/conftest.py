@@ -7,10 +7,12 @@ from noaga import (
     Edge,
     EdgeRemovalChromosome,
     GraphSnapshot,
+    Partition,
     SeparatorChromosome,
     UpdateEvent,
     datasets,
 )
+from noaga.encoding import EDGE_REMOVAL, SCHEME_TABLE, SEPARATOR
 
 # the communities the bundled sample resolves to, per attribute
 EMAILS_TARGET = ((1, 2, 3, 4, 5), (6, 7, 8, 9), (10, 11, 12, 13, 14, 15))
@@ -21,6 +23,17 @@ COMMENTS_TARGET = ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11, 12, 13, 14, 15))
 EMAILS_TOTAL = 0.6626373626373627
 POSTS_TOTAL = 0.5022774327122154
 COMMENTS_TOTAL = 0.5026584867075664
+
+
+def to_partition(record, chrom, view):
+    """The Partition a scheme record decodes `chrom` to."""
+    return Partition.from_labels(view, record.decode(chrom, view))
+
+
+def components(view, removed=()):
+    """Connected components of the view less the `removed` active edges,
+    by decoding them as an edge-removal chromosome."""
+    return to_partition(SCHEME_TABLE[EDGE_REMOVAL], EdgeRemovalChromosome(tuple(removed)), view)
 
 
 @pytest.fixture(scope="session")
@@ -173,12 +186,13 @@ REWEIGHT_VIEWS = st.one_of(
 )
 
 
+# (scheme name, gene material that may need repair)
 raw_chromosomes = st.one_of(
     st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=30).map(
-        lambda pairs: EdgeRemovalChromosome(tuple(pairs))
+        lambda pairs: (EDGE_REMOVAL, EdgeRemovalChromosome(tuple(pairs)))
     ),
     st.builds(
-        lambda k, seps: SeparatorChromosome(k, tuple(seps)),
+        lambda k, seps: (SEPARATOR, SeparatorChromosome(k, tuple(seps))),
         st.integers(1, 20),
         st.lists(st.integers(-3, 19), max_size=12),
     ),

@@ -14,8 +14,11 @@ import pytest
 from noaga import (
     AttributeSchema,
     AttributeView,
+    ConfigInvalid,
     Edge,
     EdgeRemovalChromosome,
+    FitnessParams,
+    ForeignEdge,
     GAConfig,
     GraphSnapshot,
     Partition,
@@ -28,10 +31,10 @@ from noaga import (
     optimal_partition,
     run,
 )
-from noaga import encoding
 from noaga.cli import main
+from noaga.encoding import EDGE_REMOVAL, SCHEME_TABLE, SEPARATOR
 
-from conftest import COMMENTS_TARGET, EMAILS_TARGET, POSTS_TARGET
+from conftest import COMMENTS_TARGET, EMAILS_TARGET, POSTS_TARGET, to_partition
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +191,7 @@ def test_ac7_event_invalidates_scores(two_triangle):
 def test_ac8_random_chromosomes_decode_valid(emails):
     rng = random.Random(99)
     active = list(emails.nodes)
+    er, sep = SCHEME_TABLE[EDGE_REMOVAL], SCHEME_TABLE[SEPARATOR]
     for _ in range(10_000):
         raw = EdgeRemovalChromosome(
             tuple(
@@ -195,23 +199,39 @@ def test_ac8_random_chromosomes_decode_valid(emails):
                 for _ in range(rng.randint(0, 12))
             )
         )
-        fixed = encoding.repair(raw, emails)
-        assert encoding.repair(fixed, emails) == fixed
-        part = encoding.decode(fixed, emails)
+        fixed = er.repair(raw, emails)
+        assert er.repair(fixed, emails) == fixed
+        part = to_partition(er, fixed, emails)
         assert sorted(part.members()) == active
     for _ in range(10_000):
         raw = SeparatorChromosome(
             rng.randint(1, 40),
             tuple(rng.randint(-3, 20) for _ in range(rng.randint(0, 8))),
         )
-        fixed = encoding.repair(raw, emails)
-        assert encoding.repair(fixed, emails) == fixed
-        part = encoding.decode(fixed, emails)
+        fixed = sep.repair(raw, emails)
+        assert sep.repair(fixed, emails) == fixed
+        part = to_partition(sep, fixed, emails)
         assert sorted(part.members()) == active
         assert part.cluster_count == fixed.k
 
     report = linkage_nodes(Partition(EMAILS_TARGET, ("emails",), 0), emails)
     assert report.nodes == (4, 5, 6, 7, 8, 10, 14)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda view: GAConfig(crossover_rate="x"), ConfigInvalid),
+        (lambda view: FitnessParams(lambda_cut="abc"), ConfigInvalid),
+        (lambda view: FitnessParams(sigma_small=2.7), ConfigInvalid),
+        (lambda view: view.weight_of(1, 1), ForeignEdge),
+    ],
+    ids=["crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop"],
+)
+def test_wrong_typed_library_input_raises_a_noaga_error(emails, call, error):
+    # bad input ends in a NoagaError, never a TypeError or a silent change
+    with pytest.raises(error):
+        call(emails)
 
 
 def test_ac9_byte_identical_replay(table1, tmp_path):

@@ -105,6 +105,18 @@ def test_linkage_nodes_empty_when_one_cluster(emails):
     assert report.entries == ()
 
 
+def test_linkage_nodes_skips_edges_leaving_a_partial_partition(emails):
+    # 10..15 are left out: (6, 10) and (8, 14) have an endpoint outside
+    part = Partition(((1, 2, 3, 4, 5), (6, 7, 8, 9)), ("emails",), 0)
+    report = linkage_nodes(part, emails)
+    assert report.nodes == (4, 5, 6, 7)
+    by_node = {e.node: e for e in report.entries}
+    assert by_node[6].cluster == 1
+    assert by_node[6].foreign_clusters == (0,)
+    assert by_node[6].bridge_edges == ((5, 6),)
+    assert linkage_nodes(Partition(((1, 2, 3),), ("emails",), 0), emails).nodes == ()
+
+
 def test_linkage_version_check(emails):
     with pytest.raises(StaleSnapshot):
         linkage_nodes(Partition(EMAILS_TARGET, ("emails",), 3), emails)

@@ -14,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noaga
-from noaga import connected_components, datasets, io
+from noaga import datasets, io
 from noaga.cli import main
 from noaga.graph import AttributeView
+
+from conftest import components
 
 
 @pytest.fixture()
@@ -53,7 +55,7 @@ def test_gen_scale_preset(tmp_path):
     assert len(snap.nodes) == 60
     assert len(snap.edges) == 150
     # the generator builds a spanning tree first, so one component
-    part = connected_components(AttributeView(snap))
+    part = components(AttributeView(snap))
     assert part.cluster_count == 1
 
 

@@ -19,27 +19,24 @@ from noaga import (
     Partition,
     SeparatorChromosome,
     UnrepairedChromosome,
-    decode,
     engine,
-    random_chromosome,
-    repair,
 )
 from noaga.encoding import (
     SCHEME_TABLE,
     SCHEMES,
-    carry_over,
     decode_edge_removal,
-    decode_labels,
     decode_separator,
     random_edge_removal,
     random_separator,
     repair_edge_removal,
     repair_separator,
 )
-from noaga.errors import ConfigInvalid
 from noaga.graph import part_labels
 
-from conftest import EMAILS_TARGET, TABLE1_VIEWS, small_views, structural_batches
+from conftest import EMAILS_TARGET, TABLE1_VIEWS, small_views, structural_batches, to_partition
+
+ER = SCHEME_TABLE[EDGE_REMOVAL]
+SEP = SCHEME_TABLE[SEPARATOR]
 
 
 def test_repair_edge_removal_dedupes_keeping_first(emails):
@@ -54,6 +51,8 @@ def test_decode_edge_removal_targets(emails):
     chrom = EdgeRemovalChromosome(((4, 7), (5, 6), (8, 14), (6, 10)))
     part = Partition.from_labels(emails, decode_edge_removal(chrom, emails))
     assert part.clusters == EMAILS_TARGET
+    whole = to_partition(ER, EdgeRemovalChromosome(()), emails)
+    assert whole == Partition((tuple(range(1, 16)),), ("emails",), 0)
 
 
 def test_decode_edge_removal_rejects_unrepaired(emails):
@@ -80,8 +79,8 @@ def test_repair_separator_tiny_views():
 
 def test_decode_separator_slices_node_order(emails):
     assert decode_separator(SeparatorChromosome(3, (5, 9)), emails) == [0] * 5 + [1] * 4 + [2] * 6
-    assert decode(SeparatorChromosome(3, (5, 9)), emails).clusters == EMAILS_TARGET
-    whole = decode(SeparatorChromosome(1, ()), emails)
+    assert to_partition(SEP, SeparatorChromosome(3, (5, 9)), emails).clusters == EMAILS_TARGET
+    whole = to_partition(SEP, SeparatorChromosome(1, ()), emails)
     assert whole.clusters == (tuple(range(1, 16)),)
 
 
@@ -95,7 +94,7 @@ def test_decode_separator_rejects_unrepaired(emails):
     with pytest.raises(UnrepairedChromosome):
         decode_separator(SeparatorChromosome(2, (0,)), emails)
     empty = AttributeView(GraphSnapshot.build(AttributeSchema(("w1",)), []))
-    assert decode(SeparatorChromosome(1, ()), empty).clusters == ()
+    assert to_partition(SEP, SeparatorChromosome(1, ()), empty).clusters == ()
     with pytest.raises(UnrepairedChromosome):
         decode_separator(SeparatorChromosome(2, (1,)), empty)
 
@@ -118,30 +117,6 @@ def test_random_separator_bounds(emails):
         decode_separator(chrom, emails)  # already canonical
 
 
-def test_dispatchers(emails):
-    rng = random.Random(3)
-    er = random_chromosome(emails, EDGE_REMOVAL, rng)
-    assert isinstance(er, EdgeRemovalChromosome)
-    sep = random_chromosome(emails, SEPARATOR, rng)
-    assert isinstance(sep, SeparatorChromosome)
-    assert repair(er, emails) == er
-    assert repair(sep, emails) == sep
-    decode(er, emails)
-    decode(sep, emails)
-    with pytest.raises(ConfigInvalid):
-        random_chromosome(emails, "bitmask", rng)
-    with pytest.raises(ConfigInvalid):
-        repair("junk", emails)
-    with pytest.raises(ConfigInvalid):
-        decode("junk", emails)
-    with pytest.raises(ConfigInvalid):
-        carry_over("junk", emails)
-    with pytest.raises(ConfigInvalid):
-        decode_labels("junk", emails)
-    with pytest.raises(ConfigInvalid):
-        engine.mutate("junk", emails, 0.1, rng)
-
-
 pair_lists = st.lists(
     st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=40
 ).map(tuple)
@@ -150,18 +125,18 @@ pair_lists = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(pair_lists)
 def test_repair_then_decode_always_valid(emails, pairs):
-    fixed = repair(EdgeRemovalChromosome(pairs), emails)
-    assert repair(fixed, emails) == fixed
-    part = decode(fixed, emails)
+    fixed = ER.repair(EdgeRemovalChromosome(pairs), emails)
+    assert ER.repair(fixed, emails) == fixed
+    part = to_partition(ER, fixed, emails)
     assert sorted(part.members()) == list(emails.nodes)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 64), st.lists(st.integers(-5, 25), max_size=10))
 def test_separator_repair_always_decodable(emails, k, seps):
-    fixed = repair(SeparatorChromosome(k, tuple(seps)), emails)
-    assert repair(fixed, emails) == fixed
-    part = decode(fixed, emails)
+    fixed = SEP.repair(SeparatorChromosome(k, tuple(seps)), emails)
+    assert SEP.repair(fixed, emails) == fixed
+    part = to_partition(SEP, fixed, emails)
     assert sorted(part.members()) == list(emails.nodes)
     assert part.cluster_count == fixed.k
 
@@ -212,6 +187,15 @@ def test_encoding_choice_lives_in_the_table():
                 _names(operand, SCHEME_NAMES) for operand in (node.left, *node.comparators)
             ):
                 found.append(f"{path.name}:{node.lineno}: comparison with a scheme name")
+        # a type() result may only be tested with `is`, never used as a key
+        tested = {id(n.left) for n in ast.walk(tree)
+                  if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Is)}
+        found += [
+            f"{path.name}:{node.lineno}: type() used as a lookup key"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "type" and id(node) not in tested
+        ]
     assert found == []
 
 
@@ -231,7 +215,7 @@ def test_scheme_records_keep_chromosomes_canonical(name, view, p_init, seed, dat
     made = [p1, p2, *scheme.crossover(p1, p2, view, rng)]
     made += [scheme.mutate(chrom, view, rate, rng) for chrom in made for rate in (0.0, 0.1, 1.0)]
     for chrom in made:
-        assert repair(chrom, view) == chrom
+        assert scheme.repair(chrom, view) == chrom
         labels = scheme.decode(chrom, view)
         assert len(labels) == view.node_count
         if scheme.connected:
@@ -241,4 +225,4 @@ def test_scheme_records_keep_chromosomes_canonical(name, view, p_init, seed, dat
         snapshot = snapshot.apply(ev)
     new = AttributeView(snapshot, view.attrs, view.aggregation)
     for chrom in made:
-        assert scheme.carry_over(chrom, new) == repair(chrom, new)
+        assert scheme.carry_over(chrom, new) == scheme.repair(chrom, new)

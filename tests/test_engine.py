@@ -27,7 +27,6 @@ from noaga import (
     UpdateEvent,
     binary_tournament,
     init_population,
-    mutate,
     run,
     single_point_crossover,
     snapshot_best,
@@ -35,7 +34,7 @@ from noaga import (
     swap_crossover,
 )
 from noaga import encoding, engine
-from noaga.encoding import _draw_unlisted
+from noaga.encoding import SCHEME_TABLE, SEPARATOR, _draw_unlisted
 from noaga.engine import GAState, _evaluate, _worst_index, apply_events
 
 from conftest import (
@@ -45,6 +44,7 @@ from conftest import (
     reweight_batches,
     small_views,
     structural_batches,
+    to_partition,
 )
 
 
@@ -198,17 +198,21 @@ def test_swap_crossover_identical_parents(emails):
         assert c2 == p
 
 
+ER = SCHEME_TABLE[EDGE_REMOVAL]
+SEP = SCHEME_TABLE[SEPARATOR]
+
+
 def test_mutate_rate_zero_is_identity(emails):
     rng = random.Random(31)
-    er = encoding.repair(EdgeRemovalChromosome(((4, 7), (5, 6))), emails)
-    assert mutate(er, emails, 0.0, rng) == er
+    er = ER.repair(EdgeRemovalChromosome(((4, 7), (5, 6))), emails)
+    assert ER.mutate(er, emails, 0.0, rng) == er
     sep = SeparatorChromosome(3, (5, 9))
-    assert mutate(sep, emails, 0.0, rng) == sep
+    assert SEP.mutate(sep, emails, 0.0, rng) == sep
 
 
 def test_mutate_grows_empty_chromosome(emails):
     rng = random.Random(41)
-    out = mutate(EdgeRemovalChromosome(()), emails, 1.0, rng)
+    out = ER.mutate(EdgeRemovalChromosome(()), emails, 1.0, rng)
     assert len(out) == 1
     assert out.removed[0] in emails.pair_index
 
@@ -218,10 +222,10 @@ def test_mutate_outputs_always_decodable(emails):
     er = EdgeRemovalChromosome(((4, 7), (5, 6), (8, 14)))
     sep = SeparatorChromosome(4, (3, 8, 12))
     for _ in range(200):
-        er = mutate(er, emails, 0.5, rng)
-        sep = mutate(sep, emails, 0.5, rng)
-        encoding.decode(er, emails)
-        encoding.decode(sep, emails)
+        er = ER.mutate(er, emails, 0.5, rng)
+        sep = SEP.mutate(sep, emails, 0.5, rng)
+        ER.decode(er, emails)
+        SEP.decode(sep, emails)
         assert sep.k == len(sep.separators) + 1
 
 
@@ -373,7 +377,7 @@ def test_run_survives_edge_removal(two_triangle):
     assert result.partition.clusters == ((1, 2, 3), (4, 5, 6))
     assert result.value.total == 1.0
     for ind in result.state.population:
-        encoding.decode(ind.chromosome, result.state.view)  # must not raise
+        result.state.scheme.decode(ind.chromosome, result.state.view)  # must not raise
 
 
 def test_run_keeps_view_projection_across_events(sample):
@@ -408,8 +412,8 @@ def test_snapshot_best_is_stable(emails):
     assert v1.total == state.best.value.total
 
 
-def _canonical(chrom, view):
-    return encoding.repair(chrom, view) == chrom
+def _canonical(record, chrom, view):
+    return record.repair(chrom, view) == chrom
 
 
 views = st.one_of(st.sampled_from(TABLE1_VIEWS), small_views())
@@ -420,16 +424,12 @@ views = st.one_of(st.sampled_from(TABLE1_VIEWS), small_views())
 def test_operators_make_canonical_chromosomes(view, scheme, p_init, seed):
     # the engine scores what the operators make without repairing it again
     rng = random.Random(seed)
-    p1, p2 = (
-        encoding.random_chromosome(view, scheme, rng, p_init=p_init, k_max=8) for _ in range(2)
-    )
-    if scheme == EDGE_REMOVAL:
-        children = single_point_crossover(p1, p2, view, rng)
-    else:
-        children = swap_crossover(p1, p2, view, rng)
+    record = SCHEME_TABLE[scheme]
+    p1, p2 = (record.random(view, rng, p_init, 8) for _ in range(2))
+    children = record.crossover(p1, p2, view, rng)
     for chrom in (p1, p2, *children):
-        assert _canonical(chrom, view)
-        assert _canonical(mutate(chrom, view, 0.5, rng), view)
+        assert _canonical(record, chrom, view)
+        assert _canonical(record, record.mutate(chrom, view, 0.5, rng), view)
 
 
 def _replay(rng):
@@ -473,7 +473,7 @@ def test_edge_removal_operators_equal_repair_of_the_raw_genes(view, p_init, rate
         assert child == encoding.repair_edge_removal(EdgeRemovalChromosome(splice), view)
     for chrom in (p1, p2, *children):
         twin = _replay(rng)
-        assert mutate(chrom, view, rate, rng) == _repaired_raw_mutant(chrom, view, rate, twin)
+        assert ER.mutate(chrom, view, rate, rng) == _repaired_raw_mutant(chrom, view, rate, twin)
         assert rng.getstate() == twin.getstate()
 
 
@@ -488,7 +488,6 @@ def test_run_without_events_never_repairs(view, seed):
         raise AssertionError("repair called")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoding, "repair", refuse)
         mp.setattr(encoding, "repair_edge_removal", refuse)
         record = encoding.SCHEME_TABLE[EDGE_REMOVAL]
         mp.setitem(encoding.SCHEME_TABLE, EDGE_REMOVAL, replace(record, repair=refuse))
@@ -503,9 +502,9 @@ def test_run_without_events_never_repairs(view, seed):
 def test_mutation_passes_a_non_canonical_chromosome_to_decode(emails, removed):
     # a duplicate, a reversed pair, a pair that is no edge of the view
     chrom = EdgeRemovalChromosome(removed)
-    assert not _canonical(chrom, emails)
+    assert not _canonical(ER, chrom, emails)
     state = init_population(emails, GAConfig(population_size=2, max_evaluations=10))
-    mutant = mutate(chrom, emails, 0.0, state.rng)
+    mutant = ER.mutate(chrom, emails, 0.0, state.rng)
     assert mutant == chrom
     with pytest.raises(UnrepairedChromosome):
         _evaluate(state, mutant)
@@ -523,7 +522,7 @@ def test_apply_events_repairs_for_the_new_view(view, scheme, seed, data):
     apply_events(state, [UpdateEvent.remove_edge(1, a, b)])
     assert (a, b) not in state.view.pair_index
     for ind in (*state.population, state.best):
-        assert _canonical(ind.chromosome, state.view)
+        assert _canonical(state.scheme, ind.chromosome, state.view)
 
 
 @settings(max_examples=150, deadline=None)
@@ -552,7 +551,7 @@ def test_structural_batches_drop_only_the_genes_that_left_the_view(view, scheme,
             assert after == encoding.repair_separator(before, new)
     # the elite is the old elite carried over, unless a member now beats it
     assert state.best.chromosome in (
-        encoding.repair(old[-1], new), *(ind.chromosome for ind in state.population)
+        state.scheme.repair(old[-1], new), *(ind.chromosome for ind in state.population)
     )
 
 
@@ -560,7 +559,8 @@ def test_structural_batches_drop_only_the_genes_that_left_the_view(view, scheme,
 @given(views, st.sampled_from(SCHEMES))
 def test_snapshot_best_is_the_elite_decode_and_rejects_a_stale_elite(view, scheme):
     state = init_population(view, GAConfig(population_size=2, max_evaluations=10, scheme=scheme))
-    assert snapshot_best(state) == (encoding.decode(state.best.chromosome, view), state.best.value)
+    want = to_partition(state.scheme, state.best.chromosome, view)
+    assert snapshot_best(state) == (want, state.best.value)
     state.best = replace(state.best, version=state.best.version + 1)
     with pytest.raises(StaleSnapshot):
         snapshot_best(state)
@@ -596,7 +596,6 @@ def test_snapshot_best_decodes_nothing(two_triangle, scheme):
             inside.pop()
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoding, "decode", only_outside(encoding.decode))
         record = encoding.SCHEME_TABLE[scheme]
         mp.setitem(encoding.SCHEME_TABLE, scheme,
                    replace(record, decode=only_outside(record.decode)))
@@ -776,7 +775,7 @@ def _reference_step(state):
     else:
         c1, c2 = p1.chromosome, p2.chromosome
     for chrom in (c1, c2):
-        child = _evaluate(state, mutate(chrom, state.view, cfg.mutation_rate, rng))
+        child = _evaluate(state, state.scheme.mutate(chrom, state.view, cfg.mutation_rate, rng))
         worst = _worst_index(state.population)
         if child.value.total > state.population[worst].value.total:
             state.population[worst] = child

@@ -18,12 +18,12 @@ from noaga import (
     StaleSnapshot,
     UnknownNode,
     closeness,
-    connected_components,
-    encoding,
     fitness,
 )
+from noaga.encoding import SCHEME_TABLE
 from noaga.errors import EmptyCluster
-from noaga.fitness import score
+from noaga.fitness import score_terms
+from noaga.graph import part_labels
 
 from conftest import (
     COMMENTS_TARGET,
@@ -33,6 +33,7 @@ from conftest import (
     POSTS_TARGET,
     POSTS_TOTAL,
     TABLE1_VIEWS,
+    components,
     raw_chromosomes,
     small_views,
 )
@@ -189,13 +190,16 @@ def _reference_clusters(chrom, view):
 )
 def test_label_score_matches_reference(view, raw, params):
     # the GA scores labels; the reference path decodes a Partition and scores that
-    chrom = encoding.repair(raw, view)
-    labels, parts = encoding.decode_labels(chrom, view)
-    part = encoding.decode(chrom, view)
+    name, raw = raw
+    record = SCHEME_TABLE[name]
+    chrom = record.repair(raw, view)
+    labels = record.decode(chrom, view)
+    parts = labels if record.connected else part_labels(view, labels)
+    part = Partition.from_labels(view, labels)
     assert part == Partition(_reference_clusters(chrom, view), view.attrs, view.version)
     # clusters are numbered by smallest member, the Partition's own order
     assert list(dict.fromkeys(labels)) == list(range(part.cluster_count))
-    assert score(labels, parts, view, params) == fitness(part, view, params)
+    assert score_terms(labels, parts, view, params)[0] == fitness(part, view, params)
 
 
 def test_component_ranges(emails):
@@ -203,7 +207,7 @@ def test_component_ranges(emails):
     import itertools
 
     for removal in itertools.combinations([(4, 7), (5, 6), (8, 14), (6, 10), (1, 2)], 2):
-        part = connected_components(emails, removal)
+        part = components(emails, removal)
         v = fitness(part, emails)
         assert 0.0 <= v.closeness_mean <= 1.0
         assert 0.0 <= v.cut_fraction <= 1.0

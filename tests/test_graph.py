@@ -17,13 +17,12 @@ from noaga import (
     UnknownEdge,
     UnknownNode,
     UpdateEvent,
-    connected_components,
     edge_key,
 )
 from noaga.analysis import cluster_stats
 from noaga.errors import EmptyCluster
 
-from conftest import EMAILS_TARGET, REWEIGHT_VIEWS, reweight_batches
+from conftest import EMAILS_TARGET, REWEIGHT_VIEWS, components, reweight_batches
 
 
 def test_edge_key_normalizes():
@@ -160,7 +159,7 @@ def test_remove_edge_isolates_leaf(sample):
     view = AttributeView(snap, ("emails",))
     assert view.has_node(15)
     assert all(15 not in pair for pair in view.pairs)
-    part = connected_components(view)
+    part = components(view)
     assert (15,) in part.clusters
     with pytest.raises(UnknownEdge):
         snap.apply(UpdateEvent.remove_edge(101, 14, 15))
@@ -360,30 +359,12 @@ def test_view_includes_snapshot_isolates():
     snap = GraphSnapshot.build(schema, [Edge(1, 2, (1,))], extra_nodes=[7])
     view = AttributeView(snap)
     assert view.nodes == (1, 2, 7)
-    assert (7,) in connected_components(view).clusters
+    assert (7,) in components(view).clusters
 
 
 def test_weight_of_foreign_edge(emails):
     with pytest.raises(ForeignEdge):
         emails.weight_of(1, 14)
-
-
-def test_connected_components_whole_graph(emails):
-    part = connected_components(emails)
-    assert part.clusters == (tuple(range(1, 16)),)
-    assert part.attrs == ("emails",)
-    assert part.source_version == 0
-
-
-def test_connected_components_bridge_removal(emails):
-    removed = [(4, 7), (5, 6), (8, 14), (6, 10)]
-    part = connected_components(emails, removed)
-    assert part.clusters == EMAILS_TARGET
-
-
-def test_connected_components_rejects_foreign_removal(emails):
-    with pytest.raises(ForeignEdge):
-        connected_components(emails, [(1, 14)])
 
 
 def test_partition_normalization_and_validation(emails):
@@ -404,6 +385,6 @@ def test_partition_normalization_and_validation(emails):
 def test_component_count_bounded_by_removals(emails, data):
     pool = list(emails.pairs)
     removed = data.draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
-    part = connected_components(emails, removed)
+    part = components(emails, removed)
     assert part.cluster_count <= 1 + len(removed)
     assert sorted(part.members()) == list(emails.nodes)

@@ -19,7 +19,7 @@ from noaga import (
     optimal_partition,
 )
 from noaga import oracle
-from noaga.fitness import score
+from noaga.fitness import score_terms
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -81,7 +81,7 @@ def _optimum_and_scores(view, params):
     """`optimal_partition`, plus how many candidates it scored."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "score", lambda *a: calls.append(1) or score(*a))
+        mp.setattr(oracle, "score_terms", lambda *a: calls.append(1) or score_terms(*a))
         part, value = optimal_partition(view, params)
     return part, value, len(calls)
 
