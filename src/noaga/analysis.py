@@ -228,6 +228,9 @@ def merge_signals(
     The target NoA comes from the most recent history record whose member
     set matches the cluster, falling back to a fresh computation.
     """
+    for name, v in (("theta", theta), ("window", window)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ConfigInvalid(f"{name} must be an integer, got {v!r}")
     if theta < 1:
         raise ConfigInvalid(f"theta must be >= 1, got {theta}")
     if window < 1:

@@ -450,7 +450,9 @@ class AttributeView:
 
     def weight_of(self, a: int, b: int) -> int:
         """Aggregated weight of an active edge; ForeignEdge if not active
-        here, a self-loop included."""
+        here, as for a self-loop or an endpoint that is not an int node id."""
+        if not (type(a) is int and type(b) is int):  # bool is not a node id
+            raise ForeignEdge(f"edge ({a!r}, {b!r}) is not a pair of int node ids")
         key = (a, b) if a < b else (b, a)
         idx = self.pair_index.get(key)
         if idx is None:

