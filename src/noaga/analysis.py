@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigInvalid, StaleSnapshot, UnknownNode
+from .errors import ConfigInvalid, check_version, clip_repr
 from .graph import (
     AppliedEvent,
     AttributeView,
@@ -92,18 +92,9 @@ def cluster_stats(partition: Partition, view: AttributeView) -> list[tuple[int, 
     smallest id. Members must be active in the view (UnknownNode otherwise);
     the partition need not cover every active node.
     """
-    if partition.source_version != view.version:
-        raise StaleSnapshot(
-            f"partition from version {partition.source_version}, view at {view.version}"
-        )
+    check_version("partition", partition.source_version, view.version)
+    labels = partition.labels(view)
     node_index = view.node_index
-    labels = [-1] * len(view.nodes)
-    for ci, cluster in enumerate(partition.clusters):
-        for node in cluster:
-            ix = node_index.get(node)
-            if ix is None:
-                raise UnknownNode(f"node {node} is not active in this view")
-            labels[ix] = ci
     # per node: (intra ties, intra weight), the NoA key
     ties = [0] * len(labels)
     weight = [0] * len(labels)
@@ -150,10 +141,7 @@ def linkage_nodes(partition: Partition, view: AttributeView) -> LinkageReport:
     """Nodes incident to at least one inter-cluster edge. The partition need
     not cover every active node: an edge with an endpoint outside it is
     skipped."""
-    if partition.source_version != view.version:
-        raise StaleSnapshot(
-            f"partition from version {partition.source_version}, view at {view.version}"
-        )
+    check_version("partition", partition.source_version, view.version)
     member = partition.membership()
     foreign: dict[int, set[int]] = {}
     bridges: dict[int, list[Pair]] = {}
@@ -229,16 +217,9 @@ def merge_signals(
     set matches the cluster, falling back to a fresh computation.
     """
     for name, v in (("theta", theta), ("window", window)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigInvalid(f"{name} must be an integer, got {v!r}")
-    if theta < 1:
-        raise ConfigInvalid(f"theta must be >= 1, got {theta}")
-    if window < 1:
-        raise ConfigInvalid(f"window must be >= 1, got {window}")
-    if partition.source_version != view.version:
-        raise StaleSnapshot(
-            f"partition from version {partition.source_version}, view at {view.version}"
-        )
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ConfigInvalid(f"{name} must be an integer >= 1, got {clip_repr(v)}")
+    check_version("partition", partition.source_version, view.version)
 
     now = view.base.tick
     lo = now - window + 1

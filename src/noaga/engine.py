@@ -33,7 +33,7 @@ from typing import Sequence
 
 from . import analysis
 from .encoding import EDGE_REMOVAL, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
-from .errors import ConfigInvalid, EventError, Exhausted, NoagaError, StaleSnapshot
+from .errors import ConfigInvalid, EventError, Exhausted, NoagaError, check_version, clip_repr
 from .fitness import FitnessParams, FitnessValue, rescore, score_terms
 from .graph import (
     AppliedEvent,
@@ -65,7 +65,7 @@ class GAConfig:
         for name in ("population_size", "max_evaluations", "checkpoint_every", "k_max", "seed"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigInvalid(f"{name} must be an integer, got {v!r}")
+                raise ConfigInvalid(f"{name} must be an integer, got {clip_repr(v)}")
         if self.population_size < 2:
             raise ConfigInvalid(f"population_size must be >= 2, got {self.population_size}")
         if self.max_evaluations < self.population_size:
@@ -76,9 +76,9 @@ class GAConfig:
         for name in ("crossover_rate", "mutation_rate", "p_init"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
-                raise ConfigInvalid(f"{name} must be in [0, 1], got {v!r}")
+                raise ConfigInvalid(f"{name} must be in [0, 1], got {clip_repr(v)}")
         if self.scheme not in SCHEMES:
-            raise ConfigInvalid(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ConfigInvalid(f"scheme must be one of {SCHEMES}, got {clip_repr(self.scheme)}")
         if self.checkpoint_every < 1:
             raise ConfigInvalid(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         if self.k_max < 1:
@@ -152,10 +152,7 @@ def _rescore(
     each (endpoint index, endpoint index, weight change) of an edge inside
     one of its clusters moves its intra-cluster weight. Costs one
     evaluation."""
-    if ind.version != version:
-        raise StaleSnapshot(
-            f"individual is from snapshot version {ind.version}, view was at {version}"
-        )
+    check_version("individual", ind.version, version)
     labels = ind.labels
     weight_in = ind.weight_in
     for a, b, delta in deltas:
@@ -170,11 +167,7 @@ def _rescore(
 def _reuse(state: GAState, parent: Individual) -> Individual:
     """Score a child equal to `parent`, which was scored against the live
     view, from the parent's cache. Costs one evaluation."""
-    if parent.version != state.view.version:
-        raise StaleSnapshot(
-            f"individual is from snapshot version {parent.version}, "
-            f"view is at {state.view.version}"
-        )
+    check_version("individual", parent.version, state.view.version)
     state.evaluations += 1
     # the constructor: dataclasses.replace costs about four times as much per child
     return Individual(
@@ -190,11 +183,8 @@ def init_population(view: AttributeView, config: GAConfig) -> GAState:
     for _ in range(config.population_size):
         chrom = state.scheme.random(view, state.rng, config.p_init, config.k_max)
         state.population.append(_evaluate(state, chrom))
-    best = state.population[0]
-    for ind in state.population[1:]:
-        if ind.value.total > best.value.total:
-            best = ind
-    state.best = replace(best)
+    # max keeps the first of equal totals
+    state.best = replace(max(state.population, key=lambda ind: ind.value.total))
     return state
 
 
@@ -315,10 +305,7 @@ def snapshot_best(state: GAState) -> tuple[Partition, FitnessValue]:
     """The elite's partition of the live view, from the labels cached when
     it was scored, without touching the run."""
     best = state.best
-    if best.version != state.view.version:
-        raise StaleSnapshot(
-            f"elite is from snapshot version {best.version}, view is at {state.view.version}"
-        )
+    check_version("elite", best.version, state.view.version)
     return Partition.from_labels(state.view, best.labels), best.value
 
 
@@ -330,17 +317,6 @@ class RunResult:
     noa_history: list[analysis.NoARecord]
     state: GAState
     unapplied_ticks: tuple[int, ...] = ()
-
-
-def _make_checkpoint(state: GAState, partition: Partition) -> Checkpoint:
-    return Checkpoint(
-        iteration=state.iteration,
-        evaluations=state.evaluations,
-        snapshot_version=state.view.version,
-        best_total=state.best.value.total,
-        cluster_count=partition.cluster_count,
-        cluster_sizes=tuple(len(c) for c in partition.clusters),
-    )
 
 
 def run(
@@ -366,6 +342,18 @@ def run(
     queue = list(events)
     qi = 0
     last_checkpoint = -1
+
+    def observe(tick: int, checkpoint: bool) -> None:
+        """Record the elite's NoAs at `tick`, after a checkpoint if asked."""
+        part, value = snapshot_best(state)
+        if checkpoint:
+            sizes = tuple(len(c) for c in part.clusters)
+            checkpoints.append(Checkpoint(
+                state.iteration, state.evaluations, state.view.version, value.total,
+                part.cluster_count, sizes,
+            ))
+        history.extend(analysis.noa_records(part, state.view, tick))
+
     while True:
         due = []
         while qi + len(due) < len(queue) and queue[qi + len(due)].tick <= state.iteration + 1:
@@ -376,20 +364,15 @@ def run(
                 break
             apply_events(state, due)
             qi += len(due)
-            part, _ = snapshot_best(state)
-            history.extend(analysis.noa_records(part, state.view, state.view.base.tick))
+            observe(state.view.base.tick, checkpoint=False)
         if state.evaluations + 2 > config.max_evaluations:
             break
         step(state)
         if state.iteration % config.checkpoint_every == 0:
-            part, _ = snapshot_best(state)
-            checkpoints.append(_make_checkpoint(state, part))
-            history.extend(analysis.noa_records(part, state.view, state.iteration))
+            observe(state.iteration, checkpoint=True)
             last_checkpoint = state.iteration
     if state.iteration != last_checkpoint:
-        part, _ = snapshot_best(state)
-        checkpoints.append(_make_checkpoint(state, part))
-        history.extend(analysis.noa_records(part, state.view, state.iteration))
+        observe(state.iteration, checkpoint=True)
     partition, value = snapshot_best(state)
     unapplied = tuple(ev.tick for ev in queue[qi:])
     return RunResult(partition, value, checkpoints, history, state, unapplied)

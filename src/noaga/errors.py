@@ -1,6 +1,16 @@
 """Exception hierarchy. Everything raised on purpose derives from NoagaError."""
 
 
+def clip_repr(value, limit: int = 80) -> str:
+    """repr(value), cut to `limit` characters plus '…' when longer, so that
+    a message never echoes a whole input value, however long or deep."""
+    try:
+        text = repr(value)
+    except (RecursionError, ValueError):  # too deep, or an int past the digit limit
+        return "<a value too large to show>"
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 class NoagaError(Exception):
     """Base class for all library errors."""
 
@@ -43,6 +53,12 @@ class EmptyPartition(NoagaError):
 
 class StaleSnapshot(NoagaError):
     """A partition was evaluated against a view of a different snapshot version."""
+
+
+def check_version(what: str, version: int, current: int) -> None:
+    """The one stale check: StaleSnapshot unless `version` is `current`."""
+    if version != current:
+        raise StaleSnapshot(f"{what} is from snapshot version {version}, expected {current}")
 
 
 class TooLarge(NoagaError):

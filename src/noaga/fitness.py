@@ -11,10 +11,12 @@ share of aggregated edge weight crossing clusters, which is where weights
 connected parts below sigma_small nodes, so a stray node is penalized the
 same whether it sits alone or is glued onto an unrelated cluster.
 
-`score_terms` scores the per-node labels the GA decodes to and also
-returns the cluster count and intra-cluster weight, from which `rescore`
-updates a score when only edge weights change. `fitness` is the reference
-scorer of a Partition and reaches the same numbers through `score_terms`.
+The formula lives only in the count functions `closeness_mean`,
+`cut_fraction`, `small_count` and `total`. `score_terms` counts the labels
+the GA decodes to and also returns the cluster count and intra-cluster
+weight, from which `rescore` updates a score when only edge weights change.
+`fitness`, the reference scorer of a Partition, goes through `score_terms`;
+the exhaustive oracle scores its own counts through the count functions.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .analysis import cluster_stats
-from .errors import ConfigInvalid, EmptyPartition, StaleSnapshot, UnknownNode
+from .errors import ConfigInvalid, EmptyPartition, check_version, clip_repr
 from .graph import AttributeView, Partition, part_labels
 
 
@@ -43,11 +45,11 @@ class FitnessParams:
             v = getattr(self, name)
             if (not isinstance(v, (int, float)) or isinstance(v, bool)
                     or not math.isfinite(v) or v < 0):
-                raise ConfigInvalid(f"{name} must be finite and >= 0, got {v!r}")
+                raise ConfigInvalid(f"{name} must be finite and >= 0, got {clip_repr(v)}")
             object.__setattr__(self, name, float(v))
         v = self.sigma_small
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ConfigInvalid(f"sigma_small must be an integer >= 0, got {v!r}")
+            raise ConfigInvalid(f"sigma_small must be an integer >= 0, got {clip_repr(v)}")
 
 
 @dataclass(frozen=True)
@@ -83,34 +85,51 @@ def fitness(
     """
     if params is None:
         params = FitnessParams()
-    if partition.source_version != view.version:
-        raise StaleSnapshot(
-            f"partition is from snapshot version {partition.source_version}, "
-            f"view is at {view.version}"
-        )
-    clusters = partition.clusters
-    if not clusters:
+    check_version("partition", partition.source_version, view.version)
+    if not partition.clusters:
         raise EmptyPartition("fitness of a partition with no clusters")
-
-    node_index = view.node_index
-    n = len(view.nodes)
-    labels = [-1] * n
-    for ci, cluster in enumerate(clusters):
-        for node in cluster:
-            ix = node_index.get(node)
-            if ix is None:
-                raise UnknownNode(f"node {node} is not active in this view")
-            labels[ix] = ci
+    labels = partition.labels(view)
     if -1 in labels:
+        n = len(labels)
         raise ValueError(f"partition covers {n - labels.count(-1)} of {n} active nodes")
     return score_terms(labels, part_labels(view, labels), view, params)[0]
 
 
-def _sizes(labels: Sequence[int]) -> list[int]:
+def label_sizes(labels: Sequence[int]) -> list[int]:
+    """Number of nodes with each label 0..max(labels)."""
     sizes = [0] * (max(labels) + 1)
     for label in labels:
         sizes[label] += 1
     return sizes
+
+
+def closeness_mean(sizes: Sequence[int], ties_in: Sequence[int], k: int, n: int) -> float:
+    """Size-weighted mean closeness over n nodes of clusters 0..k-1 with
+    these sizes and intra-cluster tie counts, summed in cluster order."""
+    weighted = 0.0
+    for ci in range(k):
+        s = sizes[ci]
+        if s > 1:
+            # size * density telescopes to 2T/(s-1)
+            weighted += 2.0 * ties_in[ci] / (s - 1)
+    return weighted / n
+
+
+def cut_fraction(weight_in: int, total_weight: int) -> float:
+    """Share of the total weight that crosses clusters; 0 with no weight."""
+    return (total_weight - weight_in) / total_weight if total_weight > 0 else 0.0
+
+
+def small_count(part_sizes: Iterable[int], params: FitnessParams) -> int:
+    """Connected parts below sigma_small nodes, from the part sizes."""
+    return sum(1 for s in part_sizes if s < params.sigma_small)
+
+
+def total(mean: float, cut: float, small: int, k: int, params: FitnessParams) -> float:
+    """Total of k clusters. With small = 0 it is exactly mean - lambda_cut *
+    cut, as x - 0.0 == x; a small count subtracts a y >= 0 from that, and
+    fl(x - y) <= x, so the total with small = 0 bounds every other."""
+    return mean - params.lambda_cut * cut - params.mu_small * (small / k)
 
 
 def score_terms(
@@ -127,7 +146,7 @@ def score_terms(
     0..k-1 in Partition order, which fixes the order closeness is summed in."""
     if not labels:
         raise EmptyPartition("fitness of a partition with no clusters")
-    sizes = _sizes(labels)
+    sizes = label_sizes(labels)
     k = len(sizes)
     ties_in = [0] * k
     weight_in = 0
@@ -138,17 +157,9 @@ def score_terms(
             weight_in += w
 
     # edge-removal clusters are their own parts: decode hands the same list
-    part_sizes = sizes if parts is labels else _sizes(parts)
-    small = sum(1 for s in part_sizes if s < params.sigma_small)
-
-    weighted = 0.0
-    for ci, s in enumerate(sizes):
-        if s > 1:
-            # size * density telescopes to 2T/(s-1)
-            weighted += 2.0 * ties_in[ci] / (s - 1)
-    closeness_mean = weighted / len(labels)
-    value = _value(closeness_mean, small, k, weight_in, view.total_weight, params)
-    return value, k, weight_in
+    small = small_count(sizes if parts is labels else label_sizes(parts), params)
+    mean = closeness_mean(sizes, ties_in, k, len(labels))
+    return _value(mean, small, k, weight_in, view.total_weight, params), k, weight_in
 
 
 def rescore(
@@ -161,21 +172,7 @@ def rescore(
 
 
 def _value(
-    closeness_mean: float,
-    small: int,
-    k: int,
-    weight_in: int,
-    total_weight: int,
-    params: FitnessParams,
+    mean: float, small: int, k: int, weight_in: int, total_weight: int, params: FitnessParams
 ) -> FitnessValue:
-    if total_weight > 0:
-        cut_fraction = (total_weight - weight_in) / total_weight
-    else:
-        cut_fraction = 0.0
-
-    total = (
-        closeness_mean
-        - params.lambda_cut * cut_fraction
-        - params.mu_small * (small / k)
-    )
-    return FitnessValue(total, closeness_mean, cut_fraction, small)
+    cut = cut_fraction(weight_in, total_weight)
+    return FitnessValue(total(mean, cut, small, k, params), mean, cut, small)

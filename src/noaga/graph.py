@@ -26,6 +26,7 @@ from .errors import (
     ForeignEdge,
     UnknownEdge,
     UnknownNode,
+    clip_repr,
 )
 
 Pair = tuple[int, int]
@@ -66,7 +67,7 @@ class AttributeSchema:
         try:
             return self.names.index(name)
         except ValueError:
-            raise ConfigInvalid(f"unknown attribute {name!r}") from None
+            raise ConfigInvalid(f"unknown attribute {clip_repr(name)}") from None
 
 
 @dataclass(frozen=True)
@@ -231,10 +232,10 @@ class GraphSnapshot:
             nid = int(label)
         elif isinstance(label, str):
             if label not in self.names:
-                raise UnknownNode(f"unknown label {label!r}")
+                raise UnknownNode(f"unknown label {clip_repr(label)}")
             return self.names[label]
         else:
-            raise UnknownNode(f"bad label {label!r}")
+            raise UnknownNode(f"bad label {clip_repr(label)}")
         if nid not in self.nodes:
             raise UnknownNode(f"unknown node {nid}")
         return nid
@@ -282,7 +283,7 @@ class GraphSnapshot:
         names = self.names
         if isinstance(label, str) and not is_digits(label):
             if label in self.names:
-                raise DuplicateNode(f"label {label!r} already exists")
+                raise DuplicateNode(f"label {clip_repr(label)} already exists")
             # fresh labels get the next free id, so "X" on a 15-node graph is 16
             nid = max(self.nodes) + 1 if self.nodes else 0
             names = MappingProxyType({**self.names, label: nid})
@@ -362,7 +363,7 @@ class AttributeView:
         aggregation: str = "sum",
     ):
         if aggregation not in ("sum", "max"):
-            raise ConfigInvalid(f"aggregation must be sum or max, got {aggregation!r}")
+            raise ConfigInvalid(f"aggregation must be sum or max, got {clip_repr(aggregation)}")
         names = base.schema.names
         chosen = tuple(attrs) if attrs is not None else names
         if not chosen:
@@ -371,7 +372,7 @@ class AttributeView:
             raise ConfigInvalid("duplicate attribute in view")
         for a in chosen:
             if a not in names:
-                raise ConfigInvalid(f"unknown attribute {a!r}")
+                raise ConfigInvalid(f"unknown attribute {clip_repr(a)}")
         self.base = base
         self.attrs = chosen
         self.aggregation = aggregation
@@ -452,7 +453,7 @@ class AttributeView:
         """Aggregated weight of an active edge; ForeignEdge if not active
         here, as for a self-loop or an endpoint that is not an int node id."""
         if not (type(a) is int and type(b) is int):  # bool is not a node id
-            raise ForeignEdge(f"edge ({a!r}, {b!r}) is not a pair of int node ids")
+            raise ForeignEdge(f"edge {clip_repr((a, b))} is not a pair of int node ids")
         key = (a, b) if a < b else (b, a)
         idx = self.pair_index.get(key)
         if idx is None:
@@ -506,6 +507,20 @@ class Partition:
     def members(self) -> Iterator[int]:
         for cluster in self.clusters:
             yield from cluster
+
+    def labels(self, view: AttributeView) -> list[int]:
+        """Cluster index of each of the view's active nodes, in view order;
+        -1 marks a node the partition leaves out. UnknownNode for a member
+        that is not active in the view."""
+        node_index = view.node_index
+        labels = [-1] * len(view.nodes)
+        for ci, cluster in enumerate(self.clusters):
+            for node in cluster:
+                ix = node_index.get(node)
+                if ix is None:
+                    raise UnknownNode(f"node {node} is not active in this view")
+                labels[ix] = ci
+        return labels
 
     def membership(self) -> dict[int, int]:
         """node -> cluster index."""

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 import tempfile
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -34,7 +36,7 @@ except ImportError:
 
 from .analysis import NoARecord
 from .engine import Checkpoint
-from .errors import DuplicateEdge, ParseError
+from .errors import DuplicateEdge, ParseError, clip_repr
 from .fitness import FitnessValue
 from .graph import (
     AttributeSchema,
@@ -111,6 +113,11 @@ def sha256_of(path: str) -> str:
 BARE_ATTRS = ("w1",)  # schema given to headerless two-column files
 
 
+def _long_int(lineno: int) -> ParseError:
+    """The error for an integer past the int-string limit of int() and json."""
+    return ParseError(lineno, f"integer longer than {sys.get_int_max_str_digits()} digits")
+
+
 def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
     """Read a TSV edge list into a version-0 snapshot.
 
@@ -145,10 +152,10 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
                     if len(fields) < 3:
                         raise ParseError(lineno, "header needs node_a, node_b and at least one attribute")
                     if fields[0] != "node_a" or fields[1] != "node_b":
-                        raise ParseError(lineno, f"header must start with node_a<TAB>node_b, got {fields[:2]}")
+                        raise ParseError(lineno, f"header must start with node_a<TAB>node_b, got {clip_repr(fields[:2])}")
                     names = tuple(f.strip() for f in fields[2:])
                     if any(not n for n in names) or len(set(names)) != len(names):
-                        raise ParseError(lineno, f"attribute names must be unique and non-empty: {names}")
+                        raise ParseError(lineno, f"attribute names must be unique and non-empty: {clip_repr(names)}")
                     schema = AttributeSchema(names)
                     expected = 2 + schema.arity
                     continue
@@ -163,8 +170,11 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
                 if v is None:
                     s = f.strip()
                     if not is_digits(s):
-                        raise ParseError(lineno, f"not a non-negative integer: {s!r}")
-                    v = ints[f] = ints.setdefault(s, int(s))
+                        raise ParseError(lineno, f"not a non-negative integer: {clip_repr(s)}")
+                    try:
+                        v = ints[f] = ints.setdefault(s, int(s))
+                    except ValueError:
+                        raise _long_int(lineno) from None
                 values.append(v)
             a, b = values[0], values[1]
             if a == b:
@@ -209,15 +219,20 @@ def bare_edge_list_text(pairs: Iterable[Pair]) -> str:
 # -------------------------------------------------------------- event streams
 
 
-def _json_line(line: str, lineno: int):
-    """Decode one line of JSON; malformed or too deeply nested JSON is a
-    ParseError naming the line."""
+def _json_line(text: str, lineno: int):
+    """Decode JSON text that starts on line `lineno`. Malformed JSON, JSON
+    nested too deeply and an integer past the int-string limit are each a
+    ParseError naming the line; nesting is reported at `lineno`."""
     try:
-        return json.loads(line)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(lineno, f"bad JSON: {exc}") from exc
+        line = lineno + exc.lineno - 1
+        raise ParseError(line, f"bad JSON: {exc.msg} (column {exc.colno})") from exc
     except RecursionError:
         raise ParseError(lineno, "bad JSON: nested too deeply") from None
+    except ValueError:  # json converts each integer with int()
+        run = re.search("[0-9]{%d}" % (sys.get_int_max_str_digits() + 1), text)
+        raise _long_int(lineno + text.count("\n", 0, run.start() if run else 0)) from None
 
 
 def parse_event_stream(path: str) -> list[UpdateEvent]:
@@ -254,20 +269,20 @@ def _require(obj: dict, key: str):
 
 def _label(value):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"node label must be an integer or string, got {value!r}")
+        raise ValueError(f"node label must be an integer or string, got {clip_repr(value)}")
     if isinstance(value, str):
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
             # a JSON-escaped lone surrogate: no writer could encode the label
-            raise ValueError(f"node label is not valid Unicode text: {value!r}") from None
+            raise ValueError(f"node label is not valid Unicode text: {clip_repr(value)}") from None
     return value
 
 
 def _event_from_obj(obj: dict) -> UpdateEvent:
     tick = _require(obj, "tick")
     if not isinstance(tick, int) or isinstance(tick, bool) or tick < 0:
-        raise ValueError(f"tick must be a non-negative integer, got {tick!r}")
+        raise ValueError(f"tick must be a non-negative integer, got {clip_repr(tick)}")
     kind = _require(obj, "kind")
     if kind == EventKind.ADD_NODE.value:
         return UpdateEvent.add_node(tick, _label(_require(obj, "node")))
@@ -276,17 +291,19 @@ def _event_from_obj(obj: dict) -> UpdateEvent:
         if not isinstance(weights, list) or not all(
             isinstance(w, int) and not isinstance(w, bool) and w >= 0 for w in weights
         ):
-            raise ValueError(f"weights must be a list of non-negative integers, got {weights!r}")
+            raise ValueError(
+                f"weights must be a list of non-negative integers, got {clip_repr(weights)}"
+            )
         return UpdateEvent.add_edge(
             tick, _label(_require(obj, "a")), _label(_require(obj, "b")), weights
         )
     if kind == EventKind.UPDATE_WEIGHT.value:
         value = _require(obj, "value")
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"value must be a non-negative integer, got {value!r}")
+            raise ValueError(f"value must be a non-negative integer, got {clip_repr(value)}")
         attr = _require(obj, "attr")
         if not isinstance(attr, str):
-            raise ValueError(f"attr must be a string, got {attr!r}")
+            raise ValueError(f"attr must be a string, got {clip_repr(attr)}")
         return UpdateEvent.update_weight(
             tick, _label(_require(obj, "a")), _label(_require(obj, "b")), attr, value
         )
@@ -294,7 +311,7 @@ def _event_from_obj(obj: dict) -> UpdateEvent:
         return UpdateEvent.remove_edge(
             tick, _label(_require(obj, "a")), _label(_require(obj, "b"))
         )
-    raise ValueError(f"unknown kind {kind!r}")
+    raise ValueError(f"unknown kind {clip_repr(kind)}")
 
 
 def _event_to_obj(event: UpdateEvent) -> dict:
@@ -364,13 +381,8 @@ def write_partition_json(
 
 def read_partition_json(path: str) -> tuple[dict, Partition]:
     """Load the meta block and the partition (members only) back."""
-    try:
-        with _read_text(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, f"bad JSON: {exc.msg}") from exc
-    except RecursionError:
-        raise ParseError(1, "bad JSON: nested too deeply") from None
+    with _read_text(path) as fh:
+        obj = _json_line(fh.read(), 1)
     try:
         clusters = tuple(tuple(c["members"]) for c in obj["clusters"])
         if not all(type(m) is int for c in clusters for m in c):

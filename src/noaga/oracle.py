@@ -4,11 +4,11 @@ A depth-first search gives the active nodes cluster labels in view order,
 in restricted-growth order: clusters are numbered as in Partition order,
 and every set partition is reached exactly once, as a leaf. Each step keeps
 the cluster sizes, intra-cluster tie counts and intra-cluster weight up to
-date from the edges to earlier nodes only. At a leaf those give the exact
-`closeness_mean - lambda_cut * cut_fraction`, computed as `score_terms`
-computes it; the small-part term only subtracts from that, so a leaf whose
-bound is already below the best total cannot win and is skipped. The rest
-are scored by `score_terms`, and only one that can win becomes a Partition.
+date from the edges to earlier nodes only, and a leaf scores them through
+fitness's own count functions, so every float is the one `score_terms`
+gives. The total with no small part bounds a leaf's total, so a leaf whose
+bound is below the best total is skipped; only the rest have their parts
+labelled, and only one that can win becomes a Partition.
 Bell numbers grow fast (Bell(10) = 115,975), so a cap of 10 nodes by
 default protects callers; anything bigger raises TooLarge. This is the
 ground truth the GA is checked against.
@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import ConfigInvalid, TooLarge
-from .fitness import FitnessParams, FitnessValue, score_terms
+from .fitness import (FitnessParams, FitnessValue, closeness_mean, cut_fraction, label_sizes,
+                      small_count, total)
 from .graph import AttributeView, Partition, part_labels
 
 DEFAULT_N_MAX = 10
@@ -93,7 +94,6 @@ def optimal_partition(
     for a, b, w in zip(view.ea, view.eb, view.weights):
         earlier[b].append((a, w))
     total_weight = view.total_weight
-    lambda_cut = params.lambda_cut
     labels = [0] * n
     sizes = [0] * n
     ties_in = [0] * n
@@ -103,19 +103,13 @@ def optimal_partition(
 
     def leaf(k: int) -> None:
         nonlocal best, best_value
-        # the float operations of fitness.score_terms and _value, in order
-        weighted = 0.0
-        for c in range(k):
-            s = sizes[c]
-            if s > 1:
-                weighted += 2.0 * ties_in[c] / (s - 1)
-        closeness_mean = weighted / n
-        cut_fraction = (total_weight - weight_in) / total_weight if total_weight > 0 else 0.0
-        # total = bound - mu_small * (small / k), and fl(x - y) <= x for
-        # y >= 0: a leaf whose bound is below the best total is below it too
-        if best_value is not None and closeness_mean - lambda_cut * cut_fraction < best_value.total:
+        mean = closeness_mean(sizes, ties_in, k, n)
+        cut = cut_fraction(weight_in, total_weight)
+        # the total with no small part bounds the leaf's total
+        if best_value is not None and total(mean, cut, 0, k, params) < best_value.total:
             return
-        value = score_terms(labels, part_labels(view, labels), view, params)[0]
+        small = small_count(label_sizes(part_labels(view, labels)), params)
+        value = FitnessValue(total(mean, cut, small, k, params), mean, cut, small)
         if best_value is not None and value.total < best_value.total:
             return
         part = Partition.from_labels(view, labels)

@@ -8,6 +8,7 @@ one pass/fail line per criterion.
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -285,3 +286,51 @@ def test_golden_digests_hold_under_another_hash_seed(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# runs every golden case in a child with no pytest: a stub stands in for the
+# fixture decorator, and the child prints the digests it got as JSON
+GOLDEN_CHILD = """
+import json, sys, types
+from pathlib import Path
+sys.modules["pytest"] = types.SimpleNamespace(fixture=lambda **kw: lambda f: f)
+sys.path.insert(0, sys.argv[1])
+import test_golden as g
+root = Path(sys.argv[2])
+factory = types.SimpleNamespace(mktemp=lambda name: (root / name).mkdir() or root / name)
+inputs = g.inputs(factory)
+print(json.dumps({name: g._run(root / name, argv) for name, argv in g._runs(inputs)}))
+"""
+
+
+def _interpreter(minor):
+    """A working CPython 3.<minor>: python3.<minor> on PATH, else one in
+    pyenv's versions directory; None if there is none."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    candidates = [shutil.which(f"python3.{minor}"),
+                  *sorted(map(str, versions.glob(f"3.{minor}.*/bin/python3")))]
+    for exe in filter(None, candidates):
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[1])"],
+                               capture_output=True, text=True)
+        if probe.returncode == 0 and probe.stdout.strip() == str(minor):
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("minor", range(10, 15), ids=lambda m: f"3.{m}")
+def test_golden_digests_hold_on_every_installed_python(minor, tmp_path):
+    # pyproject.toml promises 3.10 and later; each must write the same bytes
+    if minor == sys.version_info.minor:
+        pytest.skip("the running interpreter checks the digests in test_golden.py")
+    exe = _interpreter(minor)
+    if exe is None:
+        pytest.skip(f"no Python 3.{minor} installed")
+    from test_golden import GOLDEN
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(io.__file__))}
+    proc = subprocess.run(
+        [exe, "-c", GOLDEN_CHILD, str(Path(__file__).parent), str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == GOLDEN

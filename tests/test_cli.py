@@ -401,6 +401,63 @@ def test_deeply_nested_json_is_a_data_error(tmp_path, capsys, table1, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        # 200,000 weights, the last one negative
+        json.dumps({"tick": 1, "kind": "add_edge", "a": 1, "b": 2,
+                    "weights": [1] * 199_999 + [-1]}),
+        # a node label nested 900 lists deep
+        '{"tick": 1, "kind": "add_node", "node": ' + "[" * 900 + "]" * 900 + "}",
+    ],
+    ids=["long-weights", "deep-label"],
+)
+def test_rejected_value_is_clipped_in_the_message(tmp_path, capsys, table1, line):
+    events = tmp_path / "events.jsonl"
+    events.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main(["stream", "-i", table1, "--events", str(events), "--seed", "1",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    # the value itself is rejected (not the JSON), and only its head is shown
+    assert err.startswith("noaga: error: line 1: bad event: ")
+    assert err.endswith("…\n") and err.count("\n") == 1 and len(err) < 200
+    assert not out.exists()
+
+
+LONG = "9" * 5000  # past the interpreter's default int-string limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, line",
+    [
+        ("edges.tsv", f"node_a\tnode_b\tw1\n1\t2\t1\n{LONG}\t3\t1\n",
+         ["cluster", "-i", "{bad}", "--seed", "1", "-o", "{out}"], 3),
+        ("events.jsonl", f'{{"tick": 1, "kind": "add_node", "node": 90}}\n'
+                         f'{{"tick": {LONG}, "kind": "add_node", "node": 91}}\n',
+         ["stream", "-i", "{table1}", "--events", "{bad}", "--seed", "1", "-o", "{out}"], 2),
+        ("part.json", f'{{\n  "clusters": [\n    {{"members": [1, {LONG}]}}\n  ]\n}}\n',
+         ["overlay", "-a", "{bad}", "-b", "{bad}", "-o", "{out}"], 3),
+        ("noa.jsonl", '{"header": {}}\n'
+                      f'{{"tick": {LONG}, "attrs": ["w1"], "members": [1], "noa": 1, '
+                      '"edges": 0, "weight": 0}\n',
+         ["noa-log", "-i", "{bad}"], 2),
+    ],
+    ids=["edge-list", "event-stream", "partition-json", "noa-log"],
+)
+def test_huge_integer_is_a_data_error(tmp_path, capsys, table1, name, text, argv, line):
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [a.format(table1=table1, bad=bad, out=out) for a in argv]
+    assert main(argv) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == (
+        f"noaga: error: line {line}: integer longer than {limit} digits\n"
+    )
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(tmp_path, table1):
     out = str(tmp_path / "x.json")
     assert main([]) == 1

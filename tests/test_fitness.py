@@ -1,9 +1,13 @@
 """Fitness scoring: closeness, cut fraction, small-part penalty."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noaga
 from noaga import (
     AttributeSchema,
     AttributeView,
@@ -212,3 +216,21 @@ def test_component_ranges(emails):
         assert 0.0 <= v.closeness_mean <= 1.0
         assert 0.0 <= v.cut_fraction <= 1.0
         assert v.total <= 1.0
+
+
+def test_scoring_rules_live_in_one_place():
+    # the formula's weights are read only where the formula is written (and
+    # where the CLI passes them through), so the oracle cannot drift from
+    # fitness; every stale check goes through one helper
+    weights, stale = [], []
+    for path in sorted(Path(noaga.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name not in ("fitness.py", "cli.py"):
+            weights += [f"{path.name}: {w}" for w in ("lambda_cut", "mu_small") if w in text]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "StaleSnapshot":
+                    stale.append(f"{path.name}:{node.lineno}")
+    assert weights == []
+    assert len(stale) == 1, stale
