@@ -348,10 +348,8 @@ def run(
         part, value = snapshot_best(state)
         if checkpoint:
             sizes = tuple(len(c) for c in part.clusters)
-            checkpoints.append(Checkpoint(
-                state.iteration, state.evaluations, state.view.version, value.total,
-                part.cluster_count, sizes,
-            ))
+            checkpoints.append(Checkpoint(state.iteration, state.evaluations, state.view.version,
+                                          value.total, part.cluster_count, sizes))
         history.extend(analysis.noa_records(part, state.view, tick))
 
     while True:

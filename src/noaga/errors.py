@@ -1,14 +1,14 @@
 """Exception hierarchy. Everything raised on purpose derives from NoagaError."""
 
 
-def clip_repr(value, limit: int = 80) -> str:
-    """repr(value), cut to `limit` characters plus '…' when longer, so that
-    a message never echoes a whole input value, however long or deep."""
+def clip_repr(value) -> str:
+    """repr(value), cut to 80 characters plus '…' when longer, so that a
+    message never echoes a whole input value, however long or deep."""
     try:
         text = repr(value)
     except (RecursionError, ValueError):  # too deep, or an int past the digit limit
         return "<a value too large to show>"
-    return text if len(text) <= limit else text[:limit] + "…"
+    return text if len(text) <= 80 else text[:80] + "…"
 
 
 class NoagaError(Exception):

@@ -174,5 +174,6 @@ def rescore(
 def _value(
     mean: float, small: int, k: int, weight_in: int, total_weight: int, params: FitnessParams
 ) -> FitnessValue:
+    """The value of k clusters from their counts, for every scorer and the oracle."""
     cut = cut_fraction(weight_in, total_weight)
     return FitnessValue(total(mean, cut, small, k, params), mean, cut, small)

@@ -221,8 +221,8 @@ def bare_edge_list_text(pairs: Iterable[Pair]) -> str:
 
 def _json_line(text: str, lineno: int):
     """Decode JSON text that starts on line `lineno`. Malformed JSON, JSON
-    nested too deeply and an integer past the int-string limit are each a
-    ParseError naming the line; nesting is reported at `lineno`."""
+    nested too deeply (reported at `lineno`) and an integer past the
+    int-string limit are each a ParseError naming its line."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -231,8 +231,11 @@ def _json_line(text: str, lineno: int):
     except RecursionError:
         raise ParseError(lineno, "bad JSON: nested too deeply") from None
     except ValueError:  # json converts each integer with int()
-        run = re.search("[0-9]{%d}" % (sys.get_int_max_str_digits() + 1), text)
-        raise _long_int(lineno + text.count("\n", 0, run.start() if run else 0)) from None
+        limit = sys.get_int_max_str_digits()
+        # JSON strings and numbers; a string is matched whole, so its digits are skipped
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', text)
+        at = next((m.start() for m in tokens if m[1] and len(m[1]) > limit and not (m[2] or m[3])), 0)
+        raise _long_int(lineno + text.count("\n", 0, at)) from None
 
 
 def parse_event_stream(path: str) -> list[UpdateEvent]:
@@ -271,6 +274,8 @@ def _label(value):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"node label must be an integer or string, got {clip_repr(value)}")
     if isinstance(value, str):
+        if len(value) > sys.get_int_max_str_digits() and is_digits(value):
+            raise ValueError(f"node id longer than {sys.get_int_max_str_digits()} digits")
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
@@ -281,25 +286,21 @@ def _label(value):
 
 def _event_from_obj(obj: dict) -> UpdateEvent:
     tick = _require(obj, "tick")
-    if not isinstance(tick, int) or isinstance(tick, bool) or tick < 0:
+    if not (type(tick) is int and tick >= 0):
         raise ValueError(f"tick must be a non-negative integer, got {clip_repr(tick)}")
     kind = _require(obj, "kind")
     if kind == EventKind.ADD_NODE.value:
         return UpdateEvent.add_node(tick, _label(_require(obj, "node")))
     if kind == EventKind.ADD_EDGE.value:
         weights = _require(obj, "weights")
-        if not isinstance(weights, list) or not all(
-            isinstance(w, int) and not isinstance(w, bool) and w >= 0 for w in weights
-        ):
-            raise ValueError(
-                f"weights must be a list of non-negative integers, got {clip_repr(weights)}"
-            )
+        if not (type(weights) is list and all(type(w) is int and w >= 0 for w in weights)):
+            raise ValueError(f"weights must be a list of non-negative integers, got {clip_repr(weights)}")
         return UpdateEvent.add_edge(
             tick, _label(_require(obj, "a")), _label(_require(obj, "b")), weights
         )
     if kind == EventKind.UPDATE_WEIGHT.value:
         value = _require(obj, "value")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not (type(value) is int and value >= 0):
             raise ValueError(f"value must be a non-negative integer, got {clip_repr(value)}")
         attr = _require(obj, "attr")
         if not isinstance(attr, str):

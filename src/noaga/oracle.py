@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import ConfigInvalid, TooLarge
-from .fitness import (FitnessParams, FitnessValue, closeness_mean, cut_fraction, label_sizes,
-                      small_count, total)
+from .fitness import (FitnessParams, FitnessValue, _value, closeness_mean, cut_fraction,
+                      label_sizes, small_count, total)
 from .graph import AttributeView, Partition, part_labels
 
 DEFAULT_N_MAX = 10
@@ -109,7 +109,7 @@ def optimal_partition(
         if best_value is not None and total(mean, cut, 0, k, params) < best_value.total:
             return
         small = small_count(label_sizes(part_labels(view, labels)), params)
-        value = FitnessValue(total(mean, cut, small, k, params), mean, cut, small)
+        value = _value(mean, small, k, weight_in, total_weight, params)
         if best_value is not None and value.total < best_value.total:
             return
         part = Partition.from_labels(view, labels)

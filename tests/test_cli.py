@@ -438,12 +438,17 @@ LONG = "9" * 5000  # past the interpreter's default int-string limit of 4,300 di
          ["stream", "-i", "{table1}", "--events", "{bad}", "--seed", "1", "-o", "{out}"], 2),
         ("part.json", f'{{\n  "clusters": [\n    {{"members": [1, {LONG}]}}\n  ]\n}}\n',
          ["overlay", "-a", "{bad}", "-b", "{bad}", "-o", "{out}"], 3),
+        # digits inside a string are no integer, so the member's line is named
+        ("part.json", f'{{"meta": {{"note": "{LONG}"}},\n  "clusters": [\n'
+                      f'    {{"members": [1, {LONG}]}}\n  ]\n}}\n',
+         ["overlay", "-a", "{bad}", "-b", "{bad}", "-o", "{out}"], 3),
         ("noa.jsonl", '{"header": {}}\n'
                       f'{{"tick": {LONG}, "attrs": ["w1"], "members": [1], "noa": 1, '
                       '"edges": 0, "weight": 0}\n',
          ["noa-log", "-i", "{bad}"], 2),
     ],
-    ids=["edge-list", "event-stream", "partition-json", "noa-log"],
+    ids=["edge-list", "event-stream", "partition-json", "partition-json-meta-string",
+         "noa-log"],
 )
 def test_huge_integer_is_a_data_error(tmp_path, capsys, table1, name, text, argv, line):
     bad = tmp_path / name
@@ -454,6 +459,21 @@ def test_huge_integer_is_a_data_error(tmp_path, capsys, table1, name, text, argv
     limit = sys.get_int_max_str_digits()
     assert capsys.readouterr().err == (
         f"noaga: error: line {line}: integer longer than {limit} digits\n"
+    )
+    assert not out.exists()
+
+
+def test_huge_digit_string_label_is_a_data_error(tmp_path, capsys, table1):
+    # a digit string names a node id; one int() cannot convert is refused
+    # while the events are read, before the GA runs
+    events = tmp_path / "events.jsonl"
+    events.write_text(f'{{"tick": 1, "kind": "add_node", "node": "{LONG}"}}\n', encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main(["stream", "-i", table1, "--events", str(events), "--seed", "1",
+                 "-o", str(out)]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == (
+        f"noaga: error: line 1: bad event: node id longer than {limit} digits\n"
     )
     assert not out.exists()
 
