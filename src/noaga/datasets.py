@@ -1,10 +1,9 @@
 """Bundled inputs.
 
-`sample_*` is the 15-node, 28-edge, three-attribute interaction network used
-throughout the docs and tests (CLI preset name: table1). `dynamics_events`
-scripts two arrivals into its {6,7,8,9} community: X shows up and dominates,
-then Y shows up and dominates while X fades. `scale_pairs` builds a
-deterministic connected graph of arbitrary size for throughput runs.
+`sample_snapshot` reads the paper's Table 1 sample (data/table1.tsv, CLI
+preset table1) and `dynamics_events` its Table 2 arrival script
+(data/table2_events.jsonl). `scale_pairs` builds a deterministic connected
+graph of arbitrary size for throughput runs.
 """
 
 from __future__ import annotations
@@ -12,49 +11,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from . import io
 from .errors import ConfigInvalid
 from .graph import AttributeSchema, Edge, GraphSnapshot, Pair, UpdateEvent
-
-SAMPLE_ATTRS = ("emails", "posts", "comments")
-
-# (node_a, node_b, emails, posts, comments)
-SAMPLE_ROWS: tuple[tuple[int, int, int, int, int], ...] = (
-    (1, 2, 4, 4, 4),
-    (1, 3, 3, 3, 3),
-    (1, 4, 4, 4, 4),
-    (1, 5, 4, 5, 5),
-    (5, 4, 3, 4, 4),
-    (5, 3, 4, 3, 3),
-    (2, 3, 3, 3, 3),
-    (2, 4, 3, 3, 3),
-    (4, 7, 1, 29, 1),
-    (8, 14, 2, 1, 30),
-    (5, 6, 1, 39, 1),
-    (6, 7, 5, 4, 3),
-    (6, 8, 3, 5, 4),
-    (6, 9, 4, 4, 4),
-    (7, 8, 4, 3, 5),
-    (7, 9, 3, 4, 4),
-    (8, 9, 4, 5, 5),
-    (6, 10, 1, 1, 35),
-    (10, 11, 4, 4, 3),
-    (10, 12, 3, 3, 3),
-    (10, 14, 4, 3, 4),
-    (11, 12, 2, 4, 5),
-    (11, 13, 3, 3, 4),
-    (11, 14, 5, 4, 5),
-    (12, 13, 4, 5, 4),
-    (13, 14, 3, 4, 5),
-    (12, 14, 4, 3, 4),
-    (14, 15, 3, 4, 5),
-)
-
-
-def sample_snapshot() -> GraphSnapshot:
-    """The bundled sample network as a version-0 snapshot."""
-    schema = AttributeSchema(SAMPLE_ATTRS)
-    edges = [Edge(a, b, (e, p, c)) for a, b, e, p, c in SAMPLE_ROWS]
-    return GraphSnapshot.build(schema, edges)
 
 
 def bundled_path(name: str) -> Path:
@@ -65,30 +24,19 @@ def bundled_path(name: str) -> Path:
     return path
 
 
-def dynamics_events(t1: int = 2500, t2: int = 3500) -> tuple[UpdateEvent, ...]:
-    """Two-phase arrival script against the sample network.
+def sample_snapshot() -> GraphSnapshot:
+    """The 15-node, 28-edge, three-attribute sample as a version-0 snapshot."""
+    return io.parse_edge_list(str(bundled_path("table1.tsv")))[0]
 
-    Phase 1 (tick t1): node X arrives and wires to all of {6,7,8,9} with
-    first-attribute weight 10, out-weighing every resident. Phase 2 (tick
-    t2): node Y arrives and wires to {6,7,8,9,X} with weight 20, while X's
-    edges to 6 and 7 drop to weight 1. On the first-attribute view the
-    {6..9} community's most active node goes X, then Y.
-    """
-    if not t1 < t2:
-        raise ConfigInvalid(f"phase ticks must increase, got {t1}, {t2}")
-    zeros = (0, 0)  # the other two attributes stay untouched
-    phase1 = [UpdateEvent.add_node(t1, "X")] + [
-        UpdateEvent.add_edge(t1, "X", n, (10, *zeros)) for n in (6, 7, 8, 9)
-    ]
-    phase2 = (
-        [UpdateEvent.add_node(t2, "Y")]
-        + [
-            UpdateEvent.update_weight(t2, "X", n, SAMPLE_ATTRS[0], 1)
-            for n in (6, 7)
-        ]
-        + [UpdateEvent.add_edge(t2, "Y", n, (20, *zeros)) for n in (6, 7, 8, 9, "X")]
-    )
-    return tuple(phase1 + phase2)
+
+def dynamics_events() -> tuple[UpdateEvent, ...]:
+    """The sample's two-phase arrival script. Phase 1 (tick 2500): node X
+    arrives and wires to all of {6,7,8,9} with first-attribute weight 10,
+    out-weighing every resident. Phase 2 (tick 3500): node Y arrives and
+    wires to {6,7,8,9,X} with weight 20, while X's edges to 6 and 7 drop to
+    weight 1. On the first-attribute view the {6..9} community's most active
+    node goes X, then Y."""
+    return tuple(io.parse_event_stream(str(bundled_path("table2_events.jsonl"))))
 
 
 def assign_random_weights(

@@ -219,12 +219,15 @@ def bare_edge_list_text(pairs: Iterable[Pair]) -> str:
 # -------------------------------------------------------------- event streams
 
 
+MAX_JSON_DEPTH = 100  # the readers' own limit: json's differs per interpreter
+
+
 def _json_line(text: str, lineno: int):
     """Decode JSON text that starts on line `lineno`. Malformed JSON, JSON
-    nested too deeply (reported at `lineno`) and an integer past the
+    nested past MAX_JSON_DEPTH (reported at `lineno`) and an integer past the
     int-string limit are each a ParseError naming its line."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         line = lineno + exc.lineno - 1
         raise ParseError(line, f"bad JSON: {exc.msg} (column {exc.colno})") from exc
@@ -236,6 +239,15 @@ def _json_line(text: str, lineno: int):
         tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', text)
         at = next((m.start() for m in tokens if m[1] and len(m[1]) > limit and not (m[2] or m[3])), 0)
         raise _long_int(lineno + text.count("\n", 0, at)) from None
+    # a stack, not recursion: json may decode deeper than recursion can walk
+    stack = [(value, 1)] if isinstance(value, (list, dict)) else []
+    while stack:
+        item, depth = stack.pop()
+        if depth > MAX_JSON_DEPTH:
+            raise ParseError(lineno, "bad JSON: nested too deeply")
+        children = item.values() if isinstance(item, dict) else item
+        stack.extend((c, depth + 1) for c in children if isinstance(c, (list, dict)))
+    return value
 
 
 def parse_event_stream(path: str) -> list[UpdateEvent]:

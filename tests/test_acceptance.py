@@ -30,6 +30,7 @@ from noaga import (
     SeparatorChromosome,
     StaleSnapshot,
     UpdateEvent,
+    datasets,
     fitness,
     io,
     linkage_nodes,
@@ -334,3 +335,37 @@ def test_golden_digests_hold_on_every_installed_python(minor, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == GOLDEN
+
+
+CLI_CHILD = "import sys; from noaga.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("minor", range(10, 15), ids=lambda m: f"3.{m}")
+def test_json_nesting_limit_is_the_same_on_every_installed_python(minor, tmp_path):
+    # json decodes to a depth that differs per interpreter; the readers'
+    # own limit must refuse the same lines everywhere, with the same message
+    exe = sys.executable if minor == sys.version_info.minor else _interpreter(minor)
+    if exe is None:
+        pytest.skip(f"no Python 3.{minor} installed")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(io.__file__))}
+    events, out = tmp_path / "events.jsonl", tmp_path / "out.json"
+
+    def stream(lists):
+        """Exit code and stderr of `stream` on one add_node whose label
+        nests `lists` lists inside the event object (itself level 1)."""
+        events.write_text('{"tick": 1, "kind": "add_node", "node": '
+                          + "[" * lists + "]" * lists + "}\n", encoding="utf-8")
+        proc = subprocess.run(
+            [exe, "-c", CLI_CHILD, "stream", "-i", str(datasets.bundled_path("table1.tsv")),
+             "--events", str(events), "--seed", "1", "-o", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert not out.exists()
+        return proc.returncode, proc.stderr
+
+    # one level past the limit: the JSON is refused
+    assert stream(io.MAX_JSON_DEPTH) == (2, "noaga: error: line 1: bad JSON: nested too deeply\n")
+    # at the limit the JSON reads, and the label itself is refused
+    code, err = stream(io.MAX_JSON_DEPTH - 1)
+    assert code == 2
+    assert err.startswith("noaga: error: line 1: bad event: node label must be an integer or string")

@@ -407,8 +407,9 @@ def test_deeply_nested_json_is_a_data_error(tmp_path, capsys, table1, argv):
         # 200,000 weights, the last one negative
         json.dumps({"tick": 1, "kind": "add_edge", "a": 1, "b": 2,
                     "weights": [1] * 199_999 + [-1]}),
-        # a node label nested 900 lists deep
-        '{"tick": 1, "kind": "add_node", "node": ' + "[" * 900 + "]" * 900 + "}",
+        # a node label nested 60 lists deep: under the JSON nesting limit,
+        # and its 120-character repr still needs clipping
+        '{"tick": 1, "kind": "add_node", "node": ' + "[" * 60 + "]" * 60 + "}",
     ],
     ids=["long-weights", "deep-label"],
 )

@@ -1,10 +1,12 @@
 """File formats: edge lists, event streams, partition JSON, logs, DOT."""
 
+import fnmatch
 import hashlib
 import os
 import random
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from noaga import (
     AttributeView,
     DuplicateEdge,
     Edge,
+    EventKind,
     GraphSnapshot,
     ParseError,
     Partition,
@@ -36,17 +39,30 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def test_bundled_edge_list_matches_fixture(sample):
+def test_bundled_edge_list_pins_table1():
     snap, schema = io.parse_edge_list(str(datasets.bundled_path("table1.tsv")))
     assert schema.names == ("emails", "posts", "comments")
-    assert snap.nodes == sample.nodes
-    assert dict(snap.edges) == dict(sample.edges)
+    assert snap.nodes == frozenset(range(1, 16))
+    assert len(snap.edges) == 28
 
 
-def test_bundled_event_stream_matches_fixture():
+def test_bundled_event_stream_pins_table2():
     events = io.parse_event_stream(str(datasets.bundled_path("table2_events.jsonl")))
-    assert events == list(datasets.dynamics_events())
     assert [e.tick for e in events] == [2500] * 5 + [3500] * 8
+    assert [e.node for e in events if e.kind is EventKind.ADD_NODE] == ["X", "Y"]
+
+
+def test_bundled_data_is_packaged():
+    # sample_snapshot and dynamics_events read these files at run time, so
+    # an installed package must ship every one of them
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["noaga"]
+    package = root / "src" / "noaga"
+    shipped = [p.relative_to(package).as_posix() for p in (package / "data").rglob("*") if p.is_file()]
+    assert shipped
+    assert [f for f in shipped if not any(fnmatch.fnmatch(f, g) for g in globs)] == []
 
 
 def test_edge_list_round_trip(sample, tmp_path):
