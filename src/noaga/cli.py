@@ -181,11 +181,10 @@ def _cmd_oracle(args) -> int:
         "mu_small": params.mu_small,
         "sigma_small": params.sigma_small,
     }
-    text = io.partition_json_text(partition, value, noas, closeness, meta)
     if args.output:
-        io.atomic_write_text(args.output, text)
+        io.write_partition_json(partition, value, noas, closeness, meta, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.partition_json_text(partition, value, noas, closeness, meta))
     return 0
 
 
@@ -196,7 +195,7 @@ def _cmd_gen(args) -> int:
         io.write_event_stream(datasets.dynamics_events(), args.output)
     else:
         pairs = datasets.scale_pairs(args.nodes, args.edges, args.seed)
-        io.atomic_write_text(args.output, io.bare_edge_list_text(pairs))
+        io.write_bare_edge_list(pairs, args.output)
     return 0
 
 
@@ -222,7 +221,7 @@ def _cmd_overlay(args) -> int:
     }
     text = json.dumps(obj, indent=2) + "\n"
     if args.output:
-        io.atomic_write_text(args.output, text)
+        io.atomic_write_chunks(args.output, (text,))
     else:
         sys.stdout.write(text)
     return 0

@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 
 from . import io
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, check_int
 from .graph import AttributeSchema, Edge, GraphSnapshot, Pair, UpdateEvent
 
 
@@ -51,6 +51,8 @@ def assign_random_weights(
     Attribute names become w1..wN. Draw order is sorted pair order, so a
     given seed always decorates a given graph the same way.
     """
+    for name, v in (("arity", arity), ("low", low), ("high", high), ("seed", seed)):
+        check_int(name, v)
     if arity < 1:
         raise ConfigInvalid(f"arity must be >= 1, got {arity}")
     if not 1 <= low <= high:
@@ -71,6 +73,8 @@ def scale_pairs(nodes: int = 6301, edges: int = 20777, seed: int = 0) -> list[Pa
     pairs. Meant to be written as a bare two-column edge list and decorated
     with random weights afterwards.
     """
+    for name, v in (("nodes", nodes), ("edges", edges), ("seed", seed)):
+        check_int(name, v)
     if nodes < 2:
         raise ConfigInvalid(f"need at least 2 nodes, got {nodes}")
     if edges < nodes - 1:

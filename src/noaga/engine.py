@@ -33,7 +33,8 @@ from typing import Sequence
 
 from . import analysis
 from .encoding import EDGE_REMOVAL, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
-from .errors import ConfigInvalid, EventError, Exhausted, NoagaError, check_version, clip_repr
+from .errors import (ConfigInvalid, EventError, Exhausted, NoagaError, check_int, check_version,
+                     clip_repr)
 from .fitness import FitnessParams, FitnessValue, rescore, score_terms
 from .graph import (
     AppliedEvent,
@@ -63,9 +64,7 @@ class GAConfig:
 
     def __post_init__(self):
         for name in ("population_size", "max_evaluations", "checkpoint_every", "k_max", "seed"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigInvalid(f"{name} must be an integer, got {clip_repr(v)}")
+            check_int(name, getattr(self, name))
         if self.population_size < 2:
             raise ConfigInvalid(f"population_size must be >= 2, got {self.population_size}")
         if self.max_evaluations < self.population_size:

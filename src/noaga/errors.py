@@ -61,6 +61,13 @@ def check_version(what: str, version: int, current: int) -> None:
         raise StaleSnapshot(f"{what} is from snapshot version {version}, expected {current}")
 
 
+def check_int(name: str, value) -> None:
+    """The one integer check: ConfigInvalid unless `value` is an int and
+    not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigInvalid(f"{name} must be an integer, got {clip_repr(value)}")
+
+
 class TooLarge(NoagaError):
     """Exhaustive enumeration was asked for more nodes than its cap allows."""
 

@@ -224,18 +224,24 @@ class GraphSnapshot:
             tick=tick,
         )
 
+    @staticmethod
+    def _label_id(label: Label) -> int | None:
+        """The node id a label spells: an int (not a bool) or a string of
+        ASCII digits. None for any other string, which is a name; UnknownNode
+        for a label of any other type."""
+        if isinstance(label, int) and not isinstance(label, bool):
+            return label
+        if isinstance(label, str):
+            return int(label) if is_digits(label) else None
+        raise UnknownNode(f"bad label {clip_repr(label)}")
+
     def resolve(self, label: Label) -> int:
         """Label to node id; raises UnknownNode when it names nothing."""
-        if isinstance(label, int) and not isinstance(label, bool):
-            nid = label
-        elif isinstance(label, str) and is_digits(label):
-            nid = int(label)
-        elif isinstance(label, str):
+        nid = self._label_id(label)
+        if nid is None:
             if label not in self.names:
                 raise UnknownNode(f"unknown label {clip_repr(label)}")
             return self.names[label]
-        else:
-            raise UnknownNode(f"bad label {clip_repr(label)}")
         if nid not in self.nodes:
             raise UnknownNode(f"unknown node {nid}")
         return nid
@@ -281,18 +287,17 @@ class GraphSnapshot:
     def _apply_add_node(self, event):
         label = event.node
         names = self.names
-        if isinstance(label, str) and not is_digits(label):
+        nid = self._label_id(label)
+        if nid is None:
             if label in self.names:
                 raise DuplicateNode(f"label {clip_repr(label)} already exists")
             # fresh labels get the next free id, so "X" on a 15-node graph is 16
             nid = max(self.nodes) + 1 if self.nodes else 0
             names = MappingProxyType({**self.names, label: nid})
-        else:
-            nid = int(label)
-            if nid < 0:
-                raise ValueError(f"negative node id {nid}")
-            if nid in self.nodes:
-                raise DuplicateNode(f"node {nid} already exists")
+        elif nid < 0:
+            raise ValueError(f"negative node id {nid}")
+        elif nid in self.nodes:
+            raise DuplicateNode(f"node {nid} already exists")
         snap = self._successor(
             nodes=self.nodes | {nid},
             names=names,

@@ -1,17 +1,16 @@
 """File formats: edge-list TSV, event-stream JSONL, partition JSON,
 checkpoint/NoA JSONL logs, and Graphviz DOT export.
 
-All writers are atomic (temp file + rename) and byte-deterministic for equal
-inputs: iteration orders are sorted or fixed, floats go through repr, and no
-timestamps or process ids appear anywhere. Field names are documented in
-docs/formats.md and are part of the public contract.
-
-The DOT and NoA-log writers stream their lines into the temp file through
-`atomic_write_chunks`, with the same rename, so the whole text is never held
-at once; `dot_text` and `noa_log_text` join the same line generators. The
-edge-list parser keeps one int per distinct field text and one tuple per
-distinct weight vector, so each node id is one object however many rows
-name it.
+Each format has one writer, and each writer hands its lines to
+`atomic_write_chunks`, the one function that writes a file: a temp file in
+the target's directory, renamed over the target. Only the partition JSON is
+rendered whole first (`partition_json_text`, which `noaga oracle` also
+prints). Writers are byte-deterministic for equal inputs: iteration orders
+are sorted or fixed, floats go through repr, and no timestamps or process
+ids appear anywhere. Field names are documented in docs/formats.md and are
+part of the public contract. The edge-list parser keeps one int per distinct
+field text and one tuple per distinct weight vector, so each node id is one
+object however many rows name it.
 """
 
 from __future__ import annotations
@@ -54,13 +53,18 @@ TOOL = "noaga 0.1.0"
 
 def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
     """Write each text chunk into a temp file in the same directory as it
-    comes, then rename the file over `path`. Whatever goes wrong, also
-    inside `chunks`, the temp file is removed and `path` is left as it was."""
+    comes, then rename the file over `path`. The file gets the mode a new
+    `open(path, "w")` would give it, 0o666 less the umask, also when it
+    replaces one. Whatever goes wrong, also inside `chunks`, the temp file
+    is removed and `path` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -68,11 +72,6 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
         except OSError:
             pass
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename over."""
-    atomic_write_chunks(path, (text,))
 
 
 @contextmanager
@@ -197,23 +196,21 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
     return GraphSnapshot.from_checked(schema, edges), schema
 
 
-def edge_list_text(snapshot: GraphSnapshot) -> str:
-    """Render a snapshot as header + rows sorted by pair."""
-    names = snapshot.schema.names
-    out = ["node_a\tnode_b\t" + "\t".join(names)]
-    for (a, b) in sorted(snapshot.edges):
-        weights = snapshot.edges[(a, b)]
-        out.append(f"{a}\t{b}\t" + "\t".join(str(w) for w in weights))
-    return "\n".join(out) + "\n"
+def _edge_list_lines(snapshot: GraphSnapshot) -> Iterator[str]:
+    yield "node_a\tnode_b\t" + "\t".join(snapshot.schema.names) + "\n"
+    edges = snapshot.edges
+    for a, b in sorted(edges):
+        yield f"{a}\t{b}\t" + "\t".join(map(str, edges[a, b])) + "\n"
 
 
 def write_edge_list(snapshot: GraphSnapshot, path: str) -> None:
-    atomic_write_text(path, edge_list_text(snapshot))
+    """A snapshot as header + rows sorted by pair."""
+    atomic_write_chunks(path, _edge_list_lines(snapshot))
 
 
-def bare_edge_list_text(pairs: Iterable[Pair]) -> str:
+def write_bare_edge_list(pairs: Iterable[Pair], path: str) -> None:
     """Two-column headerless rows, in the given order."""
-    return "".join(f"{a}\t{b}\n" for a, b in pairs)
+    atomic_write_chunks(path, (f"{a}\t{b}\n" for a, b in pairs))
 
 
 # -------------------------------------------------------------- event streams
@@ -342,12 +339,8 @@ def _event_to_obj(event: UpdateEvent) -> dict:
     return obj
 
 
-def event_stream_text(events: Sequence[UpdateEvent]) -> str:
-    return "".join(json.dumps(_event_to_obj(e)) + "\n" for e in events)
-
-
-def write_event_stream(events: Sequence[UpdateEvent], path: str) -> None:
-    atomic_write_text(path, event_stream_text(events))
+def write_event_stream(events: Iterable[UpdateEvent], path: str) -> None:
+    atomic_write_chunks(path, (json.dumps(_event_to_obj(e)) + "\n" for e in events))
 
 
 # ------------------------------------------------------------ partition JSON
@@ -389,7 +382,7 @@ def write_partition_json(
     meta: dict,
     path: str,
 ) -> None:
-    atomic_write_text(path, partition_json_text(partition, value, noas, closeness, meta))
+    atomic_write_chunks(path, (partition_json_text(partition, value, noas, closeness, meta),))
 
 
 def read_partition_json(path: str) -> tuple[dict, Partition]:
@@ -413,49 +406,28 @@ def read_partition_json(path: str) -> tuple[dict, Partition]:
 # ------------------------------------------------------------------ JSONL logs
 
 
-def checkpoint_log_text(checkpoints: Sequence[Checkpoint], meta: dict) -> str:
-    lines = [json.dumps({"header": meta})]
-    for c in checkpoints:
-        lines.append(
-            json.dumps(
-                {
-                    "iteration": c.iteration,
-                    "evaluations": c.evaluations,
-                    "snapshot_version": c.snapshot_version,
-                    "best_total": c.best_total,
-                    "cluster_count": c.cluster_count,
-                    "cluster_sizes": list(c.cluster_sizes),
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_checkpoint_log(checkpoints: Sequence[Checkpoint], meta: dict, path: str) -> None:
-    atomic_write_text(path, checkpoint_log_text(checkpoints, meta))
-
-
-def _noa_log_lines(records: Iterable[NoARecord], meta: dict) -> Iterator[str]:
+def _jsonl(meta: dict, objs: Iterable[dict]) -> Iterator[str]:
+    """A JSONL log: the header line, then one JSON object per line."""
     yield json.dumps({"header": meta}) + "\n"
-    for r in records:
-        yield json.dumps(
-            {
-                "tick": r.tick,
-                "attrs": list(r.attrs),
-                "members": list(r.members),
-                "noa": r.noa,
-                "edges": r.edge_count,
-                "weight": r.total_weight,
-            }
-        ) + "\n"
+    for obj in objs:
+        yield json.dumps(obj) + "\n"
 
 
-def noa_log_text(records: Sequence[NoARecord], meta: dict) -> str:
-    return "".join(_noa_log_lines(records, meta))
+def write_checkpoint_log(checkpoints: Iterable[Checkpoint], meta: dict, path: str) -> None:
+    atomic_write_chunks(path, _jsonl(meta, (
+        {"iteration": c.iteration, "evaluations": c.evaluations,
+         "snapshot_version": c.snapshot_version, "best_total": c.best_total,
+         "cluster_count": c.cluster_count, "cluster_sizes": list(c.cluster_sizes)}
+        for c in checkpoints
+    )))
 
 
-def write_noa_log(records: Sequence[NoARecord], meta: dict, path: str) -> None:
-    atomic_write_chunks(path, _noa_log_lines(records, meta))
+def write_noa_log(records: Iterable[NoARecord], meta: dict, path: str) -> None:
+    atomic_write_chunks(path, _jsonl(meta, (
+        {"tick": r.tick, "attrs": list(r.attrs), "members": list(r.members),
+         "noa": r.noa, "edges": r.edge_count, "weight": r.total_weight}
+        for r in records
+    )))
 
 
 def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
@@ -537,22 +509,6 @@ def _dot_lines(
     yield "}\n"
 
 
-def dot_text(
-    partition: Partition,
-    view: AttributeView,
-    *,
-    noa_nodes: Iterable[int] = (),
-    new_since: int | None = None,
-    meta_comment: str = "",
-) -> str:
-    """Graphviz rendering: one subgraph box per cluster.
-
-    NoA nodes are red; nodes that joined after `new_since` are blue (red
-    wins when both apply). Edge labels carry the aggregated weight.
-    """
-    return "".join(_dot_lines(partition, view, noa_nodes, new_since, meta_comment))
-
-
 def write_dot(
     partition: Partition,
     view: AttributeView,
@@ -562,5 +518,9 @@ def write_dot(
     new_since: int | None = None,
     meta_comment: str = "",
 ) -> None:
-    """`dot_text`, streamed into the file line by line."""
+    """Graphviz rendering: one subgraph box per cluster.
+
+    NoA nodes are red; nodes that joined after `new_since` are blue (red
+    wins when both apply). Edge labels carry the aggregated weight.
+    """
     atomic_write_chunks(path, _dot_lines(partition, view, noa_nodes, new_since, meta_comment))

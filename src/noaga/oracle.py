@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import ConfigInvalid, TooLarge
+from .errors import ConfigInvalid, TooLarge, check_int
 from .fitness import (FitnessParams, FitnessValue, _value, closeness_mean, cut_fraction,
                       label_sizes, small_count, total)
 from .graph import AttributeView, Partition, part_labels
@@ -40,6 +40,7 @@ def bell_number(n: int) -> int:
 
 
 def _check_cap(n: int, n_max: int) -> None:
+    check_int("n_max", n_max)
     if n_max < 0:
         raise ConfigInvalid(f"n_max must be >= 0, got {n_max}")
     if n > n_max:

@@ -244,11 +244,17 @@ def _merge_signals(view, **kwargs):
         (lambda view: _merge_signals(view, window="x"), ConfigInvalid),
         (lambda view: _merge_signals(view, theta=2.5), ConfigInvalid),
         (lambda view: _merge_signals(view, window=True), ConfigInvalid),
+        (lambda view: optimal_partition(view, n_max="20"), ConfigInvalid),
+        (lambda view: datasets.assign_random_weights(view.base, arity="2"), ConfigInvalid),
+        (lambda view: datasets.assign_random_weights(view.base, low=1.5, high=3), ConfigInvalid),
+        (lambda view: datasets.scale_pairs("10", 20), ConfigInvalid),
+        (lambda view: datasets.scale_pairs(10.5, 20), ConfigInvalid),
     ],
     ids=[
         "crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop",
         "weight-of-str", "weight-of-bool", "weight-of-float", "theta-str", "window-str",
-        "theta-float", "window-bool",
+        "theta-float", "window-bool", "n-max-str", "arity-str", "low-float", "nodes-str",
+        "nodes-float",
     ],
 )
 def test_wrong_typed_library_input_raises_a_noaga_error(emails, call, error):

@@ -110,6 +110,16 @@ def test_add_node_duplicates_rejected(sample):
         named.apply(UpdateEvent.add_node(2, "X"))
 
 
+@pytest.mark.parametrize("label", [True, False, 2.5, None], ids=repr)
+def test_add_node_reads_labels_as_resolve_does(sample, label):
+    # one label rule: a bool is not an id, and a float or None is no label,
+    # whether the label names a node or adds one
+    with pytest.raises(UnknownNode, match="bad label"):
+        sample.resolve(label)
+    with pytest.raises(UnknownNode, match="bad label"):
+        sample.apply(UpdateEvent.add_node(1, label))
+
+
 def test_tick_never_goes_backwards(sample):
     snap = sample.apply(UpdateEvent.add_node(10, "X"))
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """File formats: edge lists, event streams, partition JSON, logs, DOT."""
 
+import ast
 import fnmatch
 import hashlib
 import os
 import random
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -73,11 +75,13 @@ def test_edge_list_round_trip(sample, tmp_path):
     assert snap.nodes == sample.nodes
     assert dict(snap.edges) == dict(sample.edges)
     # equal input renders equal bytes
-    assert io.edge_list_text(snap) == io.edge_list_text(sample)
+    io.write_edge_list(snap, str(tmp_path / "again.tsv"))
+    assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "roundtrip.tsv").read_bytes()
 
 
-def test_edge_list_rows_sorted_by_pair(sample):
-    lines = io.edge_list_text(sample).splitlines()
+def test_edge_list_rows_sorted_by_pair(sample, tmp_path):
+    io.write_edge_list(sample, str(tmp_path / "sorted.tsv"))
+    lines = (tmp_path / "sorted.tsv").read_text().splitlines()
     pairs = [tuple(map(int, ln.split("\t")[:2])) for ln in lines[1:]]
     assert pairs == sorted(pairs)
 
@@ -363,16 +367,15 @@ def test_read_noa_log_rejects_non_object_lines(tmp_path, line):
     assert info.value.line == 2
 
 
-def test_dot_output_golden():
+def test_dot_output_golden(tmp_path):
     schema = AttributeSchema(("w1",))
     snap = GraphSnapshot.build(schema, [Edge(1, 2, (3,)), Edge(2, 3, (1,))])
     snap = snap.apply(UpdateEvent.add_node(50, "X"))  # gets id 4
     view = AttributeView(snap)
     part = Partition(((1, 2), (3,), (4,)), ("w1",), 1)
-    text = io.dot_text(
-        part, view, noa_nodes=[1], new_since=0, meta_comment="demo"
-    )
-    assert text == (
+    path = tmp_path / "g.dot"
+    io.write_dot(part, view, str(path), noa_nodes=[1], new_since=0, meta_comment="demo")
+    assert path.read_bytes().decode() == (
         "// demo\n"
         "graph clusters {\n"
         "  node [shape=circle];\n"
@@ -395,22 +398,23 @@ def test_dot_output_golden():
     )
 
 
-def test_dot_red_beats_blue():
+def test_dot_red_beats_blue(tmp_path):
     schema = AttributeSchema(("w1",))
     snap = GraphSnapshot.build(schema, [Edge(1, 2, (3,))])
     snap = snap.apply(UpdateEvent.add_node(9, "Y"))  # gets id 3
     view = AttributeView(snap)
     part = Partition(((1, 2), (3,)), ("w1",), 1)
-    text = io.dot_text(part, view, noa_nodes=[3], new_since=0)
+    io.write_dot(part, view, str(tmp_path / "g.dot"), noa_nodes=[3], new_since=0)
+    text = (tmp_path / "g.dot").read_text()
     assert '"Y" [color=red];' in text
     assert "blue" not in text
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.txt"
-    io.atomic_write_text(str(path), "payload\n")
+    io.atomic_write_chunks(str(path), ["payload\n"])
     assert path.read_text() == "payload\n"
-    io.atomic_write_text(str(path), "replaced\n")
+    io.atomic_write_chunks(str(path), ["replaced\n"])
     assert path.read_text() == "replaced\n"
 
     def failing():
@@ -425,34 +429,84 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_streamed_writers_write_their_text(emails, tmp_path):
-    snap = emails.base.apply(UpdateEvent.add_node(9, "new \"one\""))
-    view = AttributeView(snap, emails.attrs)
-    part = Partition(EMAILS_TARGET + ((snap.resolve("new \"one\""),),), view.attrs, view.version)
-    kwargs = {"noa_nodes": [1, 6], "new_since": 0, "meta_comment": "demo"}
-    io.write_dot(part, view, str(tmp_path / "g.dot"), **kwargs)
-    assert (tmp_path / "g.dot").read_bytes() == io.dot_text(part, view, **kwargs).encode()
-    records = noa_records(Partition(EMAILS_TARGET, ("emails",), 0), emails, tick=3)
-    io.write_noa_log(records, {"seed": 2}, str(tmp_path / "noa.jsonl"))
-    assert (tmp_path / "noa.jsonl").read_bytes() == io.noa_log_text(records, {"seed": 2}).encode()
-
-
 def test_write_dot_never_holds_the_whole_text(tmp_path):
-    # streamed line by line, the traced peak stays below the file's size;
-    # joining the text first would take that much on its own
+    # streamed line by line, the traced peak stays below the file's size
+    # (twice it for the edge list, whose rows are sorted first); joining the
+    # text first would take that much on its own
     snap = GraphSnapshot.from_checked(
         AttributeSchema(("w1",)), {pair: (1,) for pair in datasets.scale_pairs()}
     )
     view = AttributeView(snap)
     part = Partition((view.nodes,), view.attrs, view.version)
-    path = tmp_path / "scale.dot"
-    tracemalloc.start()
+    writers = [
+        ("scale.dot", 1, lambda path: io.write_dot(part, view, path, noa_nodes=[1], new_since=0)),
+        ("scale.tsv", 2, lambda path: io.write_edge_list(snap, path)),
+    ]
+    for name, bound, write_file in writers:
+        path = tmp_path / name
+        tracemalloc.start()
+        try:
+            write_file(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * path.stat().st_size, name
+
+
+def test_output_files_get_the_umask_mode(tmp_path):
+    # as a new open(path, "w") would: 0o666 less the umask, also when the
+    # file replaces one with another mode
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    os.chmod(path, 0o600)
+    old = os.umask(0o022)
     try:
-        io.write_dot(part, view, str(path), noa_nodes=[1], new_since=0)
-        _, peak = tracemalloc.get_traced_memory()
+        io.atomic_write_chunks(str(path), ["new\n"])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        os.umask(0o077)
+        io.atomic_write_chunks(str(path), ["newer\n"])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
     finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size
+        os.umask(old)
+
+
+# calls that write or rename a file, by dotted name or by method name
+FILE_WRITES = {"os.fdopen", "os.open", "os.replace", "os.rename", "tempfile.mkstemp",
+               "tempfile.NamedTemporaryFile"}
+PATH_WRITES = {"write_text", "write_bytes"}
+
+
+def _dotted(func):
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _opens_for_writing(call):
+    """Whether a call of the builtin `open` may write: a mode that is not a
+    constant is taken to write."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def test_only_atomic_write_chunks_writes_files():
+    # every writer goes through the one atomic writer, so no output can be
+    # left half-written or get another mode
+    found = []
+    for path in sorted(Path(io.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(n) for f in ast.walk(tree) if path.name == "io.py"
+                  and isinstance(f, ast.FunctionDef) and f.name == "atomic_write_chunks"
+                  for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            name = _dotted(node.func)
+            if (name in FILE_WRITES or (name == "open" and _opens_for_writing(node))
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr in PATH_WRITES)):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert found == []
 
 
 def test_sha256_of(tmp_path):
