@@ -1,9 +1,10 @@
 """Steady-state GA over partition chromosomes, with mid-run graph updates.
 
-One evaluation = decode + score of one chromosome, and the budget is
-counted in evaluations: initialization costs population_size, every step
-costs 2, and each event batch costs population_size + 1 re-evaluations
-(whole population plus the elite, all against the new snapshot).
+One evaluation = decode + score of one chromosome, or one of the cheaper
+stand-ins below, and the budget is counted in evaluations: initialization
+costs population_size, every step costs 2, and each event batch costs
+population_size + 1 re-evaluations (whole population plus the elite, all
+against the new snapshot).
 
 The engine reaches a chromosome only through the `encoding.Scheme` record
 of the run's scheme, looked up by name once per run state: it makes,
@@ -20,6 +21,15 @@ A child equal to one of its parents decodes to the parent's labels against
 the same view, so it takes the parent's score and cached terms without
 decode or score, and still counts as one evaluation. The worst member is
 looked up again only after the population changed.
+
+Every other evaluation decodes, then looks the decoded labels up in the run
+state's score memo before scoring: many chromosomes decode to one
+partition, and a converged population keeps producing partitions it has
+scored. The memo maps a labels tuple to the score, cluster count and
+intra-cluster weight it was scored to at the live view; it holds at most
+population_size entries, dropping the oldest on insert, and is cleared
+whenever the view is replaced, so no entry outlives its view version. A hit
+skips scoring and still counts as one evaluation.
 
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
@@ -90,12 +100,13 @@ class Individual:
     scored against, plus what a weight-only batch re-scores it from: the
     cluster label of each active node in view order, the cluster count k
     and the intra-cluster aggregated weight. The cache is valid only at
-    that version."""
+    that version. `labels` is a tuple, the run's score memo key, so a
+    member scored on a memo miss shares one copy with its entry."""
 
     chromosome: Chromosome
     value: FitnessValue
     version: int
-    labels: list[int]
+    labels: tuple[int, ...]
     k: int
     weight_in: int
 
@@ -114,7 +125,12 @@ class Checkpoint:
 
 @dataclass
 class GAState:
-    """Live run state; mutated in place by step() and event application."""
+    """Live run state; mutated in place by step() and event application.
+
+    `memo` maps the labels tuple of each partition scored at the live view,
+    oldest first, to its (value, k, weight_in); `_evaluate` fills it and
+    keeps at most config.population_size entries, and `apply_events`
+    clears it with every view it installs."""
 
     view: AttributeView
     config: GAConfig
@@ -129,19 +145,30 @@ class GAState:
     worst: int | None = None
     # the record of config.scheme: the engine's only way to a chromosome
     scheme: Scheme = field(init=False, repr=False)
+    memo: dict[tuple[int, ...], tuple[FitnessValue, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scheme = SCHEME_TABLE[self.config.scheme]
+        self.memo = {}
 
 
 def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
-    """Decode a canonical chromosome to labels against the live view, score.
-    Costs one evaluation."""
-    labels = state.scheme.decode(chrom, state.view)
-    parts = labels if state.scheme.connected else part_labels(state.view, labels)
-    value, k, weight_in = score_terms(labels, parts, state.view, state.config.fitness_params)
+    """Decode a canonical chromosome to labels against the live view and
+    take their score from the memo, or score them and memoise the result.
+    Costs one evaluation either way."""
+    view = state.view
+    labels = tuple(state.scheme.decode(chrom, view))
+    memo = state.memo
+    scored = memo.get(labels)
+    if scored is None:
+        parts = labels if state.scheme.connected else part_labels(view, labels)
+        scored = score_terms(labels, parts, view, state.config.fitness_params)
+        if len(memo) >= state.config.population_size:
+            del memo[next(iter(memo))]
+        memo[labels] = scored
     state.evaluations += 1
-    return Individual(chrom, value, state.view.version, labels, k, weight_in)
+    value, k, weight_in = scored
+    return Individual(chrom, value, view.version, labels, k, weight_in)
 
 
 def _rescore(
@@ -279,6 +306,8 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
             raise EventError(batch[-1].tick, "the batch leaves the view with no active nodes")
     state.applied.extend(done)
     state.view = view
+    # memo entries hold scores at the old view
+    state.memo.clear()
     state.worst = None
     if weight_only:
         idxs = {old.pair_index[a.pair] for a in done if a.pair in old.pair_index}

@@ -26,6 +26,7 @@ from .errors import (
     ForeignEdge,
     UnknownEdge,
     UnknownNode,
+    check_int,
     clip_repr,
 )
 
@@ -107,7 +108,8 @@ class UpdateEvent:
 
     Nodes are referenced by label: plain ints (or all-digit strings) are node
     ids, any other string goes through the snapshot's name table. Unused
-    fields stay None; the factory classmethods fill in the right ones.
+    fields stay None; the factory classmethods fill in the right ones. The
+    tick and every weight must be integers (ConfigInvalid otherwise).
     """
 
     tick: int
@@ -119,17 +121,24 @@ class UpdateEvent:
     attr: str | None = None
     value: int | None = None
 
+    def __post_init__(self):
+        check_int("tick", self.tick)
+
     @classmethod
     def add_node(cls, tick: int, node: Label) -> "UpdateEvent":
         return cls(tick, EventKind.ADD_NODE, node=node)
 
     @classmethod
     def add_edge(cls, tick: int, a: Label, b: Label, weights: Sequence[int]) -> "UpdateEvent":
-        return cls(tick, EventKind.ADD_EDGE, a=a, b=b, weights=tuple(int(w) for w in weights))
+        weights = tuple(weights)
+        for w in weights:
+            check_int("weight", w)
+        return cls(tick, EventKind.ADD_EDGE, a=a, b=b, weights=weights)
 
     @classmethod
     def update_weight(cls, tick: int, a: Label, b: Label, attr: str, value: int) -> "UpdateEvent":
-        return cls(tick, EventKind.UPDATE_WEIGHT, a=a, b=b, attr=attr, value=int(value))
+        check_int("value", value)
+        return cls(tick, EventKind.UPDATE_WEIGHT, a=a, b=b, attr=attr, value=value)
 
     @classmethod
     def remove_edge(cls, tick: int, a: Label, b: Label) -> "UpdateEvent":

@@ -56,6 +56,7 @@ def enumerate_labels(n: int, *, n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[in
     The first is all zeros (one cluster), the last is 0..n-1 (all
     singletons).
     """
+    check_int("n", n)
     if n == 0:
         raise ValueError("no nodes to partition")
     _check_cap(n, n_max)

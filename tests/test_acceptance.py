@@ -40,6 +40,7 @@ from noaga import (
 )
 from noaga.cli import main
 from noaga.encoding import EDGE_REMOVAL, SCHEME_TABLE, SEPARATOR
+from noaga.oracle import enumerate_labels
 
 from conftest import COMMENTS_TARGET, EMAILS_TARGET, POSTS_TARGET, to_partition
 
@@ -249,12 +250,18 @@ def _merge_signals(view, **kwargs):
         (lambda view: datasets.assign_random_weights(view.base, low=1.5, high=3), ConfigInvalid),
         (lambda view: datasets.scale_pairs("10", 20), ConfigInvalid),
         (lambda view: datasets.scale_pairs(10.5, 20), ConfigInvalid),
+        (lambda view: UpdateEvent.add_edge(1, 1, 2, [1.5]), ConfigInvalid),
+        (lambda view: UpdateEvent.add_edge(1, 1, 2, ["x"]), ConfigInvalid),
+        (lambda view: UpdateEvent.update_weight(1, 1, 2, "emails", 2.7), ConfigInvalid),
+        (lambda view: view.base.apply(UpdateEvent.add_node("x", "Q")), ConfigInvalid),
+        (lambda view: next(enumerate_labels("3")), ConfigInvalid),
     ],
     ids=[
         "crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop",
         "weight-of-str", "weight-of-bool", "weight-of-float", "theta-str", "window-str",
         "theta-float", "window-bool", "n-max-str", "arity-str", "low-float", "nodes-str",
-        "nodes-float",
+        "nodes-float", "edge-weight-float", "edge-weight-str", "update-value-float",
+        "tick-str", "enumerate-n-str",
     ],
 )
 def test_wrong_typed_library_input_raises_a_noaga_error(emails, call, error):

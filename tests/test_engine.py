@@ -36,6 +36,8 @@ from noaga import (
 from noaga import encoding, engine
 from noaga.encoding import SCHEME_TABLE, SEPARATOR, _draw_unlisted
 from noaga.engine import GAState, _evaluate, _worst_index, apply_events
+from noaga.fitness import score_terms
+from noaga.graph import part_labels
 
 from conftest import (
     REWEIGHT_VIEWS,
@@ -630,8 +632,9 @@ def _apply_counting_decodes(state, batch, *, full=False):
 
 def _run_state(state):
     return (
-        [(i.chromosome, i.value, i.version, i.labels, i.k, i.weight_in) for i in state.population],
-        (state.best.chromosome, state.best.value, state.best.version, state.best.labels,
+        [(i.chromosome, i.value, i.version, tuple(i.labels), i.k, i.weight_in)
+         for i in state.population],
+        (state.best.chromosome, state.best.value, state.best.version, tuple(state.best.labels),
          state.best.k, state.best.weight_in),
         state.evaluations, state.iteration, state.rng.getstate(), list(state.applied),
         state.view.pairs, state.view.weights, state.view.total_weight, state.view.nodes,
@@ -760,10 +763,26 @@ def test_weight_only_batch_rejects_a_stale_individual():
         apply_events(state, [UpdateEvent.update_weight(1, 1, 2, "a", 7)])
 
 
+def _fresh_terms(state, labels):
+    """`score_terms` of decoded labels at the live view, without the memo."""
+    view = state.view
+    parts = labels if state.scheme.connected else part_labels(view, labels)
+    return score_terms(labels, parts, view, state.config.fitness_params)
+
+
+def _scored_afresh(state, chrom):
+    """`_evaluate` without the score memo: decode against the live view and
+    score, one evaluation."""
+    labels = state.scheme.decode(chrom, state.view)
+    value, k, weight_in = _fresh_terms(state, labels)
+    state.evaluations += 1
+    return Individual(chrom, value, state.view.version, labels, k, weight_in)
+
+
 def _reference_step(state):
-    """`step` without score reuse or a kept worst index: every child is
-    decoded and scored, and the worst member is looked up before every
-    replacement test."""
+    """`step` without score reuse, score memo or a kept worst index: every
+    child is decoded and scored, and the worst member is looked up before
+    every replacement test."""
     cfg, rng = state.config, state.rng
     p1 = binary_tournament(state)
     p2 = binary_tournament(state)
@@ -775,7 +794,9 @@ def _reference_step(state):
     else:
         c1, c2 = p1.chromosome, p2.chromosome
     for chrom in (c1, c2):
-        child = _evaluate(state, state.scheme.mutate(chrom, state.view, cfg.mutation_rate, rng))
+        child = _scored_afresh(
+            state, state.scheme.mutate(chrom, state.view, cfg.mutation_rate, rng)
+        )
         worst = _worst_index(state.population)
         if child.value.total > state.population[worst].value.total:
             state.population[worst] = child
@@ -803,8 +824,9 @@ def event_batches(view):
 @given(views, st.sampled_from(SCHEMES), st.sampled_from([0.0, 0.1, 0.85]),
        st.sampled_from([0.0, 0.1, 0.85]), st.integers(0, 2**32), st.data())
 def test_step_equals_scoring_every_child(view, scheme, crossover, mutation, seed, data):
-    # a child equal to a parent takes its score, and the worst member is
-    # looked up only after the population changed: same run as the old step
+    # a child equal to a parent takes its score, a memoised partition its
+    # memo entry, and the worst member is looked up only after the
+    # population changed: same run as the old step
     config = GAConfig(population_size=6, max_evaluations=400, crossover_rate=crossover,
                       mutation_rate=mutation, scheme=scheme, p_init=0.5, k_max=4, seed=seed)
     fast, slow = init_population(view, config), init_population(view, config)
@@ -847,3 +869,106 @@ def test_step_rejects_a_parent_scored_at_an_older_version(two_triangle):
     with pytest.raises(StaleSnapshot):
         step(state)
     assert state.evaluations == 4 + 4 + 1
+
+
+class _NeverHits(dict):
+    """A score memo that stores every entry and never returns one."""
+
+    def get(self, key, default=None):
+        return None
+
+
+def _memo_never_hits(mp):
+    """Give every run state made under `mp` a memo that never hits."""
+    post_init = GAState.__post_init__
+
+    def patched(self):
+        post_init(self)
+        self.memo = _NeverHits()
+
+    mp.setattr(GAState, "__post_init__", patched)
+
+
+def _counting_scores(mp):
+    """Count the engine's score_terms calls into the returned list."""
+    calls = []
+    mp.setattr(engine, "score_terms", lambda *a: calls.append(1) or score_terms(*a))
+    return calls
+
+
+def _table1_stream(view):
+    """Weight-only batches at ticks 40 and 140, structural ones at 90, 190
+    and 240, on `view`'s edges."""
+    p = view.pairs
+    weights = (3,) * view.base.schema.arity
+    return [
+        UpdateEvent.update_weight(40, *p[0], view.attrs[0], 9),
+        UpdateEvent.remove_edge(90, *p[3]),
+        UpdateEvent.update_weight(140, *p[5], view.attrs[0], 1),
+        UpdateEvent.add_node(190, "new"),
+        UpdateEvent.add_edge(240, "new", p[1][0], weights),
+    ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("stream", [False, True], ids=["static", "stream"])
+def test_a_memo_that_never_hits_gives_the_same_run(emails, scheme, stream):
+    # the memo only saves scoring: scoring every partition afresh ends in
+    # the same result and run state, across weight-only and structural batches
+    config = GAConfig(population_size=10, max_evaluations=800, checkpoint_every=50,
+                      scheme=scheme, p_init=0.3, seed=4)
+    events = _table1_stream(emails) if stream else ()
+    with pytest.MonkeyPatch.context() as mp:
+        memo_scores = _counting_scores(mp)
+        want = run(emails, config, events)
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_scores = _counting_scores(mp)
+        _memo_never_hits(mp)
+        got = run(emails, config, events)
+    assert want.state.view.version == len(events) and not want.unapplied_ticks
+    assert (got.partition, got.value, got.checkpoints, got.noa_history, got.unapplied_ticks) == (
+        want.partition, want.value, want.checkpoints, want.noa_history, want.unapplied_ticks
+    )
+    assert _run_state(got.state) == _run_state(want.state)
+    assert len(memo_scores) < len(fresh_scores)
+
+
+def _assert_memo_is_fresh(state):
+    """Every memo entry is the score of its labels at the live view."""
+    for labels, scored in state.memo.items():
+        assert scored == _fresh_terms(state, labels)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_memo_holds_at_most_population_size_entries(emails, scheme):
+    config = GAConfig(population_size=6, max_evaluations=1000, scheme=scheme, p_init=0.5,
+                      mutation_rate=0.5, seed=2)
+    state = init_population(emails, config)
+    sizes = [len(state.memo)]
+    batches = {60: _table1_stream(emails)[:1], 120: _table1_stream(emails)[1:2]}
+    for i in range(180):
+        if i in batches:
+            apply_events(state, batches[i])
+            sizes.append(len(state.memo))
+            _assert_memo_is_fresh(state)
+        step(state)
+        sizes.append(len(state.memo))
+        _assert_memo_is_fresh(state)
+    assert max(sizes) == config.population_size
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_weight_only_batch_leaves_no_memoised_score_behind(emails, scheme):
+    config = GAConfig(population_size=6, max_evaluations=100, scheme=scheme, p_init=0.5, seed=1)
+    state = init_population(emails, config)
+    view = state.view
+    # a member and an edge inside one of its clusters, whose weight the batch moves
+    ind, i = next((ind, i) for ind in state.population for i in range(len(view.pairs))
+                  if ind.labels[view.ea[i]] == ind.labels[view.eb[i]])
+    apply_events(state, [UpdateEvent.update_weight(1, *view.pairs[i], "emails",
+                                                   view.weights[i] + 5)])
+    assert state.view.version == 1 and state.view.pairs == view.pairs
+    got = _evaluate(state, ind.chromosome)
+    want = _scored_afresh(state, ind.chromosome)
+    assert (got.value, got.k, got.weight_in) == (want.value, want.k, want.weight_in)
+    assert got.weight_in == ind.weight_in + 5 and got.value != ind.value
