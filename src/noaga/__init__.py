@@ -34,12 +34,15 @@ from .analysis import (
 )
 from .encoding import (
     EDGE_REMOVAL,
+    LOCUS,
     SCHEMES,
     SEPARATOR,
     EdgeRemovalChromosome,
+    LocusChromosome,
     SeparatorChromosome,
     single_point_crossover,
     swap_crossover,
+    uniform_crossover,
 )
 from .errors import (
     ConfigInvalid,

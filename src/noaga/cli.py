@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import datasets, io
 from .analysis import cluster_stats, overlay
-from .encoding import EDGE_REMOVAL, SCHEMES
+from .encoding import SCHEMES
 from .engine import GAConfig, run
 from .errors import ConfigInvalid, NoagaError
 from .fitness import FitnessParams, density
@@ -61,12 +61,13 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="budget sugar: population-size + 2*iterations evaluations")
     p.add_argument("--crossover-rate", type=float, default=0.85)
     p.add_argument("--mutation-rate", type=float, default=0.1)
-    p.add_argument("--scheme", choices=SCHEMES, default=EDGE_REMOVAL)
+    p.add_argument("--scheme", choices=SCHEMES, default=GAConfig.scheme,
+                   help="chromosome encoding (default: %(default)s)")
     p.add_argument("--checkpoint-every", type=int, default=100)
     p.add_argument("--p-init", type=float, default=0.1,
-                   help="edge-removal init: inclusion probability per edge")
+                   help="edge-removal only: initial inclusion probability per edge")
     p.add_argument("--k-max", type=int, default=32,
-                   help="separator init: maximum group count")
+                   help="separator only: maximum initial group count")
     p.add_argument("-o", "--output", required=True, help="partition JSON path")
     p.add_argument("--dot", help="also write a Graphviz rendering here")
     p.add_argument("--checkpoint-log", help="JSONL checkpoint log path")

@@ -10,10 +10,14 @@ its operators, which sit next to its chromosome type.
 
 The edge-removal list (default) holds edges to delete; decoding takes the
 connected components of the view minus those edges, so any all-connected
-partition is expressible. The separator chromosome holds a group count k and
-k-1 cut positions over the id-ascending node order: contiguous runs, cheap
-but only interval partitions. Repair makes any gene material canonical and
-is idempotent; decoding raises UnrepairedChromosome on anything else.
+partition is expressible. The locus chromosome (Park & Song 1998, as in
+GA-Net) gives each node one gene naming a neighbour it links to; decoding
+takes the connected components of those links, so it too expresses every
+all-connected partition, and its operators walk one gene per node instead
+of one per edge. The separator chromosome holds a group count k and k-1
+cut positions over the id-ascending node order: contiguous runs, cheap but
+only interval partitions. Repair makes any gene material canonical and is
+idempotent; decoding raises UnrepairedChromosome on anything else.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Callable, Union
 
 from .errors import UnrepairedChromosome
@@ -28,6 +34,7 @@ from .graph import AttributeView, Pair, component_labels
 
 EDGE_REMOVAL = "edge-removal"
 SEPARATOR = "separator"
+LOCUS = "locus"
 
 
 @dataclass(frozen=True)
@@ -141,17 +148,97 @@ def decode_edge_removal(chrom: EdgeRemovalChromosome, view: AttributeView) -> li
         if not keep[idx]:
             raise UnrepairedChromosome(f"duplicate edge {pair}")
         keep[idx] = False
-    return component_labels(view, keep)
+    return component_labels(len(view.nodes), compress(zip(view.ea, view.eb), keep))
 
 
 def carry_over_edge_removal(
-    chrom: EdgeRemovalChromosome, view: AttributeView
+    chrom: EdgeRemovalChromosome, view: AttributeView, rng: random.Random
 ) -> EdgeRemovalChromosome:
-    """Drop the genes not active in `view`; the chromosome itself when all are."""
+    """Drop the genes not active in `view`; the chromosome itself when all
+    are. Draws nothing."""
     active = view.pair_index
     if all(map(active.__contains__, chrom.removed)):
         return chrom
     return EdgeRemovalChromosome(tuple(p for p in chrom.removed if p in active))
+
+
+@dataclass(frozen=True)
+class LocusChromosome:
+    """One gene per active node: `links[i]` is the node id that node
+    `nodes[i]` links to, a neighbour in the view, or the node itself when
+    it is an isolate. `nodes` is the node order of the view the genes were
+    made for, the view's own `nodes` tuple, so genes stay attached to their
+    node ids when a later view adds or drops nodes."""
+
+    nodes: tuple[int, ...]
+    links: tuple[int, ...]
+
+
+def random_locus(
+    view: AttributeView, rng: random.Random, p_init: float = 0.1, k_max: int = 32
+) -> LocusChromosome:
+    """Each node links to a uniformly drawn neighbour."""
+    return LocusChromosome(view.nodes, tuple(map(rng.choice, view.neighbours)))
+
+
+def _relink(chrom: LocusChromosome, view: AttributeView, pick) -> LocusChromosome:
+    """The genes on the view's node order: a node keeps its gene when that
+    names a neighbour (an isolate: itself), else links to `pick(neighbours)`."""
+    given = dict(zip(chrom.nodes, chrom.links))
+    return LocusChromosome(view.nodes, tuple(
+        gene if gene in nbrs else pick(nbrs)
+        for gene, nbrs in zip(map(given.get, view.nodes), view.neighbours)
+    ))
+
+
+def repair_locus(chrom: LocusChromosome, view: AttributeView) -> LocusChromosome:
+    """A gene that names no neighbour links to the smallest one. Idempotent."""
+    return _relink(chrom, view, itemgetter(0))
+
+
+def uniform_crossover(
+    p1: LocusChromosome, p2: LocusChromosome, view: AttributeView, rng: random.Random
+) -> tuple[LocusChromosome, LocusChromosome]:
+    """Swap each gene between the parents with probability 0.5, one random
+    bit per gene."""
+    g1, g2 = p1.links, p2.links
+    swaps = format(rng.getrandbits(len(g1)), f"0{len(g1)}b")
+    return (
+        LocusChromosome(p1.nodes, tuple(b if s == "1" else a for a, b, s in zip(g1, g2, swaps))),
+        LocusChromosome(p2.nodes, tuple(a if s == "1" else b for a, b, s in zip(g1, g2, swaps))),
+    )
+
+
+def mutate_locus(
+    chrom: LocusChromosome, view: AttributeView, rate: float, rng: random.Random
+) -> LocusChromosome:
+    """Each gene, with probability `rate`, links to a uniformly drawn
+    neighbour. Not repaired: decode rejects the mutant of a non-canonical
+    parent."""
+    draw, choice = rng.random, rng.choice
+    return LocusChromosome(chrom.nodes, tuple(
+        choice(nbrs) if draw() < rate else gene
+        for gene, nbrs in zip(chrom.links, view.neighbours)
+    ))
+
+
+def decode_locus(chrom: LocusChromosome, view: AttributeView) -> list[int]:
+    """Component labels of the view's nodes over the links the genes name."""
+    table = view.neighbours
+    if chrom.nodes is not view.nodes and chrom.nodes != view.nodes:
+        raise UnrepairedChromosome("genes follow another view's node order")
+    if len(chrom.links) != len(table) or not all(map(tuple.__contains__, table, chrom.links)):
+        raise UnrepairedChromosome("a gene names no neighbour of its node")
+    index = view.node_index
+    return component_labels(len(table), enumerate(map(index.__getitem__, chrom.links)))
+
+
+def carry_over_locus(
+    chrom: LocusChromosome, view: AttributeView, rng: random.Random
+) -> LocusChromosome:
+    """Keep each gene whose link is still in `view`; draw a neighbour for
+    one whose link left and for a node new to the view."""
+    return _relink(chrom, view, rng.choice)
 
 
 @dataclass(frozen=True)
@@ -234,14 +321,22 @@ def decode_separator(chrom: SeparatorChromosome, view: AttributeView) -> list[in
     return [bisect_right(seps, i) for i in range(n)]
 
 
-Chromosome = Union[EdgeRemovalChromosome, SeparatorChromosome]
+def carry_over_separator(
+    chrom: SeparatorChromosome, view: AttributeView, rng: random.Random
+) -> SeparatorChromosome:
+    """`repair_separator`; draws nothing."""
+    return repair_separator(chrom, view)
+
+
+Chromosome = Union[EdgeRemovalChromosome, LocusChromosome, SeparatorChromosome]
 
 
 @dataclass(frozen=True)
 class Scheme:
     """One encoding: the operators of its chromosome type, which all but
     `random` and `repair` apply to canonical chromosomes only. `carry_over`
-    is `repair` for a chromosome canonical for the run's previous view.
+    makes a chromosome canonical for the run's previous view canonical for
+    the new one; it may draw from the run's RNG.
     `connected`: decoded clusters are connected, so they are their own parts."""
 
     random: Callable[..., Chromosome]  # (view, rng, p_init, k_max): each uses its own
@@ -249,7 +344,7 @@ class Scheme:
     crossover: Callable[..., tuple[Chromosome, Chromosome]]  # (p1, p2, view, rng)
     mutate: Callable[..., Chromosome]  # (chrom, view, rate, rng)
     decode: Callable[..., list[int]]  # (chrom, view): a label per active node, in view order
-    carry_over: Callable[..., Chromosome]  # (chrom, view)
+    carry_over: Callable[..., Chromosome]  # (chrom, view, rng)
     connected: bool
 
 
@@ -260,7 +355,11 @@ SCHEME_TABLE: dict[str, Scheme] = {
     ),
     SEPARATOR: Scheme(
         random_separator, repair_separator, swap_crossover,
-        mutate_separator, decode_separator, repair_separator, connected=False,
+        mutate_separator, decode_separator, carry_over_separator, connected=False,
+    ),
+    LOCUS: Scheme(
+        random_locus, repair_locus, uniform_crossover,
+        mutate_locus, decode_locus, carry_over_locus, connected=True,
     ),
 }
 SCHEMES = tuple(SCHEME_TABLE)

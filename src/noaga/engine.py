@@ -320,10 +320,10 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
             state.population[i] = _rescore(state, ind, old.version, deltas)
         state.best = _rescore(state, state.best, old.version, deltas)
     else:
-        carry_over = state.scheme.carry_over
+        carry_over, rng = state.scheme.carry_over, state.rng
         for i, ind in enumerate(state.population):
-            state.population[i] = _evaluate(state, carry_over(ind.chromosome, view))
-        state.best = _evaluate(state, carry_over(state.best.chromosome, view))
+            state.population[i] = _evaluate(state, carry_over(ind.chromosome, view, rng))
+        state.best = _evaluate(state, carry_over(state.best.chromosome, view, rng))
     for ind in state.population:
         if ind.value.total > state.best.value.total:
             state.best = replace(ind)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
 from types import MappingProxyType
@@ -452,6 +453,19 @@ class AttributeView:
             view.weights = tuple(weights)
         return view
 
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """The node ids adjacent to each active node, in view order, each
+        ascending; an isolate's entry is the node itself. Built on the first
+        read, which only the locus operators make, so building a view does
+        not pay for it. A `reweighted` successor, whose edge set is this
+        view's, shares the table once it is built."""
+        adjacent: list[list[int]] = [[] for _ in self.nodes]
+        for (a, b), ia, ib in zip(self.pairs, self.ea, self.eb):
+            adjacent[ia].append(b)
+            adjacent[ib].append(a)
+        return tuple(tuple(nbrs) if nbrs else (node,) for nbrs, node in zip(adjacent, self.nodes))
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)
@@ -545,15 +559,15 @@ class Partition:
         return out
 
 
-def component_labels(view: AttributeView, keep: Sequence[bool]) -> list[int]:
-    """Component label of each active node, in view order, over the edges
-    with `keep[i]` set. Components are numbered 0, 1, ... by smallest node,
-    which is the cluster order of the matching Partition."""
+def component_labels(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """Component label of each of `n` nodes, numbered by view index, over
+    the index pairs `links`. Components are numbered 0, 1, ... by smallest
+    node, which is the cluster order of the matching Partition."""
     # union-find with path halving where the smaller root wins: every link
     # points to a smaller index, so relabelling in place in index order
     # always finds a node's parent already labelled
-    parent = list(range(len(view.nodes)))
-    for a, b in compress(zip(view.ea, view.eb), keep):
+    parent = list(range(n))
+    for a, b in links:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -575,5 +589,6 @@ def component_labels(view: AttributeView, keep: Sequence[bool]) -> list[int]:
 def part_labels(view: AttributeView, labels: Sequence[int]) -> list[int]:
     """Labels of the connected parts of each cluster: components over the
     edges whose endpoints share a cluster label."""
-    return component_labels(view, [labels[a] == labels[b] for a, b in zip(view.ea, view.eb)])
+    inside = [labels[a] == labels[b] for a, b in zip(view.ea, view.eb)]
+    return component_labels(len(view.nodes), compress(zip(view.ea, view.eb), inside))
 

@@ -57,7 +57,7 @@ def enumerate_labels(n: int, *, n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[in
     singletons).
     """
     check_int("n", n)
-    if n == 0:
+    if n < 1:
         raise ValueError("no nodes to partition")
     _check_cap(n, n_max)
     rgs = [0] * n

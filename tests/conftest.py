@@ -7,12 +7,13 @@ from noaga import (
     Edge,
     EdgeRemovalChromosome,
     GraphSnapshot,
+    LocusChromosome,
     Partition,
     SeparatorChromosome,
     UpdateEvent,
     datasets,
 )
-from noaga.encoding import EDGE_REMOVAL, SCHEME_TABLE, SEPARATOR
+from noaga.encoding import EDGE_REMOVAL, LOCUS, SCHEME_TABLE, SEPARATOR
 
 # the communities the bundled sample resolves to, per attribute
 EMAILS_TARGET = ((1, 2, 3, 4, 5), (6, 7, 8, 9), (10, 11, 12, 13, 14, 15))
@@ -195,5 +196,11 @@ raw_chromosomes = st.one_of(
         lambda k, seps: (SEPARATOR, SeparatorChromosome(k, tuple(seps))),
         st.integers(1, 20),
         st.lists(st.integers(-3, 19), max_size=12),
+    ),
+    # (node, gene) pairs: repeated, missing and foreign nodes, genes that
+    # name no neighbour
+    st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=40).map(
+        lambda genes: (LOCUS, LocusChromosome(*map(tuple, zip(*genes))) if genes
+                       else LocusChromosome((), ()))
     ),
 )

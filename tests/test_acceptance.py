@@ -39,7 +39,7 @@ from noaga import (
     run,
 )
 from noaga.cli import main
-from noaga.encoding import EDGE_REMOVAL, SCHEME_TABLE, SEPARATOR
+from noaga.encoding import EDGE_REMOVAL, LOCUS, SCHEME_TABLE, SEPARATOR
 from noaga.oracle import enumerate_labels
 
 from conftest import COMMENTS_TARGET, EMAILS_TARGET, POSTS_TARGET, to_partition
@@ -153,6 +153,66 @@ def test_ac5_matches_bruteforce_optimum():
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"oracle comparison took {elapsed:.1f}s"
     assert hits >= 48, f"GA matched the brute-force optimum on {hits}/50 graphs"
+
+
+def test_locus_matches_bruteforce_optimum():
+    # ac5 for the locus encoding
+    hits = 0
+    for case in range(50):
+        view = random_graph(case)
+        result = run(view, GAConfig(seed=case, scheme=LOCUS))
+        _, best = optimal_partition(view)
+        hits += abs(result.value.total - best.total) <= 1e-9
+    assert hits >= 48, f"GA matched the brute-force optimum on {hits}/50 graphs"
+
+
+def planted_communities(rng, communities, size, chords, extra_inter):
+    """Edge list TSV text of a planted-partition graph and its communities:
+    each community a ring of `size` shuffled node ids plus `chords` random
+    chords, weights 3..6; one edge from each community to the one before,
+    plus `extra_inter` more between random community pairs, weights 1..2."""
+    ids = list(range(1, communities * size + 1))
+    rng.shuffle(ids)
+    blocks = [ids[c * size:(c + 1) * size] for c in range(communities)]
+    edges = {}
+    for members in blocks:
+        for i in range(size):
+            edges[tuple(sorted((members[i], members[(i + 1) % size])))] = rng.randint(3, 6)
+        added = 0
+        while added < chords:
+            key = tuple(sorted(rng.sample(members, 2)))
+            if key not in edges:
+                edges[key] = rng.randint(3, 6)
+                added += 1
+    links = [(c, c - 1) for c in range(1, communities)]
+    while len(links) < communities - 1 + extra_inter:
+        links.append(tuple(rng.sample(range(communities), 2)))
+    for ca, cb in links:
+        while True:
+            key = tuple(sorted((rng.choice(blocks[ca]), rng.choice(blocks[cb]))))
+            if key not in edges:
+                edges[key] = rng.randint(1, 2)
+                break
+    rows = "".join(f"{a}\t{b}\t{w}\n" for (a, b), w in sorted(edges.items()))
+    return "node_a\tnode_b\tw\n" + rows, tuple(tuple(sorted(b)) for b in blocks)
+
+
+def test_default_run_reaches_the_planted_communities(tmp_path):
+    # five planted 8-node communities; the planted partition is the optimum
+    # the default settings must reach
+    text, blocks = planted_communities(random.Random(0), 5, 8, 8, 10)
+    graph, out = tmp_path / "planted.tsv", tmp_path / "planted.json"
+    graph.write_text(text)
+    snapshot, _ = io.parse_edge_list(str(graph))
+    view = AttributeView(snapshot)
+    assert view.edge_count == 94
+    planted = fitness(Partition(blocks, view.attrs, view.version), view)
+    assert planted.total == pytest.approx(0.4481, abs=5e-5)
+    assert main(["cluster", "-i", str(graph), "--seed", "0", "--iterations", "1000",
+                 "--scheme", LOCUS, "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert sorted(tuple(c["members"]) for c in obj["clusters"]) == sorted(blocks)
+    assert obj["fitness"]["total"] == planted.total
 
 
 def test_ac6_scale_run_checkpoints(tmp_path):

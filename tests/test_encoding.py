@@ -1,4 +1,4 @@
-"""Chromosome repair and decode for both encoding schemes, and the scheme
+"""Chromosome repair and decode for each encoding scheme, and the scheme
 table every encoding choice goes through."""
 
 import ast
@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from noaga import (
     EDGE_REMOVAL,
+    LOCUS,
     SEPARATOR,
     AttributeSchema,
     AttributeView,
+    Edge,
     EdgeRemovalChromosome,
     GraphSnapshot,
+    LocusChromosome,
     Partition,
     SeparatorChromosome,
     UnrepairedChromosome,
@@ -25,10 +28,12 @@ from noaga.encoding import (
     SCHEME_TABLE,
     SCHEMES,
     decode_edge_removal,
+    decode_locus,
     decode_separator,
     random_edge_removal,
     random_separator,
     repair_edge_removal,
+    repair_locus,
     repair_separator,
 )
 from noaga.graph import part_labels
@@ -37,6 +42,9 @@ from conftest import EMAILS_TARGET, TABLE1_VIEWS, small_views, structural_batche
 
 ER = SCHEME_TABLE[EDGE_REMOVAL]
 SEP = SCHEME_TABLE[SEPARATOR]
+LOC = SCHEME_TABLE[LOCUS]
+
+views = st.one_of(st.sampled_from(TABLE1_VIEWS), small_views())
 
 
 def test_repair_edge_removal_dedupes_keeping_first(emails):
@@ -60,6 +68,65 @@ def test_decode_edge_removal_rejects_unrepaired(emails):
         decode_edge_removal(EdgeRemovalChromosome(((1, 14),)), emails)
     with pytest.raises(UnrepairedChromosome):
         decode_edge_removal(EdgeRemovalChromosome(((1, 2), (1, 2))), emails)
+
+
+def _links_within(view, clusters):
+    """Locus genes linking each node to its smallest neighbour in its cluster."""
+    home = {node: set(cluster) for cluster in clusters for node in cluster}
+    links = tuple(
+        min((m for m in nbrs if m in home[node]), default=node)
+        for node, nbrs in zip(view.nodes, view.neighbours)
+    )
+    return LocusChromosome(view.nodes, links)
+
+
+def test_decode_locus_targets(emails):
+    chrom = _links_within(emails, EMAILS_TARGET)
+    assert to_partition(LOC, chrom, emails).clusters == EMAILS_TARGET
+    assert decode_locus(chrom, emails) == [0] * 5 + [1] * 4 + [2] * 6
+
+
+def test_decode_locus_rejects_unrepaired(emails):
+    links = _links_within(emails, EMAILS_TARGET).links
+    for bad in (
+        LocusChromosome(emails.nodes, (14,) + links[1:]),  # 1 has no tie to 14
+        LocusChromosome(emails.nodes, (1,) + links[1:]),  # 1 is no isolate
+        LocusChromosome(emails.nodes, links[:-1]),
+        LocusChromosome(emails.nodes[::-1], links[::-1]),
+    ):
+        assert repair_locus(bad, emails) != bad
+        with pytest.raises(UnrepairedChromosome):
+            decode_locus(bad, emails)
+
+
+def test_repair_locus_keeps_links_and_relinks_the_rest(emails):
+    # 1 -> 14 is no tie, node 99 is not in the view, nodes 3.. have no gene
+    raw = LocusChromosome((2, 1, 99), (3, 14, 1))
+    fixed = repair_locus(raw, emails)
+    assert fixed.nodes is emails.nodes
+    assert fixed.links == (emails.neighbours[0][0], 3) + tuple(n[0] for n in emails.neighbours[2:])
+    assert repair_locus(fixed, emails) == fixed
+
+
+def test_isolates_link_to_themselves():
+    schema = AttributeSchema(("w1",))
+    view = AttributeView(GraphSnapshot.build(schema, [Edge(1, 2, (1,))], extra_nodes=[3]))
+    assert view.neighbours == ((2,), (1,), (3,))
+    chrom = LOC.random(view, random.Random(0), 0.1, 8)
+    assert chrom == LocusChromosome((1, 2, 3), (2, 1, 3))
+    assert LOC.mutate(chrom, view, 1.0, random.Random(1)) == chrom
+    assert decode_locus(chrom, view) == [0, 0, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(view=views, seed=st.integers(0, 2**32))
+def test_uniform_crossover_deals_each_gene_to_one_child(view, seed):
+    rng = random.Random(seed)
+    p1, p2 = LOC.random(view, rng, 0.1, 8), LOC.random(view, rng, 0.1, 8)
+    c1, c2 = LOC.crossover(p1, p2, view, rng)
+    assert c1.nodes == c2.nodes == view.nodes
+    for genes in zip(p1.links, p2.links, c1.links, c2.links):
+        assert genes[2:] in (genes[:2], genes[1::-1])
 
 
 def test_repair_separator_clamps_sorts_dedupes(two_triangle):
@@ -199,9 +266,6 @@ def test_encoding_choice_lives_in_the_table():
     assert found == []
 
 
-views = st.one_of(st.sampled_from(TABLE1_VIEWS), small_views())
-
-
 @pytest.mark.parametrize("name", SCHEMES)
 @settings(max_examples=100, deadline=None)
 @given(view=views, p_init=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(0, 2**32),
@@ -225,4 +289,8 @@ def test_scheme_records_keep_chromosomes_canonical(name, view, p_init, seed, dat
         snapshot = snapshot.apply(ev)
     new = AttributeView(snapshot, view.attrs, view.aggregation)
     for chrom in made:
-        assert scheme.carry_over(chrom, new) == scheme.repair(chrom, new)
+        drawn = rng.getstate()
+        carried = scheme.carry_over(chrom, new, rng)
+        assert scheme.repair(carried, new) == carried
+        if rng.getstate() == drawn:  # a carry-over that draws nothing is the repair
+            assert carried == scheme.repair(chrom, new)

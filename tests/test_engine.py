@@ -21,6 +21,7 @@ from noaga import (
     GAConfig,
     GraphSnapshot,
     Individual,
+    LocusChromosome,
     SeparatorChromosome,
     StaleSnapshot,
     UnrepairedChromosome,
@@ -32,9 +33,10 @@ from noaga import (
     snapshot_best,
     step,
     swap_crossover,
+    uniform_crossover,
 )
 from noaga import encoding, engine
-from noaga.encoding import SCHEME_TABLE, SEPARATOR, _draw_unlisted
+from noaga.encoding import LOCUS, SCHEME_TABLE, SEPARATOR, _draw_unlisted
 from noaga.engine import GAState, _evaluate, _worst_index, apply_events
 from noaga.fitness import score_terms
 from noaga.graph import part_labels
@@ -549,12 +551,73 @@ def test_structural_batches_drop_only_the_genes_that_left_the_view(view, scheme,
             assert after == encoding.repair_edge_removal(before, new)
             if set(before.removed) <= new.pair_index.keys():
                 assert after is before  # nothing left the view: kept, not copied
+        elif isinstance(before, LocusChromosome):
+            assert _carried_over(before, after, new)
         else:
             assert after == encoding.repair_separator(before, new)
     # the elite is the old elite carried over, unless a member now beats it
-    assert state.best.chromosome in (
-        state.scheme.repair(old[-1], new), *(ind.chromosome for ind in state.population)
+    members = [ind.chromosome for ind in state.population]
+    if scheme == LOCUS:
+        assert _carried_over(old[-1], state.best.chromosome, new) or state.best.chromosome in members
+    else:
+        assert state.best.chromosome in (state.scheme.repair(old[-1], new), *members)
+
+
+def _neighbour_sets(view):
+    """Each active node's neighbours, from the view's edge list alone; an
+    isolate's is the node itself."""
+    nbrs = {node: set() for node in view.nodes}
+    for a, b in view.pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return {node: found or {node} for node, found in nbrs.items()}
+
+
+def _carried_over(before, after, view):
+    """Whether locus chromosome `after` is `before` carried over to `view`:
+    one gene per active node naming a neighbour (an isolate: itself), and
+    each node's old gene kept when its link is still in the view."""
+    nbrs = _neighbour_sets(view)
+    old = dict(zip(before.nodes, before.links))
+    return after.nodes == view.nodes and all(
+        gene in nbrs[node] and (gene == old.get(node) or old.get(node) not in nbrs[node])
+        for node, gene in zip(after.nodes, after.links)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(REWEIGHT_VIEWS, st.integers(0, 2**32), st.data())
+def test_locus_genes_follow_the_live_view_through_every_batch(view, seed, data):
+    # a structural batch gives the run a view with its own neighbour table,
+    # and every gene names a neighbour there; a weight-only batch keeps
+    # every chromosome as it is
+    if view.node_count == 0:
+        return
+    config = GAConfig(population_size=6, max_evaluations=400, scheme=LOCUS, seed=seed)
+    state = init_population(view, config)
+    for _ in range(3):
+        step(state)
+        old = state.view
+        before = [ind.chromosome for ind in (*state.population, state.best)]
+        batch = data.draw(st.one_of(reweight_batches(old), structural_batches(old)))
+        snapshot = old.base
+        for ev in batch:
+            snapshot = snapshot.apply(ev)
+        fresh = AttributeView(snapshot, view.attrs, view.aggregation)
+        try:
+            apply_events(state, batch)
+        except EventError:
+            assert fresh.node_count == 0
+            return
+        assert state.view.neighbours == fresh.neighbours
+        nbrs = _neighbour_sets(fresh)
+        after = [ind.chromosome for ind in (*state.population, state.best)]
+        for chrom in after:
+            assert chrom.nodes == fresh.nodes
+            assert all(gene in nbrs[node] for node, gene in zip(chrom.nodes, chrom.links))
+        if (fresh.nodes, fresh.pairs) == (old.nodes, old.pairs):
+            assert after[:-1] == before[:-1]  # the elite may give way to a member
+            assert after[-1] in before
 
 
 @settings(max_examples=100, deadline=None)
@@ -779,6 +842,11 @@ def _scored_afresh(state, chrom):
     return Individual(chrom, value, state.view.version, labels, k, weight_in)
 
 
+REFERENCE_CROSSOVER = {
+    EDGE_REMOVAL: single_point_crossover, SEPARATOR: swap_crossover, LOCUS: uniform_crossover,
+}
+
+
 def _reference_step(state):
     """`step` without score reuse, score memo or a kept worst index: every
     child is decoded and scored, and the worst member is looked up before
@@ -787,10 +855,8 @@ def _reference_step(state):
     p1 = binary_tournament(state)
     p2 = binary_tournament(state)
     if rng.random() < cfg.crossover_rate:
-        if cfg.scheme == EDGE_REMOVAL:
-            c1, c2 = single_point_crossover(p1.chromosome, p2.chromosome, state.view, rng)
-        else:
-            c1, c2 = swap_crossover(p1.chromosome, p2.chromosome, state.view, rng)
+        crossover = REFERENCE_CROSSOVER[cfg.scheme]
+        c1, c2 = crossover(p1.chromosome, p2.chromosome, state.view, rng)
     else:
         c1, c2 = p1.chromosome, p2.chromosome
     for chrom in (c1, c2):

@@ -17,6 +17,7 @@ from noaga import (
     FitnessParams,
     FitnessValue,
     GraphSnapshot,
+    LocusChromosome,
     Partition,
     SeparatorChromosome,
     StaleSnapshot,
@@ -159,16 +160,20 @@ def test_small_penalty_counts_parts_not_clusters():
 
 def _reference_clusters(chrom, view):
     """Clusters worked out without the label code: node-order slices for a
-    separator chromosome, a graph search for edge removal."""
+    separator chromosome, a graph search over the kept edges for edge
+    removal and over the gene links for locus."""
     if isinstance(chrom, SeparatorChromosome):
         bounds = (0, *chrom.separators, view.node_count)
         return [view.nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    removed = set(chrom.removed)
-    adj = {n: [] for n in view.nodes}
-    for a, b in view.pairs:
-        if (a, b) not in removed:
-            adj[a].append(b)
-            adj[b].append(a)
+    if isinstance(chrom, LocusChromosome):
+        links = zip(chrom.nodes, chrom.links)
+    else:
+        removed = set(chrom.removed)
+        links = (pair for pair in view.pairs if pair not in removed)
+    adj = {n: set() for n in view.nodes}
+    for a, b in links:
+        adj[a].add(b)
+        adj[b].add(a)
     seen, clusters = set(), []
     for start in view.nodes:
         if start in seen:

@@ -89,6 +89,12 @@ GOLDEN = {
         "part.dot": "4fa1b2cc6535e7c675b6a7bbe6cbaeee335d5f2368b1fd316835f3997021aaf3",
         "part.json": "65554c0dfe2b26025aeae740227f6a565d25c80f0cb258a992748eda8ebd2ddb",
     },
+    "cluster-emails-locus": {
+        "ck.jsonl": "92e812bbb70ba87c7e2ee9fa708081d8612683fe32f9d349e0fc351568588818",
+        "noa.jsonl": "2a971432f1c0718b8cc2f33b7c1175701dfe0db656637411c5a5ffc6ee51e4c8",
+        "part.dot": "f545cdeb00d1297298cac496986ea50024068dedcde3c5ae9c7a4f1dee44938e",
+        "part.json": "2af8de9ce86ed973681a693efe4ed9494e562815ddde80307562311995801e77",
+    },
     "cluster-posts-edge-removal": {
         "ck.jsonl": "76dea421d3ecce70a60a1dbc6b448e53624fd713d5b96b27dd0528a91e3d40a7",
         "noa.jsonl": "7d04815b0be95c5d528862041f45972336193038ae246afbd7026f6560b19fc4",
@@ -101,6 +107,12 @@ GOLDEN = {
         "part.dot": "3de31e7fd0bd88ee4159d18c378f9b5c78a34d24a908708d00e10c946c9eee77",
         "part.json": "e49835091a4d37b3e616748f2036cf2e321184adb3f2f070c54510bf4367fdf8",
     },
+    "cluster-posts-locus": {
+        "ck.jsonl": "46dc97e20c0dc49822b93ad345c52218c14a98d556dbe31f2962d09e2631a61a",
+        "noa.jsonl": "f6ce31dbdd730e65dd7573ac32271b7d9b20efd5a98c8225472dbe645872f785",
+        "part.dot": "088c550c8c1317f4a6a8984ef850c58e0d49fbda7428593087c7ea125f0675a9",
+        "part.json": "93ab33606ca7ddf184e32b0f707731348c2024c41ac72cec114f2dc453186120",
+    },
     "cluster-comments-edge-removal": {
         "ck.jsonl": "b7eee1d8922f7076691fb8cde4c9ca000c383b91e7ce14d041ae305b1c31d17b",
         "noa.jsonl": "56568effbcd19127ba86b3c1f9cd0b038e6ab2ae24f8a32f851f58a1f82d5e9d",
@@ -112,6 +124,12 @@ GOLDEN = {
         "noa.jsonl": "5e9944e731aa5406dcb856ad6fbc992a2f32c76d5ddad5bb0bc033e09f68b9f8",
         "part.dot": "5ad296df1988d8eeffcb6d7a272ee58fbeee51bf615119affd587a9038630e71",
         "part.json": "59bfc1305bbe51351091bd5b262587b85408474fef58570c68b310c0226e3b0d",
+    },
+    "cluster-comments-locus": {
+        "ck.jsonl": "47ea9a4baebece9e82afc3b952a0e23169c6e2694444dbdb869c0c46417d55cf",
+        "noa.jsonl": "064d622125bec2c672b61ffbbfeaedfd77d2a1bc3f40b7844e509d5074f53e32",
+        "part.dot": "ada4d4b53e4f195a971d652d78cbb9847dc55e93a91a94be58e3ccf313e81bf8",
+        "part.json": "d3e3149b79b21a116f1374e9541606a9ef9977a4c78d82c86dd49ee853f19a8d",
     },
     "cluster-duplicates-emails-edge-removal": {
         "ck.jsonl": "bed9d66a35fe3ec7acadb34293a87ac8409da0de4581069be12d02e16724b949",
@@ -155,6 +173,12 @@ GOLDEN = {
         "part.dot": "ded72cdef54643b7274a49b6a784d5182f9d42ec3382f9ee5cca8a647ca581c3",
         "part.json": "f33d122ff078e5b50ec0bd21bdf0cdd733b132eacbd32f47813aecff41d712a6",
     },
+    "stream-locus": {
+        "ck.jsonl": "c247ae4723454d3292fd1ae7e625b092b61befe90663d973a26b20b747b263a1",
+        "noa.jsonl": "d3f572d4b14de6cae109c449268198fb244842040bb836347690c5a19c176ced",
+        "part.dot": "40735399c47c9edd0d329d1173f5067fdfe708ebbdea97e88f1ae2365341c28d",
+        "part.json": "02bb3af881742d3e835eefb10128b3f5b52eacb0267fa2464110ef47a5b0d5c9",
+    },
     "stream-weights-emails-edge-removal": {
         "ck.jsonl": "f253c3f8bb8272713494fc8886112b36659e38d910a7735655c6b5d068befe0b",
         "noa.jsonl": "04016ea07c1bd7ee42809ed78f876e461c83d0f7e07a234372c206d162bd6b21",
@@ -167,6 +191,12 @@ GOLDEN = {
         "part.dot": "055acd90c51d68e2e00f4073d88f4ccd906e22b9f76b186f85097434075cde6f",
         "part.json": "2fcc488e9df5b4a46061a746a4dd8972e928a61f03dafe6123ec600c2fe0250b",
     },
+    "stream-weights-emails-locus": {
+        "ck.jsonl": "50dbda64dcb2075b0b245f8ecd5a9e5ae24e60a2f14386b7b21d15678a0e18d8",
+        "noa.jsonl": "52f7414c503ca01f15ec78fd914aff4592d791b714e95f7d720355a44cb9f117",
+        "part.dot": "055acd90c51d68e2e00f4073d88f4ccd906e22b9f76b186f85097434075cde6f",
+        "part.json": "08c428cce9dea4087b9c3dd439010a02404f02f1be0850a68c38c70488088097",
+    },
     "stream-weights-emails+posts-max-edge-removal": {
         "ck.jsonl": "13a90f99d5eae0c0efd5e373b942879238f55ba873104d6205f9a5a1d81f9356",
         "noa.jsonl": "15ae43c341a7141878031fb5ffc6d94e12e290f911e9fbd8508647b13b4aff6e",
@@ -178,6 +208,12 @@ GOLDEN = {
         "noa.jsonl": "8cd6d224e850bd7e788469b98ccb5dae27f20c0a63ef27e5a1e2922f73e53e92",
         "part.dot": "2daaa393636c43192ddc39a2dae3992325c57371d740351ef8c8179ba5413327",
         "part.json": "e8fd4019bccc320d01971f643af5c82058265b7acf914fb1218d60fcb37c76a7",
+    },
+    "stream-weights-emails+posts-max-locus": {
+        "ck.jsonl": "eaa6eaf9478f869c5123694c18ee1497fe8150b023a60f71e2c081191183badf",
+        "noa.jsonl": "82e676b845fc68ece90de8e3613ff572c30cced9498071e39812bdcf64d74689",
+        "part.dot": "2daaa393636c43192ddc39a2dae3992325c57371d740351ef8c8179ba5413327",
+        "part.json": "0e1de78874a5b311187aedf0d1660851fc245d1d0c69d576793966a17fae5c19",
     },
     "stream-reuse-edge-removal": {
         "ck.jsonl": "0adfd18657106bae066ea8ce06bee91e9a2eb4c42c31005454d215392c9e8f35",
@@ -216,7 +252,7 @@ def _run(tmp_path, argv):
 def _runs(inputs):
     table1, events, weights, graph, messy = inputs
     for attr in ("emails", "posts", "comments"):
-        for scheme, seed in (("edge-removal", "3"), ("separator", "5")):
+        for scheme, seed in (("edge-removal", "3"), ("separator", "5"), ("locus", "3")):
             yield f"cluster-{attr}-{scheme}", [
                 "cluster", "-i", table1, "--attr", attr, "--scheme", scheme,
                 "--seed", seed, *GA_FLAGS,
@@ -235,7 +271,7 @@ def _runs(inputs):
         "cluster", "-i", table1, "--attr", "emails", "--scheme", "separator",
         "--seed", "1", *REUSE_FLAGS, *GA_FLAGS,
     ]
-    for scheme in ("edge-removal", "separator"):
+    for scheme in ("edge-removal", "separator", "locus"):
         yield f"stream-{scheme}", [
             "stream", "-i", table1, "--events", events, "--attr", "emails",
             "--scheme", scheme, "--seed", "3", *STREAM_FLAGS,
@@ -244,7 +280,7 @@ def _runs(inputs):
         ("emails", ["--attr", "emails"]),
         ("emails+posts-max", ["--attr", "emails", "--attr", "posts", "--agg", "max"]),
     ):
-        for scheme in ("edge-removal", "separator"):
+        for scheme in ("edge-removal", "separator", "locus"):
             yield f"stream-weights-{view}-{scheme}", [
                 "stream", "-i", table1, "--events", weights, *flags,
                 "--scheme", scheme, "--seed", "4", *STREAM_FLAGS,

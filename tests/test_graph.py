@@ -271,6 +271,38 @@ def test_reweighted_view_equals_a_fresh_build(view, data):
         assert patched.pairs is view.pairs and patched.node_index is view.node_index
 
 
+@settings(max_examples=200, deadline=None)
+@given(REWEIGHT_VIEWS, st.data())
+def test_neighbour_table_is_built_on_first_read_and_shared_by_reweighted_views(view, data):
+    view = AttributeView(view.base, view.attrs, view.aggregation)
+    batch = data.draw(reweight_batches(view))
+    snap = view.base
+    for ev in batch:
+        snap = snap.apply(ev)
+    touched = {edge_key(ev.a, ev.b) for ev in batch}
+    # building or re-weighting a view does not build the table
+    assert "neighbours" not in vars(view)
+    unbuilt = view.reweighted(snap, touched)
+    if unbuilt is not None:
+        assert "neighbours" not in vars(unbuilt)
+    want = {node: [] for node in view.nodes}
+    for a, b in view.pairs:
+        want[a].append(b)
+        want[b].append(a)
+    assert view.neighbours == tuple(tuple(sorted(want[n])) or (n,) for n in view.nodes)
+    patched = view.reweighted(snap, touched)
+    if patched is not None:
+        assert patched.neighbours is view.neighbours
+    if len(view.nodes) > 1:
+        # a structural change builds a view with its own table
+        a, b = view.nodes[0], view.nodes[-1]
+        edited = snap.apply(UpdateEvent.remove_edge(2, a, b) if (a, b) in snap.edges
+                            else UpdateEvent.add_edge(2, a, b, (1,) * snap.schema.arity))
+        rebuilt = AttributeView(edited, view.attrs, view.aggregation)
+        assert "neighbours" not in vars(rebuilt)
+        assert rebuilt.neighbours is not view.neighbours
+
+
 def _reference_view_fields(snapshot, attrs, aggregation):
     """`_view_fields` of the view, projected edge by edge from the snapshot."""
     names = snapshot.schema.names

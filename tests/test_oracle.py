@@ -48,8 +48,9 @@ def test_enumeration_caps():
         next(enumerate_labels(11))
     with pytest.raises(TooLarge):
         next(enumerate_labels(4, n_max=3))
-    with pytest.raises(ValueError):
-        next(enumerate_labels(0))
+    for n in (0, -1, -3):
+        with pytest.raises(ValueError, match="no nodes to partition"):
+            next(enumerate_labels(n))
     with pytest.raises(ConfigInvalid):
         next(enumerate_labels(3, n_max=-1))
 
