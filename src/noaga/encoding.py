@@ -8,13 +8,13 @@ to an operator: the engine and every other caller look it up by scheme
 name, never by a chromosome's type, so a new encoding is one record plus
 its operators, which sit next to its chromosome type.
 
-The edge-removal list (default) holds edges to delete; decoding takes the
-connected components of the view minus those edges, so any all-connected
-partition is expressible. The locus chromosome (Park & Song 1998, as in
-GA-Net) gives each node one gene naming a neighbour it links to; decoding
-takes the connected components of those links, so it too expresses every
-all-connected partition, and its operators walk one gene per node instead
-of one per edge. The separator chromosome holds a group count k and k-1
+The locus chromosome (default; Park & Song 1998, as in GA-Net) gives each
+node one gene naming a neighbour it links to; decoding takes the connected
+components of those links, so any all-connected partition is expressible,
+and its operators walk one gene per node. The edge-removal list holds
+edges to delete; decoding takes the connected components of the view minus
+those edges, which expresses the same partitions with one gene per
+removed edge. The separator chromosome holds a group count k and k-1
 cut positions over the id-ascending node order: contiguous runs, cheap but
 only interval partitions. Repair makes any gene material canonical and is
 idempotent; decoding raises UnrepairedChromosome on anything else.

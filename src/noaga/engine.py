@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import analysis
-from .encoding import EDGE_REMOVAL, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
+from .encoding import LOCUS, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
 from .errors import (ConfigInvalid, EventError, Exhausted, NoagaError, check_int, check_version,
                      clip_repr)
 from .fitness import FitnessParams, FitnessValue, rescore, score_terms
@@ -65,7 +65,7 @@ class GAConfig:
     max_evaluations: int = 10_000
     crossover_rate: float = 0.85
     mutation_rate: float = 0.1
-    scheme: str = EDGE_REMOVAL
+    scheme: str = LOCUS
     checkpoint_every: int = 100
     seed: int = 0
     p_init: float = 0.1

@@ -146,7 +146,7 @@ def test_ac5_matches_bruteforce_optimum():
     hits = 0
     for case in range(50):
         view = random_graph(case)
-        result = run(view, GAConfig(seed=case))
+        result = run(view, GAConfig(seed=case, scheme=EDGE_REMOVAL))
         _, best = optimal_partition(view)
         if abs(result.value.total - best.total) <= 1e-9:
             hits += 1
@@ -156,7 +156,7 @@ def test_ac5_matches_bruteforce_optimum():
 
 
 def test_locus_matches_bruteforce_optimum():
-    # ac5 for the locus encoding
+    # ac5 for the default encoding; ac5 itself keeps edge removal checked
     hits = 0
     for case in range(50):
         view = random_graph(case)
@@ -198,8 +198,8 @@ def planted_communities(rng, communities, size, chords, extra_inter):
 
 
 def test_default_run_reaches_the_planted_communities(tmp_path):
-    # five planted 8-node communities; the planted partition is the optimum
-    # the default settings must reach
+    # five planted 8-node communities: a run at default settings reaches
+    # the planted partition and its total
     text, blocks = planted_communities(random.Random(0), 5, 8, 8, 10)
     graph, out = tmp_path / "planted.tsv", tmp_path / "planted.json"
     graph.write_text(text)
@@ -209,7 +209,7 @@ def test_default_run_reaches_the_planted_communities(tmp_path):
     planted = fitness(Partition(blocks, view.attrs, view.version), view)
     assert planted.total == pytest.approx(0.4481, abs=5e-5)
     assert main(["cluster", "-i", str(graph), "--seed", "0", "--iterations", "1000",
-                 "--scheme", LOCUS, "-o", str(out)]) == 0
+                 "-o", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert sorted(tuple(c["members"]) for c in obj["clusters"]) == sorted(blocks)
     assert obj["fitness"]["total"] == planted.total

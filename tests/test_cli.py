@@ -78,6 +78,7 @@ def test_cluster_end_to_end(table1, tmp_path, capsys):
     assert meta["seed"] == 3
     assert meta["attrs"] == ["emails"]
     assert meta["input_sha256"] == io.sha256_of(table1)
+    assert meta["scheme"] == noaga.GAConfig().scheme  # the CLI keeps the library's default
 
     obj = json.loads((tmp_path / "part.json").read_text())
     assert len(obj["clusters"]) == part.cluster_count

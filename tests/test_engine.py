@@ -75,7 +75,7 @@ class ScriptRng:
 
 
 def fake_state(totals, view, seed=0):
-    config = GAConfig(population_size=max(2, len(totals)), seed=seed)
+    config = GAConfig(population_size=max(2, len(totals)), seed=seed, scheme=EDGE_REMOVAL)
     # one cluster of every node, as the empty removal list decodes to
     pop = [
         Individual(
@@ -482,10 +482,10 @@ def test_edge_removal_operators_equal_repair_of_the_raw_genes(view, p_init, rate
 
 
 @settings(max_examples=30, deadline=None)
-@given(views, st.integers(0, 2**32))
-def test_run_without_events_never_repairs(view, seed):
+@given(views, st.sampled_from((EDGE_REMOVAL, LOCUS)), st.integers(0, 2**32))
+def test_run_without_events_never_repairs(view, scheme, seed):
     config = GAConfig(population_size=8, max_evaluations=300, p_init=0.5, mutation_rate=0.5,
-                      checkpoint_every=40, seed=seed)
+                      checkpoint_every=40, scheme=scheme, seed=seed)
     want = run(view, config)
 
     def refuse(*args):
@@ -493,8 +493,9 @@ def test_run_without_events_never_repairs(view, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(encoding, "repair_edge_removal", refuse)
-        record = encoding.SCHEME_TABLE[EDGE_REMOVAL]
-        mp.setitem(encoding.SCHEME_TABLE, EDGE_REMOVAL, replace(record, repair=refuse))
+        mp.setattr(encoding, "repair_locus", refuse)
+        record = encoding.SCHEME_TABLE[scheme]
+        mp.setitem(encoding.SCHEME_TABLE, scheme, replace(record, repair=refuse))
         got = run(view, config)
     assert (got.partition, got.value, got.checkpoints, got.noa_history) == (
         want.partition, want.value, want.checkpoints, want.noa_history
@@ -507,7 +508,8 @@ def test_mutation_passes_a_non_canonical_chromosome_to_decode(emails, removed):
     # a duplicate, a reversed pair, a pair that is no edge of the view
     chrom = EdgeRemovalChromosome(removed)
     assert not _canonical(ER, chrom, emails)
-    state = init_population(emails, GAConfig(population_size=2, max_evaluations=10))
+    state = init_population(emails, GAConfig(population_size=2, max_evaluations=10,
+                                             scheme=EDGE_REMOVAL))
     mutant = ER.mutate(chrom, emails, 0.0, state.rng)
     assert mutant == chrom
     with pytest.raises(UnrepairedChromosome):
@@ -556,11 +558,11 @@ def test_structural_batches_drop_only_the_genes_that_left_the_view(view, scheme,
         else:
             assert after == encoding.repair_separator(before, new)
     # the elite is the old elite carried over, unless a member now beats it
-    members = [ind.chromosome for ind in state.population]
+    elite, members = state.best.chromosome, [ind.chromosome for ind in state.population]
     if scheme == LOCUS:
-        assert _carried_over(old[-1], state.best.chromosome, new) or state.best.chromosome in members
+        assert _carried_over(old[-1], elite, new) or elite in members
     else:
-        assert state.best.chromosome in (state.scheme.repair(old[-1], new), *members)
+        assert elite in (state.scheme.repair(old[-1], new), *members)
 
 
 def _neighbour_sets(view):

@@ -144,16 +144,16 @@ GOLDEN = {
         "part.json": "62b0a3223ffb70a7f43612343d0fc6b52ea2639c09f952bfa41e113dfae63bb9",
     },
     "cluster-all-sum": {
-        "ck.jsonl": "3abe882d57488435557d758c6ed58f3a905e63d99488bcca2a0ac052debb7a19",
-        "noa.jsonl": "1e18b066d865ef4a2f9251ff5ac2ba44e76654117bce8c3ba7430524e095644a",
+        "ck.jsonl": "d06ab97589889c9e9a532859c7d3125720e8cd8972c159677e97b08a50a976b6",
+        "noa.jsonl": "7dd4e5eb38def9782465e2dd41de43566ea5dbd06566bf9186451a33be55b313",
         "part.dot": "e2f0bb387d12cbc28e5c2c8513e272bc7361969193960effa63f18bb851cb8d0",
-        "part.json": "c3b37bf3ec416d419fe24c6435d28cdce7f3810ae39c24f8fdb6ae84f44b7e43",
+        "part.json": "9d2fc0e8def058f04e7743c422ca754730a24e2ebbe8cf2354e09990589a7f31",
     },
     "cluster-emails+posts-max": {
-        "ck.jsonl": "7f67738e546a500f23de096c59c4f3adb81b39a33e840fdd5b5ccc9023dad02d",
-        "noa.jsonl": "62cb873ba859a6437e37e3762bd034467b1ecd49ac55aef4abeb825eb8a3a3d9",
+        "ck.jsonl": "0f9d13e8aa35e6c83d145f0c3c29c2554f5aaa87569a0986b9a934dbcea818a7",
+        "noa.jsonl": "5a8d3181fd7f0efb3c864bd963a616fa8dffacceb01b87917ca74e6bb39e4d20",
         "part.dot": "5c12c812522e549801b51f84697a10a1a576258e09be22fdee86165b5084a638",
-        "part.json": "8ff3d1d111f7de00df8d49b85977469dd1f2438475e386aa83fb109bbbf71613",
+        "part.json": "5f543c31a731fcdd973e2f6ac26abe9a3d14e580ab00992cf9391ac4f78605fa",
     },
     "cluster-reuse-emails-separator": {
         "ck.jsonl": "375a6e31107d487bf9257a628284a14f6d6259e265241aed2a2dccf5858fc7d5",
@@ -262,6 +262,7 @@ def _runs(inputs):
             "cluster", "-i", table1, "--attr", attr, "--scheme", "edge-removal",
             "--seed", "3", *DUPLICATE_FLAGS,
         ]
+    # these two run the default scheme
     yield "cluster-all-sum", ["cluster", "-i", table1, "--seed", "2", *GA_FLAGS]
     yield "cluster-emails+posts-max", [
         "cluster", "-i", table1, "--attr", "emails", "--attr", "posts", "--agg", "max",
