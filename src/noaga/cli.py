@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from . import datasets, io
-from .analysis import cluster_stats, overlay
+from .analysis import noa_records, overlay
 from .encoding import SCHEMES
 from .engine import GAConfig, run
 from .errors import ConfigInvalid, NoagaError
@@ -122,16 +122,14 @@ def _run_meta(args: argparse.Namespace, config: GAConfig, view: AttributeView) -
     return meta
 
 
-def _noas_and_closeness(partition, view) -> tuple[list[int], list[float]]:
-    """Each cluster's NoA and closeness, from one `cluster_stats` pass."""
-    stats = cluster_stats(partition, view)
-    noas = [noa for _, _, noa in stats]
-    return noas, [density(s[0], len(c)) for c, s in zip(partition.clusters, stats)]
+def _noas_and_closeness(records) -> tuple[list[int], list[float]]:
+    """Each cluster's NoA and closeness, from its NoA record."""
+    return [r.noa for r in records], [density(r.edge_count, len(r.members)) for r in records]
 
 
 def _finish_run(args, config, result) -> int:
     view = result.state.view
-    noas, closeness = _noas_and_closeness(result.partition, view)
+    noas, closeness = _noas_and_closeness(result.final_records)
     meta = _run_meta(args, config, view)
     io.write_partition_json(result.partition, result.value, noas, closeness, meta, args.output)
     if args.dot:
@@ -171,7 +169,7 @@ def _cmd_oracle(args) -> int:
     params = FitnessParams(args.lambda_cut, args.mu_small, args.sigma_small)
     view = AttributeView(snapshot, args.attr, args.agg)
     partition, value = optimal_partition(view, params, n_max=args.n_max)
-    noas, closeness = _noas_and_closeness(partition, view)
+    noas, closeness = _noas_and_closeness(noa_records(partition, view, 0))
     meta = {
         "tool": io.TOOL,
         "input_sha256": io.sha256_of(args.input),

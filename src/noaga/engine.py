@@ -25,11 +25,12 @@ looked up again only after the population changed.
 Every other evaluation decodes, then looks the decoded labels up in the run
 state's score memo before scoring: many chromosomes decode to one
 partition, and a converged population keeps producing partitions it has
-scored. The memo maps a labels tuple to the score, cluster count and
-intra-cluster weight it was scored to at the live view; it holds at most
-population_size entries, dropping the oldest on insert, and is cleared
-whenever the view is replaced, so no entry outlives its view version. A hit
-skips scoring and still counts as one evaluation.
+scored. The memo maps packed labels (`pack_labels`: 4 bytes per node) to
+the score, cluster count and intra-cluster weight they were scored to at
+the live view; it holds at most population_size entries, dropping the
+oldest on insert, and is cleared whenever the view is replaced, so no entry
+outlives its view version. A hit skips scoring and still counts as one
+evaluation.
 
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
@@ -38,6 +39,7 @@ seed, input, and events replay bit-identical runs.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -73,6 +75,10 @@ class GAConfig:
     fitness_params: FitnessParams = field(default_factory=FitnessParams)
 
     def __post_init__(self):
+        if not isinstance(self.fitness_params, FitnessParams):
+            raise ConfigInvalid(
+                f"fitness_params must be a FitnessParams, got {clip_repr(self.fitness_params)}"
+            )
         for name in ("population_size", "max_evaluations", "checkpoint_every", "k_max", "seed"):
             check_int(name, getattr(self, name))
         if self.population_size < 2:
@@ -100,13 +106,14 @@ class Individual:
     scored against, plus what a weight-only batch re-scores it from: the
     cluster label of each active node in view order, the cluster count k
     and the intra-cluster aggregated weight. The cache is valid only at
-    that version. `labels` is a tuple, the run's score memo key, so a
-    member scored on a memo miss shares one copy with its entry."""
+    that version. `labels` is packed (`pack_labels`), the run's score memo
+    key, so a member scored on a memo miss shares one copy with its entry;
+    `unpack_labels` reads it back."""
 
     chromosome: Chromosome
     value: FitnessValue
     version: int
-    labels: tuple[int, ...]
+    labels: bytes
     k: int
     weight_in: int
 
@@ -127,7 +134,7 @@ class Checkpoint:
 class GAState:
     """Live run state; mutated in place by step() and event application.
 
-    `memo` maps the labels tuple of each partition scored at the live view,
+    `memo` maps the packed labels of each partition scored at the live view,
     oldest first, to its (value, k, weight_in); `_evaluate` fills it and
     keeps at most config.population_size entries, and `apply_events`
     clears it with every view it installs."""
@@ -145,11 +152,24 @@ class GAState:
     worst: int | None = None
     # the record of config.scheme: the engine's only way to a chromosome
     scheme: Scheme = field(init=False, repr=False)
-    memo: dict[tuple[int, ...], tuple[FitnessValue, int, int]] = field(init=False, repr=False)
+    memo: dict[bytes, tuple[FitnessValue, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scheme = SCHEME_TABLE[self.config.scheme]
         self.memo = {}
+
+
+def pack_labels(labels: Sequence[int]) -> bytes:
+    """Cluster labels as 4 bytes each, in native byte order: half the size
+    of a tuple's pointers, and no int object per label."""
+    # struct, not array: a run already loads struct's module, and loading
+    # array's shared library raises a small run's peak RSS by about 80 KB
+    return struct.pack(f"{len(labels)}I", *labels)
+
+
+def unpack_labels(labels: bytes) -> memoryview:
+    """The cluster labels `pack_labels` packed, read in place."""
+    return memoryview(labels).cast("I")
 
 
 def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
@@ -157,12 +177,13 @@ def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
     take their score from the memo, or score them and memoise the result.
     Costs one evaluation either way."""
     view = state.view
-    labels = tuple(state.scheme.decode(chrom, view))
+    decoded = state.scheme.decode(chrom, view)
+    labels = pack_labels(decoded)
     memo = state.memo
     scored = memo.get(labels)
     if scored is None:
-        parts = labels if state.scheme.connected else part_labels(view, labels)
-        scored = score_terms(labels, parts, view, state.config.fitness_params)
+        parts = decoded if state.scheme.connected else part_labels(view, decoded)
+        scored = score_terms(decoded, parts, view, state.config.fitness_params)
         if len(memo) >= state.config.population_size:
             del memo[next(iter(memo))]
         memo[labels] = scored
@@ -179,7 +200,7 @@ def _rescore(
     one of its clusters moves its intra-cluster weight. Costs one
     evaluation."""
     check_version("individual", ind.version, version)
-    labels = ind.labels
+    labels = unpack_labels(ind.labels)
     weight_in = ind.weight_in
     for a, b, delta in deltas:
         if labels[a] == labels[b]:
@@ -187,7 +208,7 @@ def _rescore(
     view = state.view
     value = rescore(ind.value, ind.k, weight_in, view.total_weight, state.config.fitness_params)
     state.evaluations += 1
-    return Individual(ind.chromosome, value, view.version, labels, ind.k, weight_in)
+    return Individual(ind.chromosome, value, view.version, ind.labels, ind.k, weight_in)
 
 
 def _reuse(state: GAState, parent: Individual) -> Individual:
@@ -334,7 +355,7 @@ def snapshot_best(state: GAState) -> tuple[Partition, FitnessValue]:
     it was scored, without touching the run."""
     best = state.best
     check_version("elite", best.version, state.view.version)
-    return Partition.from_labels(state.view, best.labels), best.value
+    return Partition.from_labels(state.view, unpack_labels(best.labels)), best.value
 
 
 @dataclass
@@ -345,6 +366,13 @@ class RunResult:
     noa_history: list[analysis.NoARecord]
     state: GAState
     unapplied_ticks: tuple[int, ...] = ()
+
+    @property
+    def final_records(self) -> list[analysis.NoARecord]:
+        """The NoA records of `partition`, one per cluster: those of the
+        run's last observation, which is always of the final elite at the
+        final view."""
+        return self.noa_history[-self.partition.cluster_count:]
 
 
 def run(
@@ -359,8 +387,12 @@ def run(
     iterations plus once at termination when the final iteration is
     off-cadence; NoA records are appended at every checkpoint and after
     every event batch. Events the budget can no longer afford are returned
-    as unapplied_ticks rather than half-applied.
+    as unapplied_ticks rather than half-applied. The result's partition
+    and value are those of the last observation.
     """
+    for ev in events:
+        if not isinstance(ev, UpdateEvent):
+            raise ConfigInvalid(f"events must be UpdateEvents, got {clip_repr(ev)}")
     for prev, nxt in zip(events, events[1:]):
         if nxt.tick < prev.tick:
             raise EventError(nxt.tick, f"ticks must be non-decreasing (after {prev.tick})")
@@ -370,10 +402,12 @@ def run(
     queue = list(events)
     qi = 0
     last_checkpoint = -1
+    final: tuple[Partition, FitnessValue]
 
     def observe(tick: int, checkpoint: bool) -> None:
         """Record the elite's NoAs at `tick`, after a checkpoint if asked."""
-        part, value = snapshot_best(state)
+        nonlocal final
+        final = part, value = snapshot_best(state)
         if checkpoint:
             sizes = tuple(len(c) for c in part.clusters)
             checkpoints.append(Checkpoint(state.iteration, state.evaluations, state.view.version,
@@ -399,6 +433,7 @@ def run(
             last_checkpoint = state.iteration
     if state.iteration != last_checkpoint:
         observe(state.iteration, checkpoint=True)
-    partition, value = snapshot_best(state)
+    # every exit above follows an observation of the final elite and view
+    partition, value = final
     unapplied = tuple(ev.tick for ev in queue[qi:])
     return RunResult(partition, value, checkpoints, history, state, unapplied)

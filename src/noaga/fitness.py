@@ -85,6 +85,8 @@ def fitness(
     """
     if params is None:
         params = FitnessParams()
+    elif not isinstance(params, FitnessParams):
+        raise ConfigInvalid(f"params must be a FitnessParams, got {clip_repr(params)}")
     check_version("partition", partition.source_version, view.version)
     if not partition.clusters:
         raise EmptyPartition("fitness of a partition with no clusters")

@@ -369,6 +369,12 @@ class AttributeView:
     weight; the edge is active iff that is positive. `reweighted` derives
     the view of a snapshot that only re-weighted edges from the view of its
     predecessor.
+
+    Two lookup tables are built on their first read, never while a view is
+    built, so a run pays only for the ones it reads: `pair_index`, read by
+    edge-removal decode, repair and carry-over, by `reweighted` and
+    `weight_of`; and `neighbours`, read by the locus operators. A
+    `reweighted` successor shares each table that is built by then.
     """
 
     def __init__(
@@ -415,7 +421,6 @@ class AttributeView:
             )
         self.nodes: tuple[int, ...] = tuple(sorted(nodes))
         self.node_index = node_index = {n: i for i, n in enumerate(self.nodes)}
-        self.pair_index = {p: i for i, p in enumerate(pairs)}
         # endpoint index arrays, the decode hot path walks these
         self.ea = [node_index[a] for a, _ in pairs]
         self.eb = [node_index[b] for _, b in pairs]
@@ -429,8 +434,9 @@ class AttributeView:
         (every weight zeroed) or turns active or inactive here: the node or
         edge set can then change, which needs a full build.
 
-        Shares the edge and node tables with this view; only the weights
-        and the total are new. Nothing is re-sorted."""
+        Shares the edge and node tables with this view, `pair_index` (which
+        this reads) included; only the weights and the total are new.
+        Nothing is re-sorted."""
         changed: dict[int, int] = {}
         for key in set(pairs):
             vec = base.edges.get(key)
@@ -452,6 +458,11 @@ class AttributeView:
                 weights[idx] = w
             view.weights = tuple(weights)
         return view
+
+    @cached_property
+    def pair_index(self) -> dict[Pair, int]:
+        """The index of each active edge in `pairs`, built on the first read."""
+        return {p: i for i, p in enumerate(self.pairs)}
 
     @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:

@@ -1,16 +1,16 @@
 """File formats: edge-list TSV, event-stream JSONL, partition JSON,
 checkpoint/NoA JSONL logs, and Graphviz DOT export.
 
-Each format has one writer, and each writer hands its lines to
+Each format has one writer, and each writer hands its lines or chunks to
 `atomic_write_chunks`, the one function that writes a file: a temp file in
-the target's directory, renamed over the target. Only the partition JSON is
-rendered whole first (`partition_json_text`, which `noaga oracle` also
-prints). Writers are byte-deterministic for equal inputs: iteration orders
-are sorted or fixed, floats go through repr, and no timestamps or process
-ids appear anywhere. Field names are documented in docs/formats.md and are
-part of the public contract. The edge-list parser keeps one int per distinct
-field text and one tuple per distinct weight vector, so each node id is one
-object however many rows name it.
+the target's directory, renamed over the target. No file is rendered whole
+first; `partition_json_text`, which `noaga oracle` prints, joins the chunks
+the partition JSON writer streams. Writers are byte-deterministic for equal
+inputs: iteration orders are sorted or fixed, floats go through repr, and
+no timestamps or process ids appear anywhere. Field names are documented
+in docs/formats.md and are part of the public contract. The edge-list
+parser keeps one int per distinct field text and one tuple per distinct
+weight vector, so each node id is one object however many rows name it.
 """
 
 from __future__ import annotations
@@ -346,17 +346,19 @@ def write_event_stream(events: Iterable[UpdateEvent], path: str) -> None:
 # ------------------------------------------------------------ partition JSON
 
 
-def partition_json_text(
+def _partition_json_chunks(
     partition: Partition,
     value: FitnessValue,
     noas: Sequence[int],
     closeness: Sequence[float],
     meta: dict,
-) -> str:
+) -> Iterator[str]:
     """The partition file: each cluster with its NoA and closeness (given in
-    cluster order), the fitness and the run's meta block."""
+    cluster order), the fitness and the run's meta block, in the chunks of
+    `iterencode`. They join to `json.dumps(obj, indent=2) + "\n"`, which
+    runs the same encoder; a cluster's members tuple encodes as a list."""
     clusters = [
-        {"members": list(cluster), "noa": noa, "closeness": dens}
+        {"members": cluster, "noa": noa, "closeness": dens}
         for cluster, noa, dens in zip(partition.clusters, noas, closeness)
     ]
     obj = {
@@ -371,7 +373,19 @@ def partition_json_text(
             "small_count": value.small_count,
         },
     }
-    return json.dumps(obj, indent=2) + "\n"
+    yield from json.JSONEncoder(indent=2).iterencode(obj)
+    yield "\n"
+
+
+def partition_json_text(
+    partition: Partition,
+    value: FitnessValue,
+    noas: Sequence[int],
+    closeness: Sequence[float],
+    meta: dict,
+) -> str:
+    """The partition file `write_partition_json` writes, as one string."""
+    return "".join(_partition_json_chunks(partition, value, noas, closeness, meta))
 
 
 def write_partition_json(
@@ -382,7 +396,7 @@ def write_partition_json(
     meta: dict,
     path: str,
 ) -> None:
-    atomic_write_chunks(path, (partition_json_text(partition, value, noas, closeness, meta),))
+    atomic_write_chunks(path, _partition_json_chunks(partition, value, noas, closeness, meta))
 
 
 def read_partition_json(path: str) -> tuple[dict, Partition]:

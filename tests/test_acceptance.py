@@ -315,13 +315,20 @@ def _merge_signals(view, **kwargs):
         (lambda view: UpdateEvent.update_weight(1, 1, 2, "emails", 2.7), ConfigInvalid),
         (lambda view: view.base.apply(UpdateEvent.add_node("x", "Q")), ConfigInvalid),
         (lambda view: next(enumerate_labels("3")), ConfigInvalid),
+        (lambda view: GAConfig(fitness_params=None), ConfigInvalid),
+        (lambda view: GAConfig(fitness_params="x"), ConfigInvalid),
+        (lambda view: fitness(Partition(EMAILS_TARGET, view.attrs, view.version), view, "x"),
+         ConfigInvalid),
+        (lambda view: run(view, GAConfig(population_size=4, max_evaluations=20), [1, 2]),
+         ConfigInvalid),
     ],
     ids=[
         "crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop",
         "weight-of-str", "weight-of-bool", "weight-of-float", "theta-str", "window-str",
         "theta-float", "window-bool", "n-max-str", "arity-str", "low-float", "nodes-str",
         "nodes-float", "edge-weight-float", "edge-weight-str", "update-value-float",
-        "tick-str", "enumerate-n-str",
+        "tick-str", "enumerate-n-str", "fitness-params-none", "fitness-params-str",
+        "fitness-of-params-str", "run-events-int",
     ],
 )
 def test_wrong_typed_library_input_raises_a_noaga_error(emails, call, error):

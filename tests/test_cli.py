@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noaga
-from noaga import datasets, io
+from noaga import analysis, datasets, io
 from noaga.cli import main
-from noaga.graph import AttributeView
+from noaga.graph import AttributeView, Partition
 
 from conftest import components
 
@@ -261,6 +261,39 @@ def test_oracle_small_graph_stdout(tmp_path, capsys):
     assert [c["members"] for c in obj["clusters"]] == [[1, 2, 3], [4, 5, 6]]
     assert obj["fitness"]["total"] == pytest.approx(0.9)
     assert obj["meta"]["n_max"] == 10
+
+
+def test_oracle_prints_the_bytes_it_writes(tmp_path, capsys):
+    src = tmp_path / "twotri.tsv"
+    src.write_text(
+        "node_a\tnode_b\tcourriel\u00e9\t\u8a55\u8ad6\n"
+        "1\t2\t4\t1\n1\t3\t4\t0\n2\t3\t4\t2\n4\t5\t4\t1\n3\t4\t1\t3\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "-i", str(src)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["oracle", "-i", str(src), "-o", str(out)]) == 0
+    assert out.read_bytes() == printed.encode("utf-8")
+    assert json.loads(printed)["attrs"] == ["courriel\u00e9", "\u8a55\u8ad6"]
+
+
+def test_a_cluster_run_analyses_its_final_partition_once(table1, tmp_path, monkeypatch):
+    # the partition, NoAs and closeness written come from the run's last
+    # observation; with no checkpoint before the end that is the only one
+    stats, builds = [], []
+    cluster_stats = analysis.cluster_stats
+    for module in (analysis, sys.modules["noaga.fitness"]):
+        monkeypatch.setattr(module, "cluster_stats",
+                            lambda *a: stats.append(1) or cluster_stats(*a))
+    from_labels = Partition.from_labels.__func__
+    monkeypatch.setattr(Partition, "from_labels",
+                        classmethod(lambda cls, *a: builds.append(1) or from_labels(cls, *a)))
+    out, dot = str(tmp_path / "part.json"), str(tmp_path / "part.dot")
+    assert main(["cluster", "-i", table1, "--seed", "3", "--iterations", "50",
+                 "--checkpoint-every", "100", "-o", out, "--dot", dot]) == 0
+    assert (len(stats), len(builds)) == (1, 1)
+    assert "[color=red];" in (tmp_path / "part.dot").read_text()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +38,8 @@ from noaga import (
 )
 from noaga import encoding, engine
 from noaga.encoding import LOCUS, SCHEME_TABLE, SEPARATOR, _draw_unlisted
-from noaga.engine import GAState, _evaluate, _worst_index, apply_events
+from noaga.engine import (GAState, _evaluate, _worst_index, apply_events, pack_labels,
+                          unpack_labels)
 from noaga.fitness import score_terms
 from noaga.graph import part_labels
 
@@ -697,9 +699,9 @@ def _apply_counting_decodes(state, batch, *, full=False):
 
 def _run_state(state):
     return (
-        [(i.chromosome, i.value, i.version, tuple(i.labels), i.k, i.weight_in)
+        [(i.chromosome, i.value, i.version, i.labels, i.k, i.weight_in)
          for i in state.population],
-        (state.best.chromosome, state.best.value, state.best.version, tuple(state.best.labels),
+        (state.best.chromosome, state.best.value, state.best.version, state.best.labels,
          state.best.k, state.best.weight_in),
         state.evaluations, state.iteration, state.rng.getstate(), list(state.applied),
         state.view.pairs, state.view.weights, state.view.total_weight, state.view.nodes,
@@ -841,7 +843,7 @@ def _scored_afresh(state, chrom):
     labels = state.scheme.decode(chrom, state.view)
     value, k, weight_in = _fresh_terms(state, labels)
     state.evaluations += 1
-    return Individual(chrom, value, state.view.version, labels, k, weight_in)
+    return Individual(chrom, value, state.view.version, pack_labels(labels), k, weight_in)
 
 
 REFERENCE_CROSSOVER = {
@@ -1004,7 +1006,7 @@ def test_a_memo_that_never_hits_gives_the_same_run(emails, scheme, stream):
 def _assert_memo_is_fresh(state):
     """Every memo entry is the score of its labels at the live view."""
     for labels, scored in state.memo.items():
-        assert scored == _fresh_terms(state, labels)
+        assert scored == _fresh_terms(state, unpack_labels(labels).tolist())
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -1031,8 +1033,9 @@ def test_a_weight_only_batch_leaves_no_memoised_score_behind(emails, scheme):
     state = init_population(emails, config)
     view = state.view
     # a member and an edge inside one of its clusters, whose weight the batch moves
-    ind, i = next((ind, i) for ind in state.population for i in range(len(view.pairs))
-                  if ind.labels[view.ea[i]] == ind.labels[view.eb[i]])
+    ind, i = next((ind, i) for ind in state.population
+                  for labels in [unpack_labels(ind.labels)] for i in range(len(view.pairs))
+                  if labels[view.ea[i]] == labels[view.eb[i]])
     apply_events(state, [UpdateEvent.update_weight(1, *view.pairs[i], "emails",
                                                    view.weights[i] + 5)])
     assert state.view.version == 1 and state.view.pairs == view.pairs
@@ -1040,3 +1043,72 @@ def test_a_weight_only_batch_leaves_no_memoised_score_behind(emails, scheme):
     want = _scored_afresh(state, ind.chromosome)
     assert (got.value, got.k, got.weight_in) == (want.value, want.k, want.weight_in)
     assert got.weight_in == ind.weight_in + 5 and got.value != ind.value
+
+
+def _fresh_view(view):
+    """A new build of `view`, whose lookup tables no other test has read."""
+    return AttributeView(view.base, view.attrs, view.aggregation)
+
+
+def _counting_pair_index_builds(mp):
+    """Record each view whose `pair_index` is built into the returned list."""
+    builds = []
+    build = AttributeView.pair_index.func
+    counted = cached_property(lambda view: builds.append(view) or build(view))
+    counted.__set_name__(AttributeView, "pair_index")
+    mp.setattr(AttributeView, "pair_index", counted)
+    return builds
+
+
+def test_a_locus_run_never_builds_the_pair_index(emails):
+    view = _fresh_view(emails)
+    result = run(view, GAConfig(population_size=10, max_evaluations=300, seed=2))
+    assert result.state.scheme is SCHEME_TABLE[LOCUS] and result.state.view is view
+    assert "pair_index" not in vars(view)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_weight_only_batch_shares_the_pair_index_and_a_structural_one_builds_its_own(
+    emails, scheme
+):
+    config = GAConfig(population_size=6, max_evaluations=200, scheme=scheme, p_init=0.5, seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        builds = _counting_pair_index_builds(mp)
+        view = _fresh_view(emails)
+        state = init_population(view, config)
+        weight_only, structural = _table1_stream(view)[:2]
+        apply_events(state, [weight_only])
+        assert state.view is not view and state.view.pairs is view.pairs
+        assert builds == [view] and state.view.pair_index is view.pair_index
+        apply_events(state, [structural])
+        rebuilt = state.view
+        # only edge-removal's carry-over reads the new view's table
+        assert ("pair_index" in vars(rebuilt)) == (scheme == EDGE_REMOVAL)
+        assert rebuilt.pair_index == {p: i for i, p in enumerate(rebuilt.pairs)}
+        assert builds == [view, rebuilt]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_labels_and_memo_keys_are_packed_decodes(emails, scheme):
+    config = GAConfig(population_size=6, max_evaluations=400, scheme=scheme, p_init=0.5,
+                      mutation_rate=0.3, seed=5)
+    state = init_population(emails, config)
+
+    def assert_packed():
+        n = state.view.node_count
+        for ind in [*state.population, state.best]:
+            assert type(ind.labels) is bytes and len(ind.labels) == 4 * n
+            assert unpack_labels(ind.labels).tolist() == state.scheme.decode(ind.chromosome,
+                                                                              state.view)
+        for key in state.memo:
+            assert type(key) is bytes and len(key) == 4 * n
+            labels = unpack_labels(key).tolist()
+            assert sorted(set(labels)) == list(range(max(labels) + 1))
+
+    batches = {20: _table1_stream(emails)[:1], 40: _table1_stream(emails)[1:2]}
+    for i in range(60):
+        if i in batches:
+            apply_events(state, batches[i])
+            assert_packed()
+        step(state)
+        assert_packed()

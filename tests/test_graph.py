@@ -275,16 +275,19 @@ def test_reweighted_view_equals_a_fresh_build(view, data):
 @given(REWEIGHT_VIEWS, st.data())
 def test_neighbour_table_is_built_on_first_read_and_shared_by_reweighted_views(view, data):
     view = AttributeView(view.base, view.attrs, view.aggregation)
+    # building a view builds neither lookup table
+    assert "neighbours" not in vars(view) and "pair_index" not in vars(view)
     batch = data.draw(reweight_batches(view))
     snap = view.base
     for ev in batch:
         snap = snap.apply(ev)
     touched = {edge_key(ev.a, ev.b) for ev in batch}
-    # building or re-weighting a view does not build the table
-    assert "neighbours" not in vars(view)
+    # nor does re-weighting one, which reads only the edge index and shares it
     unbuilt = view.reweighted(snap, touched)
     if unbuilt is not None:
         assert "neighbours" not in vars(unbuilt)
+        if touched:
+            assert unbuilt.pair_index is view.pair_index
     want = {node: [] for node in view.nodes}
     for a, b in view.pairs:
         want[a].append(b)

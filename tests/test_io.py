@@ -3,6 +3,7 @@
 import ast
 import fnmatch
 import hashlib
+import json
 import os
 import random
 import stat
@@ -30,7 +31,7 @@ from noaga import (
 )
 from noaga.analysis import find_noa, noa_records
 from noaga.engine import Checkpoint
-from noaga.fitness import closeness
+from noaga.fitness import FitnessValue, closeness
 
 from conftest import EMAILS_TARGET
 
@@ -313,6 +314,54 @@ def test_partition_json_round_trip(emails, tmp_path):
     assert f'"total": {value.total!r}' in text
 
 
+def _reference_partition_json(part, value, noas, dens, meta):
+    """The partition file as one `json.dumps` renders it, per docs/formats.md."""
+    obj = {
+        "meta": meta,
+        "version": part.source_version,
+        "attrs": list(part.attrs),
+        "clusters": [{"members": list(c), "noa": noa, "closeness": d}
+                     for c, noa, d in zip(part.clusters, noas, dens)],
+        "fitness": {"total": value.total, "closeness_mean": value.closeness_mean,
+                    "cut_fraction": value.cut_fraction, "small_count": value.small_count},
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def partition_files(draw):
+    """A partition over distinct node ids with a NoA and a closeness per
+    cluster, a fitness value and a meta block, all of any text."""
+    nodes = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=30, unique=True))
+    labels = draw(st.lists(st.integers(0, 4), min_size=len(nodes), max_size=len(nodes)))
+    clusters = [tuple(n for n, label in zip(nodes, labels) if label == c) for c in set(labels)]
+    attrs = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    part = Partition(clusters, attrs, draw(st.integers(0, 10**6)))
+    noas = [draw(st.sampled_from(c)) for c in part.clusters]
+    dens = [draw(UNIT) for _ in part.clusters]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    value = FitnessValue(draw(finite), draw(UNIT), draw(UNIT), draw(st.integers(0, 30)))
+    meta = draw(st.dictionaries(TEXT, st.one_of(TEXT, st.integers(), finite,
+                                                st.lists(TEXT, max_size=3)), max_size=6))
+    return part, value, noas, dens, meta
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_files())
+def test_streamed_partition_json_is_one_dumps_call(file):
+    want = _reference_partition_json(*file).encode("utf-8")
+    assert io.partition_json_text(*file).encode("utf-8") == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "part.json")
+        io.write_partition_json(*file, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want
+
+
 def test_read_partition_json_errors(tmp_path):
     with pytest.raises(ParseError):
         io.read_partition_json(write(tmp_path, "x.json", "not json"))
@@ -430,9 +479,10 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_write_dot_never_holds_the_whole_text(tmp_path):
-    # streamed line by line, the traced peak stays below the file's size
-    # (twice it for the edge list, whose rows are sorted first); joining the
-    # text first would take that much on its own
+    # streamed line by line (the partition JSON chunk by chunk), the traced
+    # peak stays below the file's size (twice it for the edge list, whose
+    # rows are sorted first); joining the text first would take that much on
+    # its own
     snap = GraphSnapshot.from_checked(
         AttributeSchema(("w1",)), {pair: (1,) for pair in datasets.scale_pairs()}
     )
@@ -441,6 +491,8 @@ def test_write_dot_never_holds_the_whole_text(tmp_path):
     writers = [
         ("scale.dot", 1, lambda path: io.write_dot(part, view, path, noa_nodes=[1], new_since=0)),
         ("scale.tsv", 2, lambda path: io.write_edge_list(snap, path)),
+        ("scale.json", 1, lambda path: io.write_partition_json(
+            part, FitnessValue(0.5, 0.75, 0.1, 0), [1], [0.25], {"tool": io.TOOL}, path)),
     ]
     for name, bound, write_file in writers:
         path = tmp_path / name
