@@ -74,7 +74,7 @@ from .engine import (
     snapshot_best,
     step,
 )
-from .fitness import FitnessParams, FitnessValue, closeness, fitness
+from .fitness import FitnessParams, FitnessValue, fitness
 from .graph import (
     AppliedEvent,
     AttributeSchema,
@@ -86,6 +86,6 @@ from .graph import (
     UpdateEvent,
     edge_key,
 )
-from .oracle import bell_number, enumerate_labels, optimal_partition
+from .oracle import bell_number, optimal_partition
 
 from . import datasets, errors, io  # noqa: E402  (namespace re-exports)

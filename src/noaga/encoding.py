@@ -2,11 +2,11 @@
 
 Each encoding is one `Scheme` record in `SCHEME_TABLE`, and `SCHEMES` lists
 their names. A record holds the operators of one chromosome type (random,
-repair, crossover, mutate, decode to labels, carry_over to a run's next
-view) and whether its clusters are connected. The record is the only way
-to an operator: the engine and every other caller look it up by scheme
-name, never by a chromosome's type, so a new encoding is one record plus
-its operators, which sit next to its chromosome type.
+crossover, mutate, decode to labels, carry_over to a run's next view) and
+whether its clusters are connected. The record is the only way to an
+operator: the engine and every other caller look it up by scheme name,
+never by a chromosome's type, so a new encoding is one record plus its
+operators, which sit next to its chromosome type.
 
 The locus chromosome (default; Park & Song 1998, as in GA-Net) gives each
 node one gene naming a neighbour it links to; decoding takes the connected
@@ -16,8 +16,10 @@ edges to delete; decoding takes the connected components of the view minus
 those edges, which expresses the same partitions with one gene per
 removed edge. The separator chromosome holds a group count k and k-1
 cut positions over the id-ascending node order: contiguous runs, cheap but
-only interval partitions. Repair makes any gene material canonical and is
-idempotent; decoding raises UnrepairedChromosome on anything else.
+only interval partitions. The operators make canonical chromosomes from
+canonical ones, and decoding raises UnrepairedChromosome on anything else;
+the separator operators get there through `repair_separator`, which makes
+any separator gene material canonical and is idempotent.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 from typing import Callable, Union
 
 from .errors import UnrepairedChromosome
@@ -41,7 +42,8 @@ LOCUS = "locus"
 class EdgeRemovalChromosome:
     """Variable-length list of edges to delete from the view.
 
-    Order is genetic material (crossover cuts by position), so repair keeps
+    Canonical: distinct (low, high) pairs active in the view. Order is
+    genetic material (crossover cuts by position), so the operators keep
     first occurrences in place instead of sorting.
     """
 
@@ -58,24 +60,6 @@ def random_edge_removal(
     return EdgeRemovalChromosome(tuple(p for p in view.pairs if rng.random() < p_init))
 
 
-def repair_edge_removal(
-    chrom: EdgeRemovalChromosome, view: AttributeView
-) -> EdgeRemovalChromosome:
-    """Normalize pairs, drop edges not active in the view, dedupe keeping the
-    first occurrence. Idempotent."""
-    seen: set[Pair] = set()
-    out: list[Pair] = []
-    for a, b in chrom.removed:
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key in seen or key not in view.pair_index:
-            continue
-        seen.add(key)
-        out.append(key)
-    return EdgeRemovalChromosome(tuple(out))
-
-
 def single_point_crossover(
     p1: EdgeRemovalChromosome, p2: EdgeRemovalChromosome, view: AttributeView, rng: random.Random
 ) -> tuple[EdgeRemovalChromosome, EdgeRemovalChromosome]:
@@ -83,7 +67,7 @@ def single_point_crossover(
 
     Cut points are drawn independently per parent (a shared index is
     undefined when lengths differ). Parents must be canonical for `view`;
-    a child keeps the first occurrence of a repeated edge, as repair would.
+    a child keeps the first occurrence of a repeated edge.
     """
     r1, r2 = p1.removed, p2.removed
     cut1 = rng.randint(0, len(r1))
@@ -181,21 +165,6 @@ def random_locus(
     return LocusChromosome(view.nodes, tuple(map(rng.choice, view.neighbours)))
 
 
-def _relink(chrom: LocusChromosome, view: AttributeView, pick) -> LocusChromosome:
-    """The genes on the view's node order: a node keeps its gene when that
-    names a neighbour (an isolate: itself), else links to `pick(neighbours)`."""
-    given = dict(zip(chrom.nodes, chrom.links))
-    return LocusChromosome(view.nodes, tuple(
-        gene if gene in nbrs else pick(nbrs)
-        for gene, nbrs in zip(map(given.get, view.nodes), view.neighbours)
-    ))
-
-
-def repair_locus(chrom: LocusChromosome, view: AttributeView) -> LocusChromosome:
-    """A gene that names no neighbour links to the smallest one. Idempotent."""
-    return _relink(chrom, view, itemgetter(0))
-
-
 def uniform_crossover(
     p1: LocusChromosome, p2: LocusChromosome, view: AttributeView, rng: random.Random
 ) -> tuple[LocusChromosome, LocusChromosome]:
@@ -236,9 +205,14 @@ def decode_locus(chrom: LocusChromosome, view: AttributeView) -> list[int]:
 def carry_over_locus(
     chrom: LocusChromosome, view: AttributeView, rng: random.Random
 ) -> LocusChromosome:
-    """Keep each gene whose link is still in `view`; draw a neighbour for
-    one whose link left and for a node new to the view."""
-    return _relink(chrom, view, rng.choice)
+    """The genes on `view`'s node order: keep each gene whose link is still
+    a neighbour there (an isolate: itself); draw a neighbour for one whose
+    link left and for a node new to the view."""
+    given = dict(zip(chrom.nodes, chrom.links))
+    return LocusChromosome(view.nodes, tuple(
+        gene if gene in nbrs else rng.choice(nbrs)
+        for gene, nbrs in zip(map(given.get, view.nodes), view.neighbours)
+    ))
 
 
 @dataclass(frozen=True)
@@ -334,13 +308,12 @@ Chromosome = Union[EdgeRemovalChromosome, LocusChromosome, SeparatorChromosome]
 @dataclass(frozen=True)
 class Scheme:
     """One encoding: the operators of its chromosome type, which all but
-    `random` and `repair` apply to canonical chromosomes only. `carry_over`
+    `random` apply to canonical chromosomes only. `carry_over`
     makes a chromosome canonical for the run's previous view canonical for
     the new one; it may draw from the run's RNG.
     `connected`: decoded clusters are connected, so they are their own parts."""
 
     random: Callable[..., Chromosome]  # (view, rng, p_init, k_max): each uses its own
-    repair: Callable[..., Chromosome]  # (chrom, view)
     crossover: Callable[..., tuple[Chromosome, Chromosome]]  # (p1, p2, view, rng)
     mutate: Callable[..., Chromosome]  # (chrom, view, rate, rng)
     decode: Callable[..., list[int]]  # (chrom, view): a label per active node, in view order
@@ -350,16 +323,16 @@ class Scheme:
 
 SCHEME_TABLE: dict[str, Scheme] = {
     EDGE_REMOVAL: Scheme(
-        random_edge_removal, repair_edge_removal, single_point_crossover,
-        mutate_edge_removal, decode_edge_removal, carry_over_edge_removal, connected=True,
+        random_edge_removal, single_point_crossover, mutate_edge_removal,
+        decode_edge_removal, carry_over_edge_removal, connected=True,
     ),
     SEPARATOR: Scheme(
-        random_separator, repair_separator, swap_crossover,
-        mutate_separator, decode_separator, carry_over_separator, connected=False,
+        random_separator, swap_crossover, mutate_separator,
+        decode_separator, carry_over_separator, connected=False,
     ),
     LOCUS: Scheme(
-        random_locus, repair_locus, uniform_crossover,
-        mutate_locus, decode_locus, carry_over_locus, connected=True,
+        random_locus, uniform_crossover, mutate_locus,
+        decode_locus, carry_over_locus, connected=True,
     ),
 }
 SCHEMES = tuple(SCHEME_TABLE)

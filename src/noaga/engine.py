@@ -9,28 +9,25 @@ against the new snapshot).
 The engine reaches a chromosome only through the `encoding.Scheme` record
 of the run's scheme, looked up by name once per run state: it makes,
 crosses, mutates, decodes and carries chromosomes over with the record's
-operators, which keep them canonical, and never repairs one.
+operators, which keep them canonical.
 
 A weight-only batch, whose every event re-weights an edge without turning
 it active or inactive in the view, cannot change a decoded partition. Its
-re-evaluations skip repair and decode: each individual is re-scored from
-the cluster labels, cluster count and intra-cluster weight cached when it
-was scored, and each still counts as one evaluation.
-
-A child equal to one of its parents decodes to the parent's labels against
-the same view, so it takes the parent's score and cached terms without
-decode or score, and still counts as one evaluation. The worst member is
-looked up again only after the population changed.
+re-evaluations skip decode: each individual is re-scored from the cluster
+labels, cluster count and intra-cluster weight cached when it was scored,
+and each still counts as one evaluation.
 
 Every other evaluation decodes, then looks the decoded labels up in the run
 state's score memo before scoring: many chromosomes decode to one
-partition, and a converged population keeps producing partitions it has
-scored. The memo maps packed labels (`pack_labels`: 4 bytes per node) to
-the score, cluster count and intra-cluster weight they were scored to at
-the live view; it holds at most population_size entries, dropping the
-oldest on insert, and is cleared whenever the view is replaced, so no entry
-outlives its view version. A hit skips scoring and still counts as one
-evaluation.
+partition, a child equal to a parent decodes to the parent's, and a
+converged population keeps producing partitions it has scored. The memo
+maps packed labels (`pack_labels`: 4 bytes per node) to themselves and the
+score, cluster count and intra-cluster weight they were scored to at the
+live view; it holds at most population_size entries, dropping the oldest
+on insert, and is cleared whenever the view is replaced, so no entry
+outlives its view version. A hit skips scoring, hands the member the
+memo's own key, and still counts as one evaluation. The worst member is
+looked up again only after the population changed.
 
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
@@ -41,7 +38,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import analysis
 from .encoding import LOCUS, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
@@ -106,9 +103,9 @@ class Individual:
     scored against, plus what a weight-only batch re-scores it from: the
     cluster label of each active node in view order, the cluster count k
     and the intra-cluster aggregated weight. The cache is valid only at
-    that version. `labels` is packed (`pack_labels`), the run's score memo
-    key, so a member scored on a memo miss shares one copy with its entry;
-    `unpack_labels` reads it back."""
+    that version. `labels` is packed (`pack_labels`) and is the key of the
+    score memo entry the member was scored from, so members scored from one
+    entry share one copy; `unpack_labels` reads it back."""
 
     chromosome: Chromosome
     value: FitnessValue
@@ -135,8 +132,8 @@ class GAState:
     """Live run state; mutated in place by step() and event application.
 
     `memo` maps the packed labels of each partition scored at the live view,
-    oldest first, to its (value, k, weight_in); `_evaluate` fills it and
-    keeps at most config.population_size entries, and `apply_events`
+    oldest first, to (those labels, value, k, weight_in); `_evaluate` fills
+    it and keeps at most config.population_size entries, and `apply_events`
     clears it with every view it installs."""
 
     view: AttributeView
@@ -152,7 +149,7 @@ class GAState:
     worst: int | None = None
     # the record of config.scheme: the engine's only way to a chromosome
     scheme: Scheme = field(init=False, repr=False)
-    memo: dict[bytes, tuple[FitnessValue, int, int]] = field(init=False, repr=False)
+    memo: dict[bytes, tuple[bytes, FitnessValue, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scheme = SCHEME_TABLE[self.config.scheme]
@@ -174,8 +171,8 @@ def unpack_labels(labels: bytes) -> memoryview:
 
 def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
     """Decode a canonical chromosome to labels against the live view and
-    take their score from the memo, or score them and memoise the result.
-    Costs one evaluation either way."""
+    take them and their score from the memo, or score them and memoise the
+    result. Costs one evaluation either way."""
     view = state.view
     decoded = state.scheme.decode(chrom, view)
     labels = pack_labels(decoded)
@@ -183,12 +180,12 @@ def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
     scored = memo.get(labels)
     if scored is None:
         parts = decoded if state.scheme.connected else part_labels(view, decoded)
-        scored = score_terms(decoded, parts, view, state.config.fitness_params)
+        scored = (labels, *score_terms(decoded, parts, view, state.config.fitness_params))
         if len(memo) >= state.config.population_size:
             del memo[next(iter(memo))]
         memo[labels] = scored
     state.evaluations += 1
-    value, k, weight_in = scored
+    labels, value, k, weight_in = scored
     return Individual(chrom, value, view.version, labels, k, weight_in)
 
 
@@ -209,17 +206,6 @@ def _rescore(
     value = rescore(ind.value, ind.k, weight_in, view.total_weight, state.config.fitness_params)
     state.evaluations += 1
     return Individual(ind.chromosome, value, view.version, ind.labels, ind.k, weight_in)
-
-
-def _reuse(state: GAState, parent: Individual) -> Individual:
-    """Score a child equal to `parent`, which was scored against the live
-    view, from the parent's cache. Costs one evaluation."""
-    check_version("individual", parent.version, state.view.version)
-    state.evaluations += 1
-    # the constructor: dataclasses.replace costs about four times as much per child
-    return Individual(
-        parent.chromosome, parent.value, parent.version, parent.labels, parent.k, parent.weight_in
-    )
 
 
 def init_population(view: AttributeView, config: GAConfig) -> GAState:
@@ -254,10 +240,7 @@ def _worst_index(population: list[Individual]) -> int:
 
 def step(state: GAState) -> GAState:
     """One steady-state iteration: two tournaments, crossover, mutation, two
-    evaluations, strict-improvement replacement of the current worst.
-
-    A child equal to a parent takes that parent's score instead of being
-    decoded and scored again; it is still charged one evaluation."""
+    evaluations, strict-improvement replacement of the current worst."""
     cfg = state.config
     if state.evaluations + 2 > cfg.max_evaluations:
         raise Exhausted(
@@ -273,13 +256,7 @@ def step(state: GAState) -> GAState:
     else:
         c1, c2 = p1.chromosome, p2.chromosome
     for chrom in (c1, c2):
-        chrom = scheme.mutate(chrom, state.view, cfg.mutation_rate, rng)
-        if chrom == p1.chromosome:
-            child = _reuse(state, p1)
-        elif chrom == p2.chromosome:
-            child = _reuse(state, p2)
-        else:
-            child = _evaluate(state, chrom)
+        child = _evaluate(state, scheme.mutate(chrom, state.view, cfg.mutation_rate, rng))
         if state.worst is None:
             state.worst = _worst_index(state.population)
         if child.value.total > state.population[state.worst].value.total:
@@ -291,7 +268,16 @@ def step(state: GAState) -> GAState:
     return state
 
 
-def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
+def _event_list(events: Iterable[UpdateEvent]) -> list[UpdateEvent]:
+    """`events` as a list; ConfigInvalid for an element that is no UpdateEvent."""
+    events = list(events)
+    for ev in events:
+        if not isinstance(ev, UpdateEvent):
+            raise ConfigInvalid(f"events must be UpdateEvents, got {clip_repr(ev)}")
+    return events
+
+
+def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
     """Apply a batch of events, move the view to the new snapshot and
     re-score the population and the elite against it (population_size + 1
     evaluations), then max-merge the elite with the population, since an
@@ -304,9 +290,11 @@ def apply_events(state: GAState, batch: Sequence[UpdateEvent]) -> None:
     view, carries each chromosome over to it with the scheme's `carry_over`
     and re-evaluates every individual.
 
-    An event that cannot be applied, or a batch that leaves the view with
-    no active nodes, raises EventError before the run state changes.
+    An element that is no UpdateEvent raises ConfigInvalid; an event that
+    cannot be applied, or a batch that leaves the view with no active nodes,
+    raises EventError. Either comes before the run state changes.
     """
+    batch = _event_list(batch)
     snapshot = state.view.base
     done: list[AppliedEvent] = []
     for ev in batch:
@@ -378,7 +366,7 @@ class RunResult:
 def run(
     view: AttributeView,
     config: GAConfig,
-    events: Sequence[UpdateEvent] = (),
+    events: Iterable[UpdateEvent] = (),
 ) -> RunResult:
     """Full GA run with optional mid-run update events.
 
@@ -390,16 +378,13 @@ def run(
     as unapplied_ticks rather than half-applied. The result's partition
     and value are those of the last observation.
     """
-    for ev in events:
-        if not isinstance(ev, UpdateEvent):
-            raise ConfigInvalid(f"events must be UpdateEvents, got {clip_repr(ev)}")
-    for prev, nxt in zip(events, events[1:]):
+    queue = _event_list(events)
+    for prev, nxt in zip(queue, queue[1:]):
         if nxt.tick < prev.tick:
             raise EventError(nxt.tick, f"ticks must be non-decreasing (after {prev.tick})")
     state = init_population(view, config)
     checkpoints: list[Checkpoint] = []
     history: list[analysis.NoARecord] = []
-    queue = list(events)
     qi = 0
     last_checkpoint = -1
     final: tuple[Partition, FitnessValue]

@@ -40,7 +40,7 @@ class ForeignEdge(NoagaError):
 
 
 class UnrepairedChromosome(NoagaError):
-    """A chromosome violates its encoding's repaired-form invariants."""
+    """A chromosome is not in its encoding's canonical form."""
 
 
 class EmptyCluster(NoagaError):

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .analysis import cluster_stats
 from .errors import ConfigInvalid, EmptyPartition, check_version, clip_repr
 from .graph import AttributeView, Partition, part_labels
 
@@ -66,13 +65,6 @@ def density(edges: int, size: int) -> float:
     """Tie density of `size` members with `edges` ties among them, in
     [0, 1]; singletons score 0."""
     return 2 * edges / (size * (size - 1)) if size > 1 else 0.0
-
-
-def closeness(cluster: Iterable[int], view: AttributeView) -> float:
-    """Intra-cluster tie density in [0, 1]; singletons score 0. EmptyCluster
-    for no members, ValueError for a member listed twice."""
-    part = Partition((tuple(cluster),), view.attrs, view.version)
-    return density(cluster_stats(part, view)[0][0], len(part.clusters[0]))
 
 
 def fitness(

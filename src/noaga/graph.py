@@ -372,8 +372,8 @@ class AttributeView:
 
     Two lookup tables are built on their first read, never while a view is
     built, so a run pays only for the ones it reads: `pair_index`, read by
-    edge-removal decode, repair and carry-over, by `reweighted` and
-    `weight_of`; and `neighbours`, read by the locus operators. A
+    edge-removal decode and carry-over, by `reweighted` and `weight_of`;
+    and `neighbours`, read by the locus operators. A
     `reweighted` successor shares each table that is built by then.
     """
 
@@ -484,9 +484,6 @@ class AttributeView:
     @property
     def edge_count(self) -> int:
         return len(self.pairs)
-
-    def has_node(self, node: int) -> bool:
-        return node in self.node_index
 
     def weight_of(self, a: int, b: int) -> int:
         """Aggregated weight of an active edge; ForeignEdge if not active

@@ -16,8 +16,6 @@ ground truth the GA is checked against.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import ConfigInvalid, TooLarge, check_int
 from .fitness import (FitnessParams, FitnessValue, _value, closeness_mean, cut_fraction,
                       label_sizes, small_count, total)
@@ -39,41 +37,6 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def _check_cap(n: int, n_max: int) -> None:
-    check_int("n_max", n_max)
-    if n_max < 0:
-        raise ConfigInvalid(f"n_max must be >= 0, got {n_max}")
-    if n > n_max:
-        raise TooLarge(
-            f"{n} nodes exceeds the enumeration cap {n_max} "
-            f"(Bell({n_max}) = {bell_number(n_max)})"
-        )
-
-
-def enumerate_labels(n: int, *, n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[int, ...]]:
-    """All set partitions of n elements as restricted-growth label tuples.
-
-    The first is all zeros (one cluster), the last is 0..n-1 (all
-    singletons).
-    """
-    check_int("n", n)
-    if n < 1:
-        raise ValueError("no nodes to partition")
-    _check_cap(n, n_max)
-    rgs = [0] * n
-    while True:
-        yield tuple(rgs)
-        # odometer: bump the rightmost digit allowed to grow, zero the rest
-        for i in range(n - 1, 0, -1):
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for j in range(i + 1, n):
-                    rgs[j] = 0
-                break
-        else:
-            return
-
-
 def optimal_partition(
     view: AttributeView,
     params: FitnessParams | None = None,
@@ -89,7 +52,14 @@ def optimal_partition(
     n = view.node_count
     if n == 0:
         raise ConfigInvalid("cannot run on an empty view")
-    _check_cap(n, n_max)
+    check_int("n_max", n_max)
+    if n_max < 0:
+        raise ConfigInvalid(f"n_max must be >= 0, got {n_max}")
+    if n > n_max:
+        raise TooLarge(
+            f"{n} nodes exceeds the enumeration cap {n_max} "
+            f"(Bell({n_max}) = {bell_number(n_max)})"
+        )
     # view pairs are (low, high) and view order is ascending, so eb is the
     # later endpoint: each edge is listed once, at the node placed last
     earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]

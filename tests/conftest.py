@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from noaga import (
     UpdateEvent,
     datasets,
 )
-from noaga.encoding import EDGE_REMOVAL, LOCUS, SCHEME_TABLE, SEPARATOR
+from noaga.encoding import EDGE_REMOVAL, LOCUS, SCHEME_TABLE, SEPARATOR, repair_separator
 
 # the communities the bundled sample resolves to, per attribute
 EMAILS_TARGET = ((1, 2, 3, 4, 5), (6, 7, 8, 9), (10, 11, 12, 13, 14, 15))
@@ -29,6 +31,40 @@ COMMENTS_TOTAL = 0.5026584867075664
 def to_partition(record, chrom, view):
     """The Partition a scheme record decodes `chrom` to."""
     return Partition.from_labels(view, record.decode(chrom, view))
+
+
+def repair_edge_removal(chrom, view):
+    """Reference repair of edge-removal gene material: normalize pairs, drop
+    edges not active in the view, dedupe keeping the first occurrence.
+    Idempotent."""
+    seen = set()
+    out = []
+    for a, b in chrom.removed:
+        if a == b:
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key in seen or key not in view.pair_index:
+            continue
+        seen.add(key)
+        out.append(key)
+    return EdgeRemovalChromosome(tuple(out))
+
+
+# scheme name -> the repair (chrom, view) that turns any of its gene
+# material into a canonical chromosome; the locus scheme has none
+REPAIRS = {EDGE_REMOVAL: repair_edge_removal, SEPARATOR: repair_separator}
+
+
+def canonical(name, chrom, view):
+    """Whether `chrom` is canonical for `view` under scheme `name`, as every
+    operator but `random` needs it: a locus chromosome has one gene per
+    active node, in view order, naming a neighbour (an isolate: itself);
+    any other is its own repair."""
+    if name == LOCUS:
+        return chrom.nodes == view.nodes and len(chrom.links) == view.node_count and all(
+            map(tuple.__contains__, view.neighbours, chrom.links)
+        )
+    return REPAIRS[name](chrom, view) == chrom
 
 
 def components(view, removed=()):
@@ -204,3 +240,12 @@ raw_chromosomes = st.one_of(
                        else LocusChromosome((), ()))
     ),
 )
+
+
+def canonical_of(name, raw, view):
+    """A canonical chromosome for `view` from gene material `raw` of scheme
+    `name`: its repair, or for locus its carry-over, which keeps each gene
+    that names a neighbour and draws the others from a fixed seed."""
+    if name == LOCUS:
+        return SCHEME_TABLE[LOCUS].carry_over(raw, view, random.Random(0))
+    return REPAIRS[name](raw, view)

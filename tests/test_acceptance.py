@@ -39,10 +39,10 @@ from noaga import (
     run,
 )
 from noaga.cli import main
-from noaga.encoding import EDGE_REMOVAL, LOCUS, SCHEME_TABLE, SEPARATOR
-from noaga.oracle import enumerate_labels
+from noaga.encoding import EDGE_REMOVAL, LOCUS, SCHEME_TABLE, SEPARATOR, repair_separator
 
-from conftest import COMMENTS_TARGET, EMAILS_TARGET, POSTS_TARGET, to_partition
+from conftest import (COMMENTS_TARGET, EMAILS_TARGET, POSTS_TARGET, repair_edge_removal,
+                      to_partition)
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +267,8 @@ def test_ac8_random_chromosomes_decode_valid(emails):
                 for _ in range(rng.randint(0, 12))
             )
         )
-        fixed = er.repair(raw, emails)
-        assert er.repair(fixed, emails) == fixed
+        fixed = repair_edge_removal(raw, emails)
+        assert repair_edge_removal(fixed, emails) == fixed
         part = to_partition(er, fixed, emails)
         assert sorted(part.members()) == active
     for _ in range(10_000):
@@ -276,8 +276,8 @@ def test_ac8_random_chromosomes_decode_valid(emails):
             rng.randint(1, 40),
             tuple(rng.randint(-3, 20) for _ in range(rng.randint(0, 8))),
         )
-        fixed = sep.repair(raw, emails)
-        assert sep.repair(fixed, emails) == fixed
+        fixed = repair_separator(raw, emails)
+        assert repair_separator(fixed, emails) == fixed
         part = to_partition(sep, fixed, emails)
         assert sorted(part.members()) == active
         assert part.cluster_count == fixed.k
@@ -314,7 +314,6 @@ def _merge_signals(view, **kwargs):
         (lambda view: UpdateEvent.add_edge(1, 1, 2, ["x"]), ConfigInvalid),
         (lambda view: UpdateEvent.update_weight(1, 1, 2, "emails", 2.7), ConfigInvalid),
         (lambda view: view.base.apply(UpdateEvent.add_node("x", "Q")), ConfigInvalid),
-        (lambda view: next(enumerate_labels("3")), ConfigInvalid),
         (lambda view: GAConfig(fitness_params=None), ConfigInvalid),
         (lambda view: GAConfig(fitness_params="x"), ConfigInvalid),
         (lambda view: fitness(Partition(EMAILS_TARGET, view.attrs, view.version), view, "x"),
@@ -327,7 +326,7 @@ def _merge_signals(view, **kwargs):
         "weight-of-str", "weight-of-bool", "weight-of-float", "theta-str", "window-str",
         "theta-float", "window-bool", "n-max-str", "arity-str", "low-float", "nodes-str",
         "nodes-float", "edge-weight-float", "edge-weight-str", "update-value-float",
-        "tick-str", "enumerate-n-str", "fitness-params-none", "fitness-params-str",
+        "tick-str", "fitness-params-none", "fitness-params-str",
         "fitness-of-params-str", "run-events-int",
     ],
 )

@@ -32,13 +32,20 @@ from noaga.encoding import (
     decode_separator,
     random_edge_removal,
     random_separator,
-    repair_edge_removal,
-    repair_locus,
     repair_separator,
 )
 from noaga.graph import part_labels
 
-from conftest import EMAILS_TARGET, TABLE1_VIEWS, small_views, structural_batches, to_partition
+from conftest import (
+    EMAILS_TARGET,
+    REPAIRS,
+    TABLE1_VIEWS,
+    canonical,
+    repair_edge_removal,
+    small_views,
+    structural_batches,
+    to_partition,
+)
 
 ER = SCHEME_TABLE[EDGE_REMOVAL]
 SEP = SCHEME_TABLE[SEPARATOR]
@@ -94,18 +101,9 @@ def test_decode_locus_rejects_unrepaired(emails):
         LocusChromosome(emails.nodes, links[:-1]),
         LocusChromosome(emails.nodes[::-1], links[::-1]),
     ):
-        assert repair_locus(bad, emails) != bad
+        assert not canonical(LOCUS, bad, emails)
         with pytest.raises(UnrepairedChromosome):
             decode_locus(bad, emails)
-
-
-def test_repair_locus_keeps_links_and_relinks_the_rest(emails):
-    # 1 -> 14 is no tie, node 99 is not in the view, nodes 3.. have no gene
-    raw = LocusChromosome((2, 1, 99), (3, 14, 1))
-    fixed = repair_locus(raw, emails)
-    assert fixed.nodes is emails.nodes
-    assert fixed.links == (emails.neighbours[0][0], 3) + tuple(n[0] for n in emails.neighbours[2:])
-    assert repair_locus(fixed, emails) == fixed
 
 
 def test_isolates_link_to_themselves():
@@ -192,8 +190,8 @@ pair_lists = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(pair_lists)
 def test_repair_then_decode_always_valid(emails, pairs):
-    fixed = ER.repair(EdgeRemovalChromosome(pairs), emails)
-    assert ER.repair(fixed, emails) == fixed
+    fixed = repair_edge_removal(EdgeRemovalChromosome(pairs), emails)
+    assert repair_edge_removal(fixed, emails) == fixed
     part = to_partition(ER, fixed, emails)
     assert sorted(part.members()) == list(emails.nodes)
 
@@ -201,8 +199,8 @@ def test_repair_then_decode_always_valid(emails, pairs):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 64), st.lists(st.integers(-5, 25), max_size=10))
 def test_separator_repair_always_decodable(emails, k, seps):
-    fixed = SEP.repair(SeparatorChromosome(k, tuple(seps)), emails)
-    assert SEP.repair(fixed, emails) == fixed
+    fixed = repair_separator(SeparatorChromosome(k, tuple(seps)), emails)
+    assert repair_separator(fixed, emails) == fixed
     part = to_partition(SEP, fixed, emails)
     assert sorted(part.members()) == list(emails.nodes)
     assert part.cluster_count == fixed.k
@@ -279,7 +277,7 @@ def test_scheme_records_keep_chromosomes_canonical(name, view, p_init, seed, dat
     made = [p1, p2, *scheme.crossover(p1, p2, view, rng)]
     made += [scheme.mutate(chrom, view, rate, rng) for chrom in made for rate in (0.0, 0.1, 1.0)]
     for chrom in made:
-        assert scheme.repair(chrom, view) == chrom
+        assert canonical(name, chrom, view)
         labels = scheme.decode(chrom, view)
         assert len(labels) == view.node_count
         if scheme.connected:
@@ -291,6 +289,7 @@ def test_scheme_records_keep_chromosomes_canonical(name, view, p_init, seed, dat
     for chrom in made:
         drawn = rng.getstate()
         carried = scheme.carry_over(chrom, new, rng)
-        assert scheme.repair(carried, new) == carried
-        if rng.getstate() == drawn:  # a carry-over that draws nothing is the repair
-            assert carried == scheme.repair(chrom, new)
+        assert canonical(name, carried, new)
+        if name in REPAIRS and rng.getstate() == drawn:
+            # a carry-over that draws nothing is the repair
+            assert carried == REPAIRS[name](chrom, new)

@@ -22,12 +22,11 @@ from noaga import (
     SeparatorChromosome,
     StaleSnapshot,
     UnknownNode,
-    closeness,
     fitness,
 )
+from noaga.analysis import cluster_stats
 from noaga.encoding import SCHEME_TABLE
-from noaga.errors import EmptyCluster
-from noaga.fitness import score_terms
+from noaga.fitness import density, score_terms
 from noaga.graph import part_labels
 
 from conftest import (
@@ -38,6 +37,7 @@ from conftest import (
     POSTS_TARGET,
     POSTS_TOTAL,
     TABLE1_VIEWS,
+    canonical_of,
     components,
     raw_chromosomes,
     small_views,
@@ -64,17 +64,15 @@ def test_params_validation():
 
 
 def test_closeness_values(emails):
-    assert closeness((1, 2, 3, 4, 5), emails) == 0.8
-    assert closeness((6, 7, 8, 9), emails) == 1.0
-    assert closeness((1,), emails) == 0.0
-    assert closeness((1, 14), emails) == 0.0
-    with pytest.raises(EmptyCluster):
-        closeness((), emails)
-    with pytest.raises(UnknownNode):
-        closeness((1, 99), emails)
-    # a repeated member is an error, not a bigger cluster
-    with pytest.raises(ValueError):
-        closeness((1, 2, 2), emails)
+    # each cluster's closeness as the partition file gets it: the density
+    # of the intra-cluster tie count cluster_stats gives
+    def closeness(*clusters):
+        part = Partition(clusters, emails.attrs, emails.version)
+        return [density(edges, len(c)) for c, (edges, _, _) in
+                zip(part.clusters, cluster_stats(part, emails))]
+
+    assert closeness((1, 2, 3, 4, 5), (6, 7, 8, 9)) == [0.8, 1.0]
+    assert closeness((1,), (2, 14)) == [0.0, 0.0]
 
 
 def test_triangle_one_cluster_is_perfect():
@@ -201,7 +199,7 @@ def test_label_score_matches_reference(view, raw, params):
     # the GA scores labels; the reference path decodes a Partition and scores that
     name, raw = raw
     record = SCHEME_TABLE[name]
-    chrom = record.repair(raw, view)
+    chrom = canonical_of(name, raw, view)
     labels = record.decode(chrom, view)
     parts = labels if record.connected else part_labels(view, labels)
     part = Partition.from_labels(view, labels)

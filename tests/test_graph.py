@@ -167,7 +167,7 @@ def test_remove_edge_isolates_leaf(sample):
     assert (14, 15) not in snap.edges
     # 15 keeps existing but is edgeless, so every view shows it as a singleton
     view = AttributeView(snap, ("emails",))
-    assert view.has_node(15)
+    assert 15 in view.node_index
     assert all(15 not in pair for pair in view.pairs)
     part = components(view)
     assert (15,) in part.clusters
@@ -396,7 +396,7 @@ def test_view_excludes_zero_weight_edges_and_their_orphans():
     assert view.pairs == ((1, 2),)
     # 3 and 4 have edges in the snapshot, just none active here: not in view
     assert view.nodes == (1, 2)
-    assert not view.has_node(3)
+    assert 3 not in view.node_index
 
 
 def test_view_includes_snapshot_isolates():

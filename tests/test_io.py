@@ -29,9 +29,9 @@ from noaga import (
     fitness,
     io,
 )
-from noaga.analysis import find_noa, noa_records
+from noaga.analysis import cluster_stats, find_noa, noa_records
 from noaga.engine import Checkpoint
-from noaga.fitness import FitnessValue, closeness
+from noaga.fitness import FitnessValue, density
 
 from conftest import EMAILS_TARGET
 
@@ -302,7 +302,7 @@ def test_partition_json_round_trip(emails, tmp_path):
     part = Partition(EMAILS_TARGET, ("emails",), 0)
     value = fitness(part, emails)
     noas = [find_noa(c, emails) for c in part.clusters]
-    dens = [closeness(c, emails) for c in part.clusters]
+    dens = [density(s[0], len(c)) for c, s in zip(part.clusters, cluster_stats(part, emails))]
     meta = {"tool": io.TOOL, "seed": 3}
     path = str(tmp_path / "part.json")
     io.write_partition_json(part, value, noas, dens, meta, path)
