@@ -27,6 +27,7 @@ from noaga import (
 from noaga.encoding import (
     SCHEME_TABLE,
     SCHEMES,
+    carry_over_locus,
     decode_edge_removal,
     decode_locus,
     decode_separator,
@@ -104,6 +105,20 @@ def test_decode_locus_rejects_unrepaired(emails):
         assert not canonical(LOCUS, bad, emails)
         with pytest.raises(UnrepairedChromosome):
             decode_locus(bad, emails)
+
+
+def test_carry_over_locus_keeps_links_and_relinks_the_rest(emails):
+    # 1 -> 14 is no tie, node 99 is not in the view, nodes 3.. have no gene
+    raw = LocusChromosome((2, 1, 99), (3, 14, 1))
+    fixed = carry_over_locus(raw, emails, random.Random(7))
+    assert fixed.nodes is emails.nodes
+    drawn = random.Random(7)
+    assert fixed.links == tuple(
+        3 if i == 1 else drawn.choice(nbrs) for i, nbrs in enumerate(emails.neighbours)
+    )
+    rng = random.Random(7)
+    assert carry_over_locus(fixed, emails, rng) == fixed
+    assert rng.getstate() == random.Random(7).getstate()
 
 
 def test_isolates_link_to_themselves():

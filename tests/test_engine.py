@@ -922,6 +922,24 @@ def _counting_scores(mp):
     return calls
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_clone_steps_score_nothing(emails, scheme):
+    # with no crossover and no mutation every child equals a parent: it is
+    # decoded like any child, lands on its parent's memo entry and is
+    # charged one evaluation without being scored
+    config = GAConfig(population_size=6, max_evaluations=100, crossover_rate=0.0,
+                      mutation_rate=0.0, scheme=scheme, p_init=0.5, seed=3)
+    state = init_population(emails, config)
+    with pytest.MonkeyPatch.context() as mp:
+        decodes = _counting_decodes(mp, state)
+        scores = _counting_scores(mp)
+        for i in range(1, 21):
+            step(state)
+            assert state.evaluations == 6 + 2 * i
+    assert len(decodes) == 40
+    assert scores == []
+
+
 def _table1_stream(view):
     """Weight-only batches at ticks 40 and 140, structural ones at 90, 190
     and 240, on `view`'s edges."""
