@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import datasets, io
 from .analysis import noa_records, overlay
-from .encoding import SCHEMES
+from .encoding import K_MAX, SCHEMES
 from .engine import GAConfig, run
 from .errors import ConfigInvalid, NoagaError
 from .fitness import FitnessParams, density
@@ -44,30 +44,28 @@ def _add_view_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fitness_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda-cut", type=float, default=2.5,
+    p.add_argument("--lambda-cut", type=float, default=FitnessParams.lambda_cut,
                    help="weight of the cut-fraction penalty")
-    p.add_argument("--mu-small", type=float, default=0.5,
+    p.add_argument("--mu-small", type=float, default=FitnessParams.mu_small,
                    help="weight of the small-fragment penalty")
-    p.add_argument("--sigma-small", type=int, default=2,
+    p.add_argument("--sigma-small", type=int, default=FitnessParams.sigma_small,
                    help="parts below this size count as small")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True, help="RNG seed (runs replay exactly)")
-    p.add_argument("--population-size", type=int, default=100)
+    p.add_argument("--population-size", type=int, default=GAConfig.population_size)
     p.add_argument("--max-evaluations", type=int, default=None,
-                   help="evaluation budget (default 10000)")
+                   help=f"evaluation budget (default {GAConfig.max_evaluations})")
     p.add_argument("--iterations", type=int, default=None,
                    help="budget sugar: population-size + 2*iterations evaluations")
-    p.add_argument("--crossover-rate", type=float, default=0.85)
-    p.add_argument("--mutation-rate", type=float, default=0.1)
+    p.add_argument("--crossover-rate", type=float, default=GAConfig.crossover_rate)
+    p.add_argument("--mutation-rate", type=float, default=GAConfig.mutation_rate)
     p.add_argument("--scheme", choices=SCHEMES, default=GAConfig.scheme,
                    help="chromosome encoding (default: %(default)s)")
-    p.add_argument("--checkpoint-every", type=int, default=100)
-    p.add_argument("--p-init", type=float, default=0.1,
+    p.add_argument("--checkpoint-every", type=int, default=GAConfig.checkpoint_every)
+    p.add_argument("--p-init", type=float, default=GAConfig.p_init,
                    help="edge-removal only: initial inclusion probability per edge")
-    p.add_argument("--k-max", type=int, default=32,
-                   help="separator only: maximum initial group count")
     p.add_argument("-o", "--output", required=True, help="partition JSON path")
     p.add_argument("--dot", help="also write a Graphviz rendering here")
     p.add_argument("--checkpoint-log", help="JSONL checkpoint log path")
@@ -83,7 +81,7 @@ def _config(args: argparse.Namespace) -> GAConfig:
             raise ConfigInvalid(f"--iterations must be >= 0, got {args.iterations}")
         max_evaluations = args.population_size + 2 * args.iterations
     if max_evaluations is None:
-        max_evaluations = 10_000
+        max_evaluations = GAConfig.max_evaluations
     return GAConfig(
         population_size=args.population_size,
         max_evaluations=max_evaluations,
@@ -93,7 +91,6 @@ def _config(args: argparse.Namespace) -> GAConfig:
         checkpoint_every=args.checkpoint_every,
         seed=args.seed,
         p_init=args.p_init,
-        k_max=args.k_max,
         fitness_params=FitnessParams(args.lambda_cut, args.mu_small, args.sigma_small),
     )
 
@@ -112,7 +109,7 @@ def _run_meta(args: argparse.Namespace, config: GAConfig, view: AttributeView) -
         "mutation_rate": config.mutation_rate,
         "checkpoint_every": config.checkpoint_every,
         "p_init": config.p_init,
-        "k_max": config.k_max,
+        "k_max": K_MAX,
         "lambda_cut": config.fitness_params.lambda_cut,
         "mu_small": config.fitness_params.mu_small,
         "sigma_small": config.fitness_params.sigma_small,
@@ -134,10 +131,7 @@ def _finish_run(args, config, result) -> int:
     io.write_partition_json(result.partition, result.value, noas, closeness, meta, args.output)
     if args.dot:
         comment = f"{io.TOOL} seed={config.seed} input=sha256:{meta['input_sha256']}"
-        io.write_dot(
-            result.partition, view, args.dot,
-            noa_nodes=noas, new_since=0, meta_comment=comment,
-        )
+        io.write_dot(result.partition, view, args.dot, noa_nodes=noas, meta_comment=comment)
     if args.checkpoint_log:
         io.write_checkpoint_log(result.checkpoints, meta, args.checkpoint_log)
     if args.noa_log:

@@ -16,10 +16,11 @@ edges to delete; decoding takes the connected components of the view minus
 those edges, which expresses the same partitions with one gene per
 removed edge. The separator chromosome holds a group count k and k-1
 cut positions over the id-ascending node order: contiguous runs, cheap but
-only interval partitions. The operators make canonical chromosomes from
-canonical ones, and decoding raises UnrepairedChromosome on anything else;
-the separator operators get there through `repair_separator`, which makes
-any separator gene material canonical and is idempotent.
+only interval partitions; a random one has at most `K_MAX` groups. The
+operators make canonical chromosomes from canonical ones, and decoding
+raises UnrepairedChromosome on anything else; the separator operators get
+there through `repair_separator`, which makes any separator gene material
+canonical and is idempotent.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .graph import AttributeView, Pair, component_labels
 EDGE_REMOVAL = "edge-removal"
 SEPARATOR = "separator"
 LOCUS = "locus"
+K_MAX = 32  # most groups a random separator chromosome starts with
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class EdgeRemovalChromosome:
 
 
 def random_edge_removal(
-    view: AttributeView, rng: random.Random, p_init: float = 0.1, k_max: int = 32
+    view: AttributeView, rng: random.Random, p_init: float
 ) -> EdgeRemovalChromosome:
     """Each active edge joins the removal list independently with prob p_init."""
     return EdgeRemovalChromosome(tuple(p for p in view.pairs if rng.random() < p_init))
@@ -78,8 +80,8 @@ def single_point_crossover(
     )
 
 
-def _draw_unlisted(view: AttributeView, listed: set, rng: random.Random, tries: int = 8):
-    """Random active edge not already in the list; None when unlucky.
+def _draw_unlisted(view: AttributeView, listed: set, rng: random.Random):
+    """Random active edge not already in the list; None after 8 misses.
 
     Rejection sampling keeps this O(1) on big graphs; with the usual short
     removal lists a miss is rare, and a None simply skips the insertion.
@@ -87,7 +89,7 @@ def _draw_unlisted(view: AttributeView, listed: set, rng: random.Random, tries: 
     pairs = view.pairs
     if not pairs:
         return None
-    for _ in range(tries):
+    for _ in range(8):
         p = pairs[rng.randrange(len(pairs))]
         if p not in listed:
             return p
@@ -158,9 +160,7 @@ class LocusChromosome:
     links: tuple[int, ...]
 
 
-def random_locus(
-    view: AttributeView, rng: random.Random, p_init: float = 0.1, k_max: int = 32
-) -> LocusChromosome:
+def random_locus(view: AttributeView, rng: random.Random, p_init: float) -> LocusChromosome:
     """Each node links to a uniformly drawn neighbour."""
     return LocusChromosome(view.nodes, tuple(map(rng.choice, view.neighbours)))
 
@@ -224,13 +224,13 @@ class SeparatorChromosome:
 
 
 def random_separator(
-    view: AttributeView, rng: random.Random, p_init: float = 0.1, k_max: int = 32
+    view: AttributeView, rng: random.Random, p_init: float
 ) -> SeparatorChromosome:
-    """k uniform in [1, min(k_max, n)], separators a sorted distinct sample."""
+    """k uniform in [1, min(K_MAX, n)], separators a sorted distinct sample."""
     n = view.node_count
     if n <= 1:
         return SeparatorChromosome(1, ())
-    k = rng.randint(1, min(k_max, n))
+    k = rng.randint(1, min(K_MAX, n))
     seps = sorted(rng.sample(range(1, n), k - 1))
     return SeparatorChromosome(k, tuple(seps))
 
@@ -313,7 +313,7 @@ class Scheme:
     the new one; it may draw from the run's RNG.
     `connected`: decoded clusters are connected, so they are their own parts."""
 
-    random: Callable[..., Chromosome]  # (view, rng, p_init, k_max): each uses its own
+    random: Callable[..., Chromosome]  # (view, rng, p_init): edge-removal's alone uses p_init
     crossover: Callable[..., tuple[Chromosome, Chromosome]]  # (p1, p2, view, rng)
     mutate: Callable[..., Chromosome]  # (chrom, view, rate, rng)
     decode: Callable[..., list[int]]  # (chrom, view): a label per active node, in view order

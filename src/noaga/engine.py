@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import analysis
@@ -57,8 +57,9 @@ from .graph import (
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Run parameters. The projection (attributes and aggregation) is the
-    one of the view the run is handed."""
+    """Run parameters; the command line reads its defaults from these. The
+    projection (attributes and aggregation) is the one of the view the run
+    is handed."""
 
     population_size: int = 100
     max_evaluations: int = 10_000
@@ -68,7 +69,6 @@ class GAConfig:
     checkpoint_every: int = 100
     seed: int = 0
     p_init: float = 0.1
-    k_max: int = 32
     fitness_params: FitnessParams = field(default_factory=FitnessParams)
 
     def __post_init__(self):
@@ -76,7 +76,7 @@ class GAConfig:
             raise ConfigInvalid(
                 f"fitness_params must be a FitnessParams, got {clip_repr(self.fitness_params)}"
             )
-        for name in ("population_size", "max_evaluations", "checkpoint_every", "k_max", "seed"):
+        for name in ("population_size", "max_evaluations", "checkpoint_every", "seed"):
             check_int(name, getattr(self, name))
         if self.population_size < 2:
             raise ConfigInvalid(f"population_size must be >= 2, got {self.population_size}")
@@ -93,8 +93,6 @@ class GAConfig:
             raise ConfigInvalid(f"scheme must be one of {SCHEMES}, got {clip_repr(self.scheme)}")
         if self.checkpoint_every < 1:
             raise ConfigInvalid(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
-        if self.k_max < 1:
-            raise ConfigInvalid(f"k_max must be >= 1, got {self.k_max}")
 
 
 @dataclass
@@ -130,6 +128,8 @@ class Checkpoint:
 @dataclass
 class GAState:
     """Live run state; mutated in place by step() and event application.
+
+    `best` is the elite itself, never a copy: no Individual changes once made.
 
     `memo` maps the packed labels of each partition scored at the live view,
     oldest first, to (those labels, value, k, weight_in); `_evaluate` fills
@@ -214,10 +214,10 @@ def init_population(view: AttributeView, config: GAConfig) -> GAState:
         raise ConfigInvalid("cannot run on an empty view")
     state = GAState(view, config, random.Random(config.seed), [])
     for _ in range(config.population_size):
-        chrom = state.scheme.random(view, state.rng, config.p_init, config.k_max)
+        chrom = state.scheme.random(view, state.rng, config.p_init)
         state.population.append(_evaluate(state, chrom))
     # max keeps the first of equal totals
-    state.best = replace(max(state.population, key=lambda ind: ind.value.total))
+    state.best = max(state.population, key=lambda ind: ind.value.total)
     return state
 
 
@@ -263,7 +263,7 @@ def step(state: GAState) -> GAState:
             state.population[state.worst] = child
             state.worst = None
         if child.value.total > state.best.value.total:
-            state.best = replace(child)
+            state.best = child
     state.iteration += 1
     return state
 
@@ -335,7 +335,7 @@ def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
         state.best = _evaluate(state, carry_over(state.best.chromosome, view, rng))
     for ind in state.population:
         if ind.value.total > state.best.value.total:
-            state.best = replace(ind)
+            state.best = ind
 
 
 def snapshot_best(state: GAState) -> tuple[Partition, FitnessValue]:

@@ -67,6 +67,15 @@ def density(edges: int, size: int) -> float:
     return 2 * edges / (size * (size - 1)) if size > 1 else 0.0
 
 
+def checked_params(params: FitnessParams | None) -> FitnessParams:
+    """`params`, or the default for None; ConfigInvalid if it is no FitnessParams."""
+    if params is None:
+        return FitnessParams()
+    if not isinstance(params, FitnessParams):
+        raise ConfigInvalid(f"params must be a FitnessParams, got {clip_repr(params)}")
+    return params
+
+
 def fitness(
     partition: Partition, view: AttributeView, params: FitnessParams | None = None
 ) -> FitnessValue:
@@ -75,10 +84,7 @@ def fitness(
     The partition must carry the view's snapshot version (StaleSnapshot
     otherwise) and must cover the view's active nodes exactly.
     """
-    if params is None:
-        params = FitnessParams()
-    elif not isinstance(params, FitnessParams):
-        raise ConfigInvalid(f"params must be a FitnessParams, got {clip_repr(params)}")
+    params = checked_params(params)
     check_version("partition", partition.source_version, view.version)
     if not partition.clusters:
         raise EmptyPartition("fitness of a partition with no clusters")

@@ -193,8 +193,6 @@ class GraphSnapshot:
         schema: AttributeSchema,
         edges: Iterable[Edge],
         extra_nodes: Iterable[int] = (),
-        names: Mapping[str, int] | None = None,
-        tick: int = 0,
     ) -> "GraphSnapshot":
         """Version-0 snapshot from an edge collection plus optional isolated
         nodes. Checks each edge's arity and that no pair repeats, then hands
@@ -208,7 +206,7 @@ class GraphSnapshot:
             if e.key in edict:
                 raise DuplicateEdge(f"duplicate edge {e.key}")
             edict[e.key] = e.weights
-        return cls.from_checked(schema, edict, extra_nodes, names, tick)
+        return cls.from_checked(schema, edict, extra_nodes)
 
     @classmethod
     def from_checked(
@@ -216,22 +214,18 @@ class GraphSnapshot:
         schema: AttributeSchema,
         edges: dict[Pair, tuple[int, ...]],
         extra_nodes: Iterable[int] = (),
-        names: Mapping[str, int] | None = None,
-        tick: int = 0,
     ) -> "GraphSnapshot":
         """Version-0 snapshot that takes over `edges` as it is: the caller
         has checked that every key is a normalized pair (low, high) and
         every value a tuple of `schema.arity` non-negative ints, not all
-        zero. The nodes are the edges' endpoints plus `extra_nodes`."""
+        zero. The nodes are the edges' endpoints plus `extra_nodes`, all at
+        tick 0, and no node has a name."""
         nodes = frozenset(chain.from_iterable(edges)).union(extra_nodes)
         return cls(
             schema=schema,
             nodes=nodes,
             edges=MappingProxyType(edges),
-            names=MappingProxyType(dict(names or {})),
-            node_ticks=MappingProxyType(dict.fromkeys(nodes, tick)),
-            version=0,
-            tick=tick,
+            node_ticks=MappingProxyType(dict.fromkeys(nodes, 0)),
         )
 
     @staticmethod

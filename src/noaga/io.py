@@ -400,21 +400,27 @@ def write_partition_json(
 
 
 def read_partition_json(path: str) -> tuple[dict, Partition]:
-    """Load the meta block and the partition (members only) back."""
+    """Load the meta block and the partition (members only) back. `clusters`
+    must be a list of objects whose `members` are lists of integers (a
+    boolean is not), `version` an integer, `attrs` a list of strings and
+    `meta` an object; ParseError otherwise."""
     with _read_text(path) as fh:
         obj = _json_line(fh.read(), 1)
     try:
-        clusters = tuple(tuple(c["members"]) for c in obj["clusters"])
-        if not all(type(m) is int for c in clusters for m in c):
-            raise ValueError("cluster members must be integers")
-        partition = Partition(
-            clusters=clusters,
-            attrs=tuple(obj.get("attrs", ())),
-            source_version=int(obj.get("version", 0)),
-        )
+        listed = obj["clusters"]
+        clusters = tuple(c["members"] for c in listed)
+        if not (type(listed) is list and all(type(c) is list for c in clusters)
+                and all(type(m) is int for c in clusters for m in c)):
+            raise ValueError("clusters must be a list of member lists of integers")
+        meta, attrs, version = obj.get("meta", {}), obj.get("attrs", []), obj.get("version", 0)
+        if not (type(version) is int and type(meta) is dict
+                and type(attrs) is list and all(type(a) is str for a in attrs)):
+            raise ValueError("version must be an integer, attrs a list of strings "
+                             "and meta an object")
+        partition = Partition(tuple(map(tuple, clusters)), tuple(attrs), version)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"not a partition file: {exc}") from exc
-    return obj.get("meta", {}), partition
+    return meta, partition
 
 
 # ------------------------------------------------------------------ JSONL logs
@@ -493,7 +499,6 @@ def _dot_lines(
     partition: Partition,
     view: AttributeView,
     noa_nodes: Iterable[int],
-    new_since: int | None,
     meta_comment: str,
 ) -> Iterator[str]:
     snapshot = view.base
@@ -512,7 +517,7 @@ def _dot_lines(
             attrs = []
             if node in reds:
                 attrs.append("color=red")
-            elif new_since is not None and snapshot.node_ticks.get(node, 0) > new_since:
+            elif snapshot.node_ticks.get(node, 0) > 0:
                 attrs.append("color=blue")
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
             quoted = ids[index[node]] if node in index else _dot_id(snapshot.label_of(node))
@@ -529,12 +534,11 @@ def write_dot(
     path: str,
     *,
     noa_nodes: Iterable[int] = (),
-    new_since: int | None = None,
     meta_comment: str = "",
 ) -> None:
     """Graphviz rendering: one subgraph box per cluster.
 
-    NoA nodes are red; nodes that joined after `new_since` are blue (red
-    wins when both apply). Edge labels carry the aggregated weight.
+    NoA nodes are red; nodes that joined after tick 0 are blue (red wins
+    when both apply). Edge labels carry the aggregated weight.
     """
-    atomic_write_chunks(path, _dot_lines(partition, view, noa_nodes, new_since, meta_comment))
+    atomic_write_chunks(path, _dot_lines(partition, view, noa_nodes, meta_comment))

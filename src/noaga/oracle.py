@@ -17,8 +17,8 @@ ground truth the GA is checked against.
 from __future__ import annotations
 
 from .errors import ConfigInvalid, TooLarge, check_int
-from .fitness import (FitnessParams, FitnessValue, _value, closeness_mean, cut_fraction,
-                      label_sizes, small_count, total)
+from .fitness import (FitnessParams, FitnessValue, _value, checked_params, closeness_mean,
+                      cut_fraction, label_sizes, small_count, total)
 from .graph import AttributeView, Partition, part_labels
 
 DEFAULT_N_MAX = 10
@@ -47,8 +47,7 @@ def optimal_partition(
     Exact ties fall to fewer clusters, then lexicographic cluster order, so
     the answer is unique and stable.
     """
-    if params is None:
-        params = FitnessParams()
+    params = checked_params(params)
     n = view.node_count
     if n == 0:
         raise ConfigInvalid("cannot run on an empty view")

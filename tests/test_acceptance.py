@@ -306,6 +306,7 @@ def _merge_signals(view, **kwargs):
         (lambda view: _merge_signals(view, theta=2.5), ConfigInvalid),
         (lambda view: _merge_signals(view, window=True), ConfigInvalid),
         (lambda view: optimal_partition(view, n_max="20"), ConfigInvalid),
+        (lambda view: optimal_partition(random_graph(0), "x"), ConfigInvalid),
         (lambda view: datasets.assign_random_weights(view.base, arity="2"), ConfigInvalid),
         (lambda view: datasets.assign_random_weights(view.base, low=1.5, high=3), ConfigInvalid),
         (lambda view: datasets.scale_pairs("10", 20), ConfigInvalid),
@@ -324,8 +325,8 @@ def _merge_signals(view, **kwargs):
     ids=[
         "crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop",
         "weight-of-str", "weight-of-bool", "weight-of-float", "theta-str", "window-str",
-        "theta-float", "window-bool", "n-max-str", "arity-str", "low-float", "nodes-str",
-        "nodes-float", "edge-weight-float", "edge-weight-str", "update-value-float",
+        "theta-float", "window-bool", "n-max-str", "oracle-params-str", "arity-str", "low-float",
+        "nodes-str", "nodes-float", "edge-weight-float", "edge-weight-str", "update-value-float",
         "tick-str", "fitness-params-none", "fitness-params-str",
         "fitness-of-params-str", "run-events-int",
     ],

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats on disk, exit codes."""
 
+import ast
 import json
 import os
 import re
@@ -8,14 +9,17 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noaga
-from noaga import analysis, datasets, io
-from noaga.cli import main
+from noaga import analysis, cli, datasets, io
+from noaga.cli import _config, build_parser, main
+from noaga.engine import GAConfig
+from noaga.fitness import FitnessParams
 from noaga.graph import AttributeView, Partition
 
 from conftest import components
@@ -520,6 +524,73 @@ def test_usage_errors_exit_1(tmp_path, table1):
     assert main(["cluster", "-i", table1, "--seed", "1", "-o", out,
                  "--attr", "faxes", "--iterations", "5"]) == 1
     assert main(["gen", "--preset", "bogus", "-o", out]) == 1
+
+
+def test_the_separator_cap_is_no_flag(tmp_path, table1, capsys):
+    # the separator's group cap is the constant encoding.K_MAX, not a flag
+    out = tmp_path / "x.json"
+    assert main(["cluster", "-i", table1, "--seed", "1", "-o", str(out), "--k-max", "8"]) == 1
+    assert "unrecognized arguments: --k-max 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["cluster", "-i", "in.tsv", "--seed", "4", "-o", "out.json"])
+    assert _config(args) == GAConfig(seed=4)
+    assert _config(args).fitness_params == FitnessParams()
+
+
+RUN_COMMANDS = ("cluster", "stream", "oracle")
+
+
+def _is_number_literal(node: ast.expr) -> bool:
+    """An expression of numeric constants only, such as 100, -1 or 10_000 * 2."""
+    parts = list(ast.walk(node))
+    return any(isinstance(n, ast.Constant) for n in parts) and all(
+        isinstance(n, (ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator))
+        or (isinstance(n, ast.Constant) and type(n.value) in (int, float))
+        for n in parts
+    )
+
+
+def _flag_calls(tree: ast.Module) -> dict[str, list[ast.Call]]:
+    """The add_argument calls of each subcommand in cli.py: those written in
+    `build_parser` after the command's `add_parser`, and those in the module's
+    functions that `build_parser` calls there."""
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def called(node, name):
+        return isinstance(node, ast.Call) and name == (
+            node.func.attr if isinstance(node.func, ast.Attribute)
+            else getattr(node.func, "id", None))
+
+    calls: dict[str, list[ast.Call]] = {}
+    command = None
+    for stmt in functions["build_parser"].body:
+        for node in ast.walk(stmt):
+            if called(node, "add_parser"):
+                command = node.args[0].value
+                calls[command] = []
+            elif called(node, "add_argument") and command:
+                calls[command].append(node)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+                body = functions[node.func.id]
+                calls[command] += [n for n in ast.walk(body) if called(n, "add_argument")]
+    return calls
+
+
+def test_run_setting_defaults_are_read_from_the_library():
+    # a number written as a flag default is a second copy of a GAConfig or
+    # FitnessParams default, free to drift from the library's
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = _flag_calls(tree)
+    assert all(calls.get(command) for command in RUN_COMMANDS)
+    found = [
+        f"{command} {call.args[0].value}: default={ast.unparse(kw.value)}"
+        for command in RUN_COMMANDS for call in calls[command] for kw in call.keywords
+        if kw.arg == "default" and _is_number_literal(kw.value)
+    ]
+    assert found == []
 
 
 def test_data_errors_exit_2(tmp_path):

@@ -25,6 +25,7 @@ from noaga import (
     engine,
 )
 from noaga.encoding import (
+    K_MAX,
     SCHEME_TABLE,
     SCHEMES,
     carry_over_locus,
@@ -125,7 +126,7 @@ def test_isolates_link_to_themselves():
     schema = AttributeSchema(("w1",))
     view = AttributeView(GraphSnapshot.build(schema, [Edge(1, 2, (1,))], extra_nodes=[3]))
     assert view.neighbours == ((2,), (1,), (3,))
-    chrom = LOC.random(view, random.Random(0), 0.1, 8)
+    chrom = LOC.random(view, random.Random(0), 0.1)
     assert chrom == LocusChromosome((1, 2, 3), (2, 1, 3))
     assert LOC.mutate(chrom, view, 1.0, random.Random(1)) == chrom
     assert decode_locus(chrom, view) == [0, 0, 1]
@@ -135,7 +136,7 @@ def test_isolates_link_to_themselves():
 @given(view=views, seed=st.integers(0, 2**32))
 def test_uniform_crossover_deals_each_gene_to_one_child(view, seed):
     rng = random.Random(seed)
-    p1, p2 = LOC.random(view, rng, 0.1, 8), LOC.random(view, rng, 0.1, 8)
+    p1, p2 = LOC.random(view, rng, 0.1), LOC.random(view, rng, 0.1)
     c1, c2 = LOC.crossover(p1, p2, view, rng)
     assert c1.nodes == c2.nodes == view.nodes
     for genes in zip(p1.links, p2.links, c1.links, c2.links):
@@ -191,8 +192,8 @@ def test_random_edge_removal_probabilities(emails):
 def test_random_separator_bounds(emails):
     rng = random.Random(2)
     for _ in range(200):
-        chrom = random_separator(emails, rng, k_max=6)
-        assert 1 <= chrom.k <= 6
+        chrom = random_separator(emails, rng, 0.1)
+        assert 1 <= chrom.k <= min(K_MAX, emails.node_count)
         assert chrom.k == len(chrom.separators) + 1
         decode_separator(chrom, emails)  # already canonical
 
@@ -288,7 +289,7 @@ def test_scheme_records_keep_chromosomes_canonical(name, view, p_init, seed, dat
     # gets these checks without new test code
     scheme = SCHEME_TABLE[name]
     rng = random.Random(seed)
-    p1, p2 = (scheme.random(view, rng, p_init, 8) for _ in range(2))
+    p1, p2 = (scheme.random(view, rng, p_init) for _ in range(2))
     made = [p1, p2, *scheme.crossover(p1, p2, view, rng)]
     made += [scheme.mutate(chrom, view, rate, rng) for chrom in made for rate in (0.0, 0.1, 1.0)]
     for chrom in made:

@@ -371,6 +371,12 @@ def test_read_partition_json_errors(tmp_path):
         text = '{"clusters": [{"members": %s}]}' % members
         with pytest.raises(ParseError):
             io.read_partition_json(write(tmp_path, "z.json", text))
+    fields = ('"version": 2.7', '"version": true', '"version": "3"', '"attrs": "emails"',
+              '"attrs": [1, null]', '"meta": [1]', '"meta": "seed 3"')
+    texts = ['{"clusters": [{"members": [1]}], %s}' % field for field in fields]
+    for text in texts + ['{"clusters": ""}', '{"clusters": {}}']:
+        with pytest.raises(ParseError, match="^line 1: not a partition file: "):
+            io.read_partition_json(write(tmp_path, "f.json", text))
 
 
 def test_checkpoint_log_format(tmp_path):
@@ -423,7 +429,7 @@ def test_dot_output_golden(tmp_path):
     view = AttributeView(snap)
     part = Partition(((1, 2), (3,), (4,)), ("w1",), 1)
     path = tmp_path / "g.dot"
-    io.write_dot(part, view, str(path), noa_nodes=[1], new_since=0, meta_comment="demo")
+    io.write_dot(part, view, str(path), noa_nodes=[1], meta_comment="demo")
     assert path.read_bytes().decode() == (
         "// demo\n"
         "graph clusters {\n"
@@ -453,7 +459,7 @@ def test_dot_red_beats_blue(tmp_path):
     snap = snap.apply(UpdateEvent.add_node(9, "Y"))  # gets id 3
     view = AttributeView(snap)
     part = Partition(((1, 2), (3,)), ("w1",), 1)
-    io.write_dot(part, view, str(tmp_path / "g.dot"), noa_nodes=[3], new_since=0)
+    io.write_dot(part, view, str(tmp_path / "g.dot"), noa_nodes=[3])
     text = (tmp_path / "g.dot").read_text()
     assert '"Y" [color=red];' in text
     assert "blue" not in text
@@ -489,7 +495,7 @@ def test_write_dot_never_holds_the_whole_text(tmp_path):
     view = AttributeView(snap)
     part = Partition((view.nodes,), view.attrs, view.version)
     writers = [
-        ("scale.dot", 1, lambda path: io.write_dot(part, view, path, noa_nodes=[1], new_since=0)),
+        ("scale.dot", 1, lambda path: io.write_dot(part, view, path, noa_nodes=[1])),
         ("scale.tsv", 2, lambda path: io.write_edge_list(snap, path)),
         ("scale.json", 1, lambda path: io.write_partition_json(
             part, FitnessValue(0.5, 0.75, 0.1, 0), [1], [0.25], {"tool": io.TOOL}, path)),
