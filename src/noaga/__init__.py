@@ -74,7 +74,7 @@ from .engine import (
     snapshot_best,
     step,
 )
-from .fitness import FitnessParams, FitnessValue, fitness
+from .fitness import FitnessValue, fitness
 from .graph import (
     AppliedEvent,
     AttributeSchema,

@@ -17,7 +17,7 @@ from .analysis import noa_records, overlay
 from .encoding import K_MAX, SCHEMES
 from .engine import GAConfig, run
 from .errors import ConfigInvalid, NoagaError
-from .fitness import FitnessParams, density
+from .fitness import LAMBDA_CUT, MU_SMALL, SIGMA_SMALL, density
 from .graph import AttributeView
 from .oracle import DEFAULT_N_MAX, optimal_partition
 
@@ -41,15 +41,6 @@ def _add_view_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--agg", choices=("sum", "max"), default="sum",
                    help="aggregation over the chosen attributes")
-
-
-def _add_fitness_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda-cut", type=float, default=FitnessParams.lambda_cut,
-                   help="weight of the cut-fraction penalty")
-    p.add_argument("--mu-small", type=float, default=FitnessParams.mu_small,
-                   help="weight of the small-fragment penalty")
-    p.add_argument("--sigma-small", type=int, default=FitnessParams.sigma_small,
-                   help="parts below this size count as small")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -91,7 +82,6 @@ def _config(args: argparse.Namespace) -> GAConfig:
         checkpoint_every=args.checkpoint_every,
         seed=args.seed,
         p_init=args.p_init,
-        fitness_params=FitnessParams(args.lambda_cut, args.mu_small, args.sigma_small),
     )
 
 
@@ -110,9 +100,9 @@ def _run_meta(args: argparse.Namespace, config: GAConfig, view: AttributeView) -
         "checkpoint_every": config.checkpoint_every,
         "p_init": config.p_init,
         "k_max": K_MAX,
-        "lambda_cut": config.fitness_params.lambda_cut,
-        "mu_small": config.fitness_params.mu_small,
-        "sigma_small": config.fitness_params.sigma_small,
+        "lambda_cut": LAMBDA_CUT,
+        "mu_small": MU_SMALL,
+        "sigma_small": SIGMA_SMALL,
     }
     if getattr(args, "events", None):
         meta["events_sha256"] = io.sha256_of(args.events)
@@ -160,9 +150,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     snapshot, _ = io.parse_edge_list(args.input)
-    params = FitnessParams(args.lambda_cut, args.mu_small, args.sigma_small)
     view = AttributeView(snapshot, args.attr, args.agg)
-    partition, value = optimal_partition(view, params, n_max=args.n_max)
+    partition, value = optimal_partition(view, n_max=args.n_max)
     noas, closeness = _noas_and_closeness(noa_records(partition, view, 0))
     meta = {
         "tool": io.TOOL,
@@ -170,9 +159,9 @@ def _cmd_oracle(args) -> int:
         "attrs": list(view.attrs),
         "aggregation": view.aggregation,
         "n_max": args.n_max,
-        "lambda_cut": params.lambda_cut,
-        "mu_small": params.mu_small,
-        "sigma_small": params.sigma_small,
+        "lambda_cut": LAMBDA_CUT,
+        "mu_small": MU_SMALL,
+        "sigma_small": SIGMA_SMALL,
     }
     if args.output:
         io.write_partition_json(partition, value, noas, closeness, meta, args.output)
@@ -244,19 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="partition an edge list with the GA")
     _add_view_flags(p)
     _add_run_flags(p)
-    _add_fitness_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("stream", help="cluster while applying an update-event stream")
     _add_view_flags(p)
     p.add_argument("--events", required=True, help="event-stream JSONL")
     _add_run_flags(p)
-    _add_fitness_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("oracle", help="exact best partition by enumeration (small graphs)")
     _add_view_flags(p)
-    _add_fitness_flags(p)
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
                    help="refuse views with more nodes than this")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")

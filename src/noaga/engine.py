@@ -44,7 +44,7 @@ from . import analysis
 from .encoding import LOCUS, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
 from .errors import (ConfigInvalid, EventError, Exhausted, NoagaError, check_int, check_version,
                      clip_repr)
-from .fitness import FitnessParams, FitnessValue, rescore, score_terms
+from .fitness import FitnessValue, rescore, score_terms
 from .graph import (
     AppliedEvent,
     AttributeView,
@@ -69,13 +69,8 @@ class GAConfig:
     checkpoint_every: int = 100
     seed: int = 0
     p_init: float = 0.1
-    fitness_params: FitnessParams = field(default_factory=FitnessParams)
 
     def __post_init__(self):
-        if not isinstance(self.fitness_params, FitnessParams):
-            raise ConfigInvalid(
-                f"fitness_params must be a FitnessParams, got {clip_repr(self.fitness_params)}"
-            )
         for name in ("population_size", "max_evaluations", "checkpoint_every", "seed"):
             check_int(name, getattr(self, name))
         if self.population_size < 2:
@@ -180,7 +175,7 @@ def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
     scored = memo.get(labels)
     if scored is None:
         parts = decoded if state.scheme.connected else part_labels(view, decoded)
-        scored = (labels, *score_terms(decoded, parts, view, state.config.fitness_params))
+        scored = (labels, *score_terms(decoded, parts, view))
         if len(memo) >= state.config.population_size:
             del memo[next(iter(memo))]
         memo[labels] = scored
@@ -203,7 +198,7 @@ def _rescore(
         if labels[a] == labels[b]:
             weight_in += delta
     view = state.view
-    value = rescore(ind.value, ind.k, weight_in, view.total_weight, state.config.fitness_params)
+    value = rescore(ind.value, ind.k, weight_in, view.total_weight)
     state.evaluations += 1
     return Individual(ind.chromosome, value, view.version, ind.labels, ind.k, weight_in)
 

@@ -1,6 +1,9 @@
 """Partition quality scoring.
 
-total = closeness_mean - lambda_cut * cut_fraction - mu_small * small_share
+total = closeness_mean - LAMBDA_CUT * cut_fraction - MU_SMALL * small_share
+
+with the fixed weights LAMBDA_CUT = 2.5 and MU_SMALL = 0.5; no option
+sets them.
 
 closeness(C) is the intra-cluster tie density 2*T/(|C|*(|C|-1)) where T
 counts active edges inside C; singletons score 0. closeness_mean is the
@@ -8,8 +11,8 @@ size-weighted mean over clusters, so it rewards covering many nodes with
 dense clusters rather than farming tiny dense ones. cut_fraction is the
 share of aggregated edge weight crossing clusters, which is where weights
 (not just tie counts) enter. small_share penalizes fragments: it counts
-connected parts below sigma_small nodes, so a stray node is penalized the
-same whether it sits alone or is glued onto an unrelated cluster.
+connected parts below SIGMA_SMALL = 2 nodes, so a stray node is penalized
+the same whether it sits alone or is glued onto an unrelated cluster.
 
 The formula lives only in the count functions `closeness_mean`,
 `cut_fraction`, `small_count` and `total`. `score_terms` counts the labels
@@ -21,34 +24,15 @@ the exhaustive oracle scores its own counts through the count functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigInvalid, EmptyPartition, check_version, clip_repr
+from .errors import EmptyPartition, check_version
 from .graph import AttributeView, Partition, part_labels
 
-
-@dataclass(frozen=True)
-class FitnessParams:
-    """Weights of the three fitness terms. All must be finite and >= 0;
-    the two weights are numbers, stored as floats, and sigma_small is an
-    integer. ConfigInvalid otherwise."""
-
-    lambda_cut: float = 2.5
-    mu_small: float = 0.5
-    sigma_small: int = 2
-
-    def __post_init__(self):
-        for name in ("lambda_cut", "mu_small"):
-            v = getattr(self, name)
-            if (not isinstance(v, (int, float)) or isinstance(v, bool)
-                    or not math.isfinite(v) or v < 0):
-                raise ConfigInvalid(f"{name} must be finite and >= 0, got {clip_repr(v)}")
-            object.__setattr__(self, name, float(v))
-        v = self.sigma_small
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ConfigInvalid(f"sigma_small must be an integer >= 0, got {clip_repr(v)}")
+LAMBDA_CUT = 2.5
+MU_SMALL = 0.5
+SIGMA_SMALL = 2
 
 
 @dataclass(frozen=True)
@@ -67,24 +51,12 @@ def density(edges: int, size: int) -> float:
     return 2 * edges / (size * (size - 1)) if size > 1 else 0.0
 
 
-def checked_params(params: FitnessParams | None) -> FitnessParams:
-    """`params`, or the default for None; ConfigInvalid if it is no FitnessParams."""
-    if params is None:
-        return FitnessParams()
-    if not isinstance(params, FitnessParams):
-        raise ConfigInvalid(f"params must be a FitnessParams, got {clip_repr(params)}")
-    return params
-
-
-def fitness(
-    partition: Partition, view: AttributeView, params: FitnessParams | None = None
-) -> FitnessValue:
+def fitness(partition: Partition, view: AttributeView) -> FitnessValue:
     """Score a partition against the view it was built from.
 
     The partition must carry the view's snapshot version (StaleSnapshot
     otherwise) and must cover the view's active nodes exactly.
     """
-    params = checked_params(params)
     check_version("partition", partition.source_version, view.version)
     if not partition.clusters:
         raise EmptyPartition("fitness of a partition with no clusters")
@@ -92,7 +64,7 @@ def fitness(
     if -1 in labels:
         n = len(labels)
         raise ValueError(f"partition covers {n - labels.count(-1)} of {n} active nodes")
-    return score_terms(labels, part_labels(view, labels), view, params)[0]
+    return score_terms(labels, part_labels(view, labels), view)[0]
 
 
 def label_sizes(labels: Sequence[int]) -> list[int]:
@@ -120,23 +92,20 @@ def cut_fraction(weight_in: int, total_weight: int) -> float:
     return (total_weight - weight_in) / total_weight if total_weight > 0 else 0.0
 
 
-def small_count(part_sizes: Iterable[int], params: FitnessParams) -> int:
-    """Connected parts below sigma_small nodes, from the part sizes."""
-    return sum(1 for s in part_sizes if s < params.sigma_small)
+def small_count(part_sizes: Iterable[int]) -> int:
+    """Connected parts below SIGMA_SMALL nodes, from the part sizes."""
+    return sum(1 for s in part_sizes if s < SIGMA_SMALL)
 
 
-def total(mean: float, cut: float, small: int, k: int, params: FitnessParams) -> float:
-    """Total of k clusters. With small = 0 it is exactly mean - lambda_cut *
+def total(mean: float, cut: float, small: int, k: int) -> float:
+    """Total of k clusters. With small = 0 it is exactly mean - LAMBDA_CUT *
     cut, as x - 0.0 == x; a small count subtracts a y >= 0 from that, and
     fl(x - y) <= x, so the total with small = 0 bounds every other."""
-    return mean - params.lambda_cut * cut - params.mu_small * (small / k)
+    return mean - LAMBDA_CUT * cut - MU_SMALL * (small / k)
 
 
 def score_terms(
-    labels: Sequence[int],
-    parts: Sequence[int],
-    view: AttributeView,
-    params: FitnessParams,
+    labels: Sequence[int], parts: Sequence[int], view: AttributeView
 ) -> tuple[FitnessValue, int, int]:
     """Score a cluster label and a part label (connected part of its cluster)
     per active node, in view order, and return the value with the integer
@@ -157,23 +126,19 @@ def score_terms(
             weight_in += w
 
     # edge-removal clusters are their own parts: decode hands the same list
-    small = small_count(sizes if parts is labels else label_sizes(parts), params)
+    small = small_count(sizes if parts is labels else label_sizes(parts))
     mean = closeness_mean(sizes, ties_in, k, len(labels))
-    return _value(mean, small, k, weight_in, view.total_weight, params), k, weight_in
+    return _value(mean, small, k, weight_in, view.total_weight), k, weight_in
 
 
-def rescore(
-    value: FitnessValue, k: int, weight_in: int, total_weight: int, params: FitnessParams
-) -> FitnessValue:
+def rescore(value: FitnessValue, k: int, weight_in: int, total_weight: int) -> FitnessValue:
     """Score of the same clusters after edge weights changed but not which
     edges are active: closeness and the small parts carry over, the cut
     takes the new intra-cluster and total weight. Equal to a full score."""
-    return _value(value.closeness_mean, value.small_count, k, weight_in, total_weight, params)
+    return _value(value.closeness_mean, value.small_count, k, weight_in, total_weight)
 
 
-def _value(
-    mean: float, small: int, k: int, weight_in: int, total_weight: int, params: FitnessParams
-) -> FitnessValue:
+def _value(mean: float, small: int, k: int, weight_in: int, total_weight: int) -> FitnessValue:
     """The value of k clusters from their counts, for every scorer and the oracle."""
     cut = cut_fraction(weight_in, total_weight)
-    return FitnessValue(total(mean, cut, small, k, params), mean, cut, small)
+    return FitnessValue(total(mean, cut, small, k), mean, cut, small)

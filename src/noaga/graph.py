@@ -170,10 +170,10 @@ class GraphSnapshot:
     """Immutable graph state: node set, edge weight vectors, name table, version.
 
     `names` maps non-numeric external labels to ids; numeric labels are their
-    own ids and are not stored. `node_ticks` records when each node first
-    appeared, which rendering uses to mark recent arrivals. The mappings
-    `build` and `apply` make are read-only proxies, shared by successors
-    that leave them unchanged.
+    own ids and are not stored. `node_ticks` records the tick of each node
+    an event added, which rendering uses to mark arrivals; the nodes of the
+    version-0 snapshot have no entry. The mappings `build` and `apply` make
+    are read-only proxies, shared by successors that leave them unchanged.
     """
 
     schema: AttributeSchema
@@ -218,15 +218,10 @@ class GraphSnapshot:
         """Version-0 snapshot that takes over `edges` as it is: the caller
         has checked that every key is a normalized pair (low, high) and
         every value a tuple of `schema.arity` non-negative ints, not all
-        zero. The nodes are the edges' endpoints plus `extra_nodes`, all at
-        tick 0, and no node has a name."""
+        zero. The nodes are the edges' endpoints plus `extra_nodes`, and no
+        node has a name or a tick."""
         nodes = frozenset(chain.from_iterable(edges)).union(extra_nodes)
-        return cls(
-            schema=schema,
-            nodes=nodes,
-            edges=MappingProxyType(edges),
-            node_ticks=MappingProxyType(dict.fromkeys(nodes, 0)),
-        )
+        return cls(schema=schema, nodes=nodes, edges=MappingProxyType(edges))
 
     @staticmethod
     def _label_id(label: Label) -> int | None:

@@ -451,8 +451,12 @@ def write_noa_log(records: Iterable[NoARecord], meta: dict, path: str) -> None:
 
 
 def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
+    """The header's meta block ({} with no header) and the records of a NoA
+    log. ParseError at the line of a header that is not a JSON object or
+    not the first line, and of a malformed record."""
     meta: dict = {}
     records: list[NoARecord] = []
+    seen = False
     with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -461,8 +465,13 @@ def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:
             obj = _json_line(line, lineno)
             if not isinstance(obj, dict):
                 raise ParseError(lineno, "record must be a JSON object")
+            first, seen = not seen, True
             if "header" in obj:
+                if not first:
+                    raise ParseError(lineno, "the header must be the first line")
                 meta = obj["header"]
+                if not isinstance(meta, dict):
+                    raise ParseError(lineno, "header must be a JSON object")
                 continue
             try:
                 tick, noa, edges, weight = (obj[k] for k in ("tick", "noa", "edges", "weight"))
@@ -517,7 +526,7 @@ def _dot_lines(
             attrs = []
             if node in reds:
                 attrs.append("color=red")
-            elif snapshot.node_ticks.get(node, 0) > 0:
+            elif node in snapshot.node_ticks:
                 attrs.append("color=blue")
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
             quoted = ids[index[node]] if node in index else _dot_id(snapshot.label_of(node))
@@ -538,7 +547,7 @@ def write_dot(
 ) -> None:
     """Graphviz rendering: one subgraph box per cluster.
 
-    NoA nodes are red; nodes that joined after tick 0 are blue (red wins
-    when both apply). Edge labels carry the aggregated weight.
+    NoA nodes are red; nodes an event added, at any tick, are blue (red
+    wins when both apply). Edge labels carry the aggregated weight.
     """
     atomic_write_chunks(path, _dot_lines(partition, view, noa_nodes, meta_comment))

@@ -5,10 +5,11 @@ in restricted-growth order: clusters are numbered as in Partition order,
 and every set partition is reached exactly once, as a leaf. Each step keeps
 the cluster sizes, intra-cluster tie counts and intra-cluster weight up to
 date from the edges to earlier nodes only, and a leaf scores them through
-fitness's own count functions, so every float is the one `score_terms`
-gives. The total with no small part bounds a leaf's total, so a leaf whose
-bound is below the best total is skipped; only the rest have their parts
-labelled, and only one that can win becomes a Partition.
+fitness's own count functions, at its fixed weights, so every float is the
+one `score_terms` gives. The total with no small part bounds a leaf's
+total, so a leaf whose bound is below the best total is skipped; only the
+rest have their parts labelled, and only one that can win becomes a
+Partition.
 Bell numbers grow fast (Bell(10) = 115,975), so a cap of 10 nodes by
 default protects callers; anything bigger raises TooLarge. This is the
 ground truth the GA is checked against.
@@ -17,8 +18,8 @@ ground truth the GA is checked against.
 from __future__ import annotations
 
 from .errors import ConfigInvalid, TooLarge, check_int
-from .fitness import (FitnessParams, FitnessValue, _value, checked_params, closeness_mean,
-                      cut_fraction, label_sizes, small_count, total)
+from .fitness import (FitnessValue, _value, closeness_mean, cut_fraction, label_sizes,
+                      small_count, total)
 from .graph import AttributeView, Partition, part_labels
 
 DEFAULT_N_MAX = 10
@@ -38,16 +39,13 @@ def bell_number(n: int) -> int:
 
 
 def optimal_partition(
-    view: AttributeView,
-    params: FitnessParams | None = None,
-    n_max: int = DEFAULT_N_MAX,
+    view: AttributeView, *, n_max: int = DEFAULT_N_MAX
 ) -> tuple[Partition, FitnessValue]:
     """Best partition of the view's active nodes, by exhaustive search.
 
     Exact ties fall to fewer clusters, then lexicographic cluster order, so
     the answer is unique and stable.
     """
-    params = checked_params(params)
     n = view.node_count
     if n == 0:
         raise ConfigInvalid("cannot run on an empty view")
@@ -77,10 +75,10 @@ def optimal_partition(
         mean = closeness_mean(sizes, ties_in, k, n)
         cut = cut_fraction(weight_in, total_weight)
         # the total with no small part bounds the leaf's total
-        if best_value is not None and total(mean, cut, 0, k, params) < best_value.total:
+        if best_value is not None and total(mean, cut, 0, k) < best_value.total:
             return
-        small = small_count(label_sizes(part_labels(view, labels)), params)
-        value = _value(mean, small, k, weight_in, total_weight, params)
+        small = small_count(label_sizes(part_labels(view, labels)))
+        value = _value(mean, small, k, weight_in, total_weight)
         if best_value is not None and value.total < best_value.total:
             return
         part = Partition.from_labels(view, labels)

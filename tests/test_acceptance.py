@@ -22,7 +22,6 @@ from noaga import (
     ConfigInvalid,
     Edge,
     EdgeRemovalChromosome,
-    FitnessParams,
     ForeignEdge,
     GAConfig,
     GraphSnapshot,
@@ -295,8 +294,6 @@ def _merge_signals(view, **kwargs):
     "call, error",
     [
         (lambda view: GAConfig(crossover_rate="x"), ConfigInvalid),
-        (lambda view: FitnessParams(lambda_cut="abc"), ConfigInvalid),
-        (lambda view: FitnessParams(sigma_small=2.7), ConfigInvalid),
         (lambda view: view.weight_of(1, 1), ForeignEdge),
         (lambda view: view.weight_of("a", 1), ForeignEdge),
         (lambda view: view.weight_of(True, 2), ForeignEdge),
@@ -306,7 +303,6 @@ def _merge_signals(view, **kwargs):
         (lambda view: _merge_signals(view, theta=2.5), ConfigInvalid),
         (lambda view: _merge_signals(view, window=True), ConfigInvalid),
         (lambda view: optimal_partition(view, n_max="20"), ConfigInvalid),
-        (lambda view: optimal_partition(random_graph(0), "x"), ConfigInvalid),
         (lambda view: datasets.assign_random_weights(view.base, arity="2"), ConfigInvalid),
         (lambda view: datasets.assign_random_weights(view.base, low=1.5, high=3), ConfigInvalid),
         (lambda view: datasets.scale_pairs("10", 20), ConfigInvalid),
@@ -315,20 +311,14 @@ def _merge_signals(view, **kwargs):
         (lambda view: UpdateEvent.add_edge(1, 1, 2, ["x"]), ConfigInvalid),
         (lambda view: UpdateEvent.update_weight(1, 1, 2, "emails", 2.7), ConfigInvalid),
         (lambda view: view.base.apply(UpdateEvent.add_node("x", "Q")), ConfigInvalid),
-        (lambda view: GAConfig(fitness_params=None), ConfigInvalid),
-        (lambda view: GAConfig(fitness_params="x"), ConfigInvalid),
-        (lambda view: fitness(Partition(EMAILS_TARGET, view.attrs, view.version), view, "x"),
-         ConfigInvalid),
         (lambda view: run(view, GAConfig(population_size=4, max_evaluations=20), [1, 2]),
          ConfigInvalid),
     ],
     ids=[
-        "crossover-rate-str", "lambda-cut-str", "sigma-small-float", "weight-of-self-loop",
-        "weight-of-str", "weight-of-bool", "weight-of-float", "theta-str", "window-str",
-        "theta-float", "window-bool", "n-max-str", "oracle-params-str", "arity-str", "low-float",
-        "nodes-str", "nodes-float", "edge-weight-float", "edge-weight-str", "update-value-float",
-        "tick-str", "fitness-params-none", "fitness-params-str",
-        "fitness-of-params-str", "run-events-int",
+        "crossover-rate-str", "weight-of-self-loop", "weight-of-str", "weight-of-bool",
+        "weight-of-float", "theta-str", "window-str", "theta-float", "window-bool", "n-max-str",
+        "arity-str", "low-float", "nodes-str", "nodes-float", "edge-weight-float",
+        "edge-weight-str", "update-value-float", "tick-str", "run-events-int",
     ],
 )
 def test_wrong_typed_library_input_raises_a_noaga_error(emails, call, error):

@@ -19,7 +19,6 @@ import noaga
 from noaga import analysis, cli, datasets, io
 from noaga.cli import _config, build_parser, main
 from noaga.engine import GAConfig
-from noaga.fitness import FitnessParams
 from noaga.graph import AttributeView, Partition
 
 from conftest import components
@@ -173,6 +172,27 @@ def test_stream_reports_unknown_label(table1, tmp_path, capsys):
     ])
     assert code == 2
     assert "tick 7" in capsys.readouterr().err
+
+
+def test_stream_dot_marks_every_added_node_blue(table1, tmp_path):
+    # a node an event adds is blue whatever its tick, tick 0 included; each
+    # hangs off one input node, so it is no NoA (which would be red)
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(
+        f'{{"tick": {t}, "kind": "add_node", "node": "Z{t}"}}\n'
+        f'{{"tick": {t}, "kind": "add_edge", "a": "Z{t}", "b": {b}, "weights": [1, 0, 0]}}\n'
+        for t, b in ((0, 1), (5, 2))
+    ))
+    dot = tmp_path / "part.dot"
+    assert main([
+        "stream", "-i", table1, "--events", str(events), "--seed", "1",
+        "--population-size", "10", "--iterations", "50",
+        "-o", str(tmp_path / "part.json"), "--dot", str(dot),
+    ]) == 0
+    text = dot.read_text()
+    assert '"Z0" [color=blue];' in text and '"Z5" [color=blue];' in text
+    # the input nodes are never blue
+    assert text.count("color=blue") == 2
 
 
 def test_stream_refuses_a_batch_that_empties_the_view(tmp_path, capsys):
@@ -526,21 +546,32 @@ def test_usage_errors_exit_1(tmp_path, table1):
     assert main(["gen", "--preset", "bogus", "-o", out]) == 1
 
 
-def test_the_separator_cap_is_no_flag(tmp_path, table1, capsys):
-    # the separator's group cap is the constant encoding.K_MAX, not a flag
+RUN_COMMANDS = ("cluster", "stream", "oracle")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    # the separator's group cap is the constant encoding.K_MAX and the fitness
+    # weights are constants of fitness, not flags
+    [(c, "--k-max 8") for c in ("cluster", "stream")]
+    + [(c, f) for f in ("--lambda-cut 1", "--mu-small 0", "--sigma-small 3")
+       for c in RUN_COMMANDS],
+)
+def test_constant_settings_are_no_flags(tmp_path, table1, capsys, command, flag):
     out = tmp_path / "x.json"
-    assert main(["cluster", "-i", table1, "--seed", "1", "-o", str(out), "--k-max", "8"]) == 1
-    assert "unrecognized arguments: --k-max 8" in capsys.readouterr().err
+    argv = [command, "-i", table1, "-o", str(out), *flag.split()]
+    if command != "oracle":
+        argv += ["--seed", "1"]
+    if command == "stream":
+        argv += ["--events", str(tmp_path / "events.jsonl")]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_flag_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["cluster", "-i", "in.tsv", "--seed", "4", "-o", "out.json"])
     assert _config(args) == GAConfig(seed=4)
-    assert _config(args).fitness_params == FitnessParams()
-
-
-RUN_COMMANDS = ("cluster", "stream", "oracle")
 
 
 def _is_number_literal(node: ast.expr) -> bool:
@@ -580,8 +611,8 @@ def _flag_calls(tree: ast.Module) -> dict[str, list[ast.Call]]:
 
 
 def test_run_setting_defaults_are_read_from_the_library():
-    # a number written as a flag default is a second copy of a GAConfig or
-    # FitnessParams default, free to drift from the library's
+    # a number written as a flag default is a second copy of a GAConfig
+    # default, free to drift from the library's
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     calls = _flag_calls(tree)
     assert all(calls.get(command) for command in RUN_COMMANDS)
@@ -591,6 +622,27 @@ def test_run_setting_defaults_are_read_from_the_library():
         if kw.arg == "default" and _is_number_literal(kw.value)
     ]
     assert found == []
+
+
+VIEW_FLAGS = ["--agg", "--attr", "--input"]
+RUN_FLAGS = VIEW_FLAGS + [
+    "--checkpoint-every", "--checkpoint-log", "--crossover-rate", "--dot", "--iterations",
+    "--max-evaluations", "--mutation-rate", "--noa-log", "--output", "--p-init",
+    "--population-size", "--scheme", "--seed",
+]
+
+
+def test_run_commands_have_exactly_these_flags():
+    # every flag is a setting a user can reach, so a new one is declared here
+    # in the same change that adds it
+    calls = _flag_calls(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+    flags = {command: sorted(call.args[-1].value for call in calls[command])
+             for command in RUN_COMMANDS}
+    assert flags == {
+        "cluster": sorted(RUN_FLAGS),
+        "stream": sorted(RUN_FLAGS + ["--events"]),
+        "oracle": sorted(VIEW_FLAGS + ["--n-max", "--output"]),
+    }
 
 
 def test_data_errors_exit_2(tmp_path):

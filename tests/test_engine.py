@@ -808,7 +808,7 @@ def _fresh_terms(state, labels):
     """`score_terms` of decoded labels at the live view, without the memo."""
     view = state.view
     parts = labels if state.scheme.connected else part_labels(view, labels)
-    return score_terms(labels, parts, view, state.config.fitness_params)
+    return score_terms(labels, parts, view)
 
 
 def _scored_afresh(state, chrom):

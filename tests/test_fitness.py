@@ -11,10 +11,8 @@ import noaga
 from noaga import (
     AttributeSchema,
     AttributeView,
-    ConfigInvalid,
     Edge,
     EmptyPartition,
-    FitnessParams,
     FitnessValue,
     GraphSnapshot,
     LocusChromosome,
@@ -48,19 +46,6 @@ def triangle_view(w=4):
     schema = AttributeSchema(("w1",))
     snap = GraphSnapshot.build(schema, [Edge(a, b, (w,)) for a, b in [(1, 2), (1, 3), (2, 3)]])
     return AttributeView(snap)
-
-
-def test_params_validation():
-    p = FitnessParams()
-    assert (p.lambda_cut, p.mu_small, p.sigma_small) == (2.5, 0.5, 2)
-    with pytest.raises(ConfigInvalid):
-        FitnessParams(lambda_cut=-1)
-    with pytest.raises(ConfigInvalid):
-        FitnessParams(mu_small=float("nan"))
-    with pytest.raises(ConfigInvalid):
-        FitnessParams(lambda_cut=float("inf"))
-    with pytest.raises(ConfigInvalid):
-        FitnessParams(sigma_small=-2)
 
 
 def test_closeness_values(emails):
@@ -192,10 +177,8 @@ def _reference_clusters(chrom, view):
 @given(
     st.one_of(st.sampled_from(TABLE1_VIEWS), small_views()),
     raw_chromosomes,
-    st.builds(FitnessParams, st.sampled_from([0.0, 2.5]), st.sampled_from([0.0, 0.5]),
-              st.integers(0, 4)),
 )
-def test_label_score_matches_reference(view, raw, params):
+def test_label_score_matches_reference(view, raw):
     # the GA scores labels; the reference path decodes a Partition and scores that
     name, raw = raw
     record = SCHEME_TABLE[name]
@@ -206,7 +189,7 @@ def test_label_score_matches_reference(view, raw, params):
     assert part == Partition(_reference_clusters(chrom, view), view.attrs, view.version)
     # clusters are numbered by smallest member, the Partition's own order
     assert list(dict.fromkeys(labels)) == list(range(part.cluster_count))
-    assert score_terms(labels, parts, view, params)[0] == fitness(part, view, params)
+    assert score_terms(labels, parts, view)[0] == fitness(part, view)
 
 
 def test_component_ranges(emails):
@@ -221,16 +204,39 @@ def test_component_ranges(emails):
         assert v.total <= 1.0
 
 
+WEIGHTS = ("LAMBDA_CUT", "MU_SMALL", "SIGMA_SMALL")
+
+
+def _echoes(tree: ast.Module) -> set[int]:
+    """ids of the weight names that are dict values under their own
+    lowercase name, as in a meta block's "lambda_cut": LAMBDA_CUT."""
+    return {
+        id(value)
+        for d in ast.walk(tree) if isinstance(d, ast.Dict)
+        for key, value in zip(d.keys, d.values)
+        if isinstance(value, ast.Name) and value.id in WEIGHTS
+        and isinstance(key, ast.Constant) and key.value == value.id.lower()
+    }
+
+
 def test_scoring_rules_live_in_one_place():
-    # the formula's weights are read only where the formula is written (and
-    # where the CLI passes them through), so the oracle cannot drift from
+    # the formula's weights are read only where the formula is written, and
+    # the CLI only echoes them into meta, so the oracle cannot drift from
     # fitness; every stale check goes through one helper
     weights, stale = [], []
     for path in sorted(Path(noaga.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        if path.name not in ("fitness.py", "cli.py"):
-            weights += [f"{path.name}: {w}" for w in ("lambda_cut", "mu_small") if w in text]
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        if path.name == "cli.py":
+            echoes = _echoes(tree)
+            weights += [
+                f"cli.py:{node.lineno}: {node.id}" for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in WEIGHTS and id(node) not in echoes
+            ]
+        elif path.name != "fitness.py":
+            weights += [f"{path.name}: {w}" for name in WEIGHTS for w in (name, name.lower())
+                        if w in text]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id == "StaleSnapshot":

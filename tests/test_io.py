@@ -422,6 +422,33 @@ def test_read_noa_log_rejects_non_object_lines(tmp_path, line):
     assert info.value.line == 2
 
 
+NOA_RECORD = '{"tick": 1, "attrs": ["w1"], "members": [1], "noa": 1, "edges": 0, "weight": 0}\n'
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"header": 5}\n', 1),
+        ('{"header": [1]}\n' + NOA_RECORD, 1),
+        ('{"header": null}\n', 1),
+        ('{"header": {}}\n{"header": {"seed": 2}}\n', 2),
+        (NOA_RECORD + '{"header": {"seed": 2}}\n', 2),
+    ],
+    ids=["int", "list", "null", "second-header", "header-after-record"],
+)
+def test_read_noa_log_rejects_a_bad_header(tmp_path, text, line):
+    path = write(tmp_path, "noa.jsonl", text)
+    with pytest.raises(ParseError) as info:
+        io.read_noa_log(path)
+    assert info.value.line == line
+
+
+def test_read_noa_log_takes_a_missing_header_as_empty_meta(tmp_path):
+    path = write(tmp_path, "noa.jsonl", "\n" + NOA_RECORD)
+    meta, records = io.read_noa_log(path)
+    assert meta == {} and [r.tick for r in records] == [1]
+
+
 def test_dot_output_golden(tmp_path):
     schema = AttributeSchema(("w1",))
     snap = GraphSnapshot.build(schema, [Edge(1, 2, (3,)), Edge(2, 3, (1,))])

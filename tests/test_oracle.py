@@ -9,7 +9,6 @@ from noaga import (
     AttributeView,
     ConfigInvalid,
     Edge,
-    FitnessParams,
     GraphSnapshot,
     Partition,
     TooLarge,
@@ -18,6 +17,7 @@ from noaga import (
     optimal_partition,
 )
 from noaga import oracle
+from noaga.fitness import LAMBDA_CUT
 from noaga.graph import part_labels
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -61,11 +61,11 @@ def test_enumeration_is_complete_and_distinct(n):
         assert all(rgs[i] <= max(rgs[:i]) + 1 for i in range(1, n))
 
 
-def _reference_optimum(view, params):
+def _reference_optimum(view):
     """Every candidate built as a Partition and scored with the reference
     `fitness`; ties go to fewer clusters, then lexicographic clusters. Also
     counts the candidates that can still win when reached in enumeration
-    order: those whose closeness_mean - lambda_cut * cut_fraction is not
+    order: those whose closeness_mean - LAMBDA_CUT * cut_fraction is not
     below the best total before them."""
     best = None
     can_win = 0
@@ -74,8 +74,8 @@ def _reference_optimum(view, params):
         for node, label in zip(view.nodes, labels):
             clusters[label].append(node)
         part = Partition(clusters, view.attrs, view.version)
-        value = fitness(part, view, params)
-        bound = value.closeness_mean - params.lambda_cut * value.cut_fraction
+        value = fitness(part, view)
+        bound = value.closeness_mean - LAMBDA_CUT * value.cut_fraction
         if best is None or bound >= best[2].total:
             can_win += 1
         key = (-value.total, part.cluster_count, part.clusters)
@@ -84,14 +84,14 @@ def _reference_optimum(view, params):
     return best[1], best[2], can_win
 
 
-def _optimum_and_scores(view, params):
+def _optimum_and_scores(view):
     """`optimal_partition`, plus how many candidates it scored in full: only
     a candidate that can still win has its parts labelled for the small
     count, so the part labelling is what is counted, not the bound."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "part_labels", lambda *a: calls.append(1) or part_labels(*a))
-        part, value = optimal_partition(view, params)
+        part, value = optimal_partition(view)
     return part, value, len(calls)
 
 
@@ -115,39 +115,36 @@ def oracle_views(draw):
     return _view(n, [(a, b, draw(weights)) for a, b in sorted(forest | chords)])
 
 
-PARAMS = st.builds(
-    FitnessParams, st.sampled_from([0.0, 2.5]), st.sampled_from([0.0, 0.5]), st.integers(0, 3)
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(oracle_views(), PARAMS)
-def test_label_optimum_matches_reference(view, params):
-    assert _optimum_and_scores(view, params) == _reference_optimum(view, params)
+@given(oracle_views())
+def test_label_optimum_matches_reference(view):
+    assert _optimum_and_scores(view) == _reference_optimum(view)
 
 
 @pytest.mark.parametrize(
-    "view, params",
+    "view, winner",
     [
-        # edgeless, nothing small: all 52 candidates score 0, one cluster wins
-        (_view(5, []), FitnessParams(2.5, 0.5, 0)),
-        # K6 minus (3, 4), closeness only: every split into two cliques
-        # ties; {1,2,3,5},{4,6} comes first in enumeration order, but
-        # {1,2,3},{4,5,6} is lexicographically first
+        # two weight-3 triangles and node 7 tied to 3 and 4 by weight 1:
+        # {1,2,3,7},{4,5,6} ties {1,2,3},{4,5,6,7} and comes first in
+        # enumeration order, but the second is lexicographically first
         (
-            _view(6, [(a, b, 2) for a in range(1, 7) for b in range(a + 1, 7) if (a, b) != (3, 4)]),
-            FitnessParams(0.0, 0.0, 2),
+            _view(7, [(1, 2, 3), (1, 3, 3), (2, 3, 3), (4, 5, 3), (4, 6, 3), (5, 6, 3),
+                      (3, 7, 1), (4, 7, 1)]),
+            ((1, 2, 3), (4, 5, 6, 7)),
         ),
+        # the path 3-1-4-2: one cluster ties {1,3},{2,4}, and fewer clusters win
+        (_view(4, [(1, 3, 2), (1, 4, 1), (2, 4, 2)]), ((1, 2, 3, 4),)),
     ],
-    ids=["edgeless", "k6-minus-edge"],
+    ids=["bridged-triangles", "path"],
 )
-def test_tied_optimum_matches_reference(view, params):
-    part, value, scored = _optimum_and_scores(view, params)
-    assert (part, value, scored) == _reference_optimum(view, params)
+def test_tied_optimum_matches_reference(view, winner):
+    part, value, scored = _optimum_and_scores(view)
+    assert (part, value, scored) == _reference_optimum(view)
+    assert part.clusters == winner
     ties = [
         labels
         for labels in enumerate_labels(view.node_count)
-        if fitness(Partition.from_labels(view, labels), view, params).total == value.total
+        if fitness(Partition.from_labels(view, labels), view).total == value.total
     ]
     assert len(ties) > 1
 
