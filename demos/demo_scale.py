@@ -2,10 +2,11 @@
 
 Generates a connected random graph roughly the size of a mid-size P2P
 topology (6301 nodes, 20777 edges), assigns uniform random weights, then
-runs 1000 GA iterations, printing a checkpoint line every 100. On a 2-core
-Intel Xeon VM with Python 3.11 the whole script took 16-20 s of single-core
-work (median 18.8 s over five runs) and peaked at 40 MB resident; the point
-is that nothing here needs more than the pure-Python engine.
+runs 1000 GA iterations of the default locus scheme, printing a checkpoint
+line every 100. On a 2-core Intel Xeon VM with Python 3.11 the whole script
+took 10.9-12.0 s of single-core work (median 11.7 s over five runs) and
+peaked at 40.6-40.9 MB resident; the point is that nothing here needs more
+than the pure-Python engine.
 """
 
 import time

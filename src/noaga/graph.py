@@ -391,21 +391,23 @@ class AttributeView:
         combine = max if aggregation == "max" else sum
         pick = itemgetter(*(names.index(a) for a in chosen))
         self.weigh = weigh = pick if len(chosen) == 1 else lambda vec: combine(pick(vec))
-        pairs: list[Pair] = []
-        weights: list[int] = []
-        for key, vec in sorted(base.edges.items()):
-            w = weigh(vec)
-            if w > 0:
-                pairs.append(key)
-                weights.append(w)
+        # keys sort as the (key, vector) items do, without an item per edge
+        edges = base.edges
+        pairs = sorted(edges)
+        weights = list(map(weigh, [edges[key] for key in pairs]))
+        # weights are non-negative ints, so an edge is active iff its
+        # weight is truthy; with no zero weight every edge is active
+        if 0 in weights:
+            pairs = list(compress(pairs, weights))
+            weights = list(filter(None, weights))
         self.pairs: tuple[Pair, ...] = tuple(pairs)
         self.weights: tuple[int, ...] = tuple(weights)
         self.total_weight = sum(weights)
         # active nodes are the snapshot's nodes less those whose every edge
         # is inactive here; with no inactive edge that is all of them
         nodes = base.nodes
-        if len(pairs) != len(base.edges):
-            nodes = nodes.difference(chain.from_iterable(base.edges)).union(
+        if len(pairs) != len(edges):
+            nodes = nodes.difference(chain.from_iterable(edges)).union(
                 chain.from_iterable(pairs)
             )
         self.nodes: tuple[int, ...] = tuple(sorted(nodes))

@@ -11,6 +11,11 @@ no timestamps or process ids appear anywhere. Field names are documented
 in docs/formats.md and are part of the public contract. The edge-list
 parser keeps one int per distinct field text and one tuple per distinct
 weight vector, so each node id is one object however many rows name it.
+A data row whose id texts and weight columns (as one text) were accepted
+in earlier rows, its weight vector on at least two of them, is added after
+one dict lookup per field and the self-loop and repeat tests; every other
+line is checked field by field, so each error names the same line with
+the same message whichever way a row is read.
 """
 
 from __future__ import annotations
@@ -129,6 +134,19 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
     (column count, digits, self-loop, all-zero weights, repeated pair), so
     no `Edge` is built: the loop's edge dict, in file order, goes straight
     to `GraphSnapshot.from_checked`, the one version-0 constructor.
+
+    A headered data row takes a cached path when each of its two id texts
+    was accepted before and its tail (all after the second tab, newline
+    included) is the tail of an earlier row that passed every check: such
+    a tail already has the right column count, digits only and a weight
+    vector that is not all zeros. A tail is kept only from a row whose
+    weight vector an even earlier row had, so a file of mostly distinct
+    vectors keeps no text per row. The row is then added after one lookup
+    per field, the self-loop test and the repeat test. A row that fails
+    either test, and every other line (header, blank or '#' line, a row
+    with a text seen for the first time, a malformed row), takes the full
+    checks, so every ParseError and DuplicateEdge names the same line with
+    the same message as without the cache.
     """
     schema: AttributeSchema | None = None
     bare = False
@@ -138,10 +156,27 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
     # rows name it; a text is checked only the first time it is seen
     ints: dict[str, int] = {}
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # the weight vector of the tail (all after the second tab) of headered
+    # rows that passed every check
+    tails: dict[str, tuple[int, ...]] = {}
     with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+            # the cached-row path; a row that fails its self-loop or repeat
+            # test takes the checks below, which raise the error
+            parts = raw.split("\t", 2)
+            if len(parts) == 3:
+                weights = tails.get(parts[2])
+                if weights is not None:
+                    a = ints.get(parts[0])
+                    b = ints.get(parts[1])
+                    if a is not None and b is not None and a != b:
+                        key = (a, b) if a < b else (b, a)
+                        if key not in edges:
+                            edges[key] = weights
+                            continue
+            line = raw.rstrip("\r\n")
+            text = line.lstrip()
+            if not text or text[0] == "#":
                 continue
             fields = line.split("\t")
             if schema is None and not bare:
@@ -179,16 +214,20 @@ def parse_edge_list(path: str) -> tuple[GraphSnapshot, AttributeSchema]:
             if a == b:
                 raise ParseError(lineno, f"self-loop on node {a}")
             if bare:
-                weights = (1,)
+                weights = vector = (1,)
             else:
-                weights = tuple(values[2:])
-                if not any(weights):
+                vector = tuple(values[2:])
+                if not any(vector):
                     raise ParseError(lineno, f"edge ({a}, {b}) has all-zero weights")
-                weights = vectors.setdefault(weights, weights)
+                weights = vectors.setdefault(vector, vector)
             key = (a, b) if a < b else (b, a)
             if key in edges:
                 raise DuplicateEdge(f"line {lineno}: duplicate edge {key}")
             edges[key] = weights
+            # only the tail of a vector seen on an earlier row is kept, so a
+            # file whose vectors are mostly distinct holds no text per row
+            if weights is not vector:
+                tails[parts[2]] = weights
     if bare:
         schema = AttributeSchema(BARE_ATTRS)
     if schema is None:

@@ -253,6 +253,112 @@ def test_each_malformed_row_kind_fails_at_its_line(file, data):
         assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
 
 
+# Valid rows that put the id texts 0-3 in the parser's tables and cache the
+# tails of rows 2 and 4, whose weight vectors repeat those of rows 1 and 3,
+# so that a last row made only of those texts can take the cached-row path.
+SEEN_ROWS = {
+    1: ("node_a\tnode_b\tw\n", "0\t1\t2\n", "1\t2\t2\n", "2\t3\t3\n", "1\t3\t3\n"),
+    3: ("node_a\tnode_b\tx\ty\tz\n", "0\t1\t2\t0\t1\n", "1\t2\t2\t0\t1\n",
+        "2\t3\t0\t0\t3\n", "1\t3\t0\t0\t3\n"),
+}
+SEEN_EDGES = {
+    1: [(0, 1, (2,)), (1, 2, (2,)), (2, 3, (3,)), (1, 3, (3,))],
+    3: [(0, 1, (2, 0, 1)), (1, 2, (2, 0, 1)), (2, 3, (0, 0, 3)), (1, 3, (0, 0, 3))],
+}
+
+
+@pytest.mark.parametrize(
+    "arity, row, error, message",
+    [
+        (1, "2\t1\t3\n", DuplicateEdge, "duplicate edge (1, 2)"),  # repeat, high-low
+        (3, "3\t2\t2\t0\t1\n", DuplicateEdge, "duplicate edge (2, 3)"),
+        (1, "3\t3\t2\n", ParseError, "self-loop on node 3"),
+        (3, "3\t3\t2\t0\t1\n", ParseError, "self-loop on node 3"),
+        (1, "0\t3\t0\n", ParseError, "edge (0, 3) has all-zero weights"),
+        (3, "0\t3\t0\t0\t0\n", ParseError, "edge (0, 3) has all-zero weights"),
+        (1, "0\t2\t2\t3\n", ParseError, "expected 3 columns, got 4"),
+        (1, "0\t2\n", ParseError, "expected 3 columns, got 2"),
+        (3, "0\t2\t2\t0\t1\t1\n", ParseError, "expected 5 columns, got 6"),
+        (3, "0\t2\t2\t0\n", ParseError, "expected 5 columns, got 4"),
+        (1, "2\t1\t3", DuplicateEdge, "duplicate edge (1, 2)"),  # no newline
+        (3, "0\t3\t0\t0\t0", ParseError, "edge (0, 3) has all-zero weights"),
+    ],
+)
+def test_a_bad_row_of_seen_texts_fails_at_its_line(tmp_path, arity, row, error, message):
+    path = write(tmp_path, "seen.tsv", "".join(SEEN_ROWS[arity]) + row)
+    with pytest.raises(error) as info:
+        io.parse_edge_list(path)
+    assert str(info.value) == f"line 6: {message}"
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+@pytest.mark.parametrize(
+    "row, added",
+    [
+        ("#0\t2\t2\t0\t1\n", None),
+        ("  #0\t2\t2\t0\t1\n", None),
+        ("0\t2\t2\t0\t1", (0, 2)),  # last row, no newline
+        ("3\t0\t2\t0\t1\n", (0, 3)),  # high-low
+    ],
+)
+def test_a_good_row_of_seen_texts_parses_as_the_checked_rows(tmp_path, arity, row, added):
+    if arity == 1:
+        row = row.replace("\t2\t0\t1", "\t2")
+    path = write(tmp_path, "seen.tsv", "".join(SEEN_ROWS[arity]) + row)
+    snap, schema = io.parse_edge_list(path)
+    rows = SEEN_EDGES[arity] + ([] if added is None else [(*added, SEEN_EDGES[arity][0][2])])
+    want = GraphSnapshot.build(schema, [Edge(a, b, w) for a, b, w in rows])
+    assert list(snap.edges.items()) == list(want.edges.items())
+    assert snap.nodes == want.nodes
+
+
+def test_both_row_paths_share_ids_and_weight_vectors(tmp_path):
+    # rows 1 and 2 name new texts and are checked field by field; rows 3 and
+    # 4 name only seen texts (" 4000 " padded as before) and take the cached path
+    text = ("node_a\tnode_b\tw\n1000\t2000\t500\n3000\t 4000 \t500\n"
+            "2000\t3000\t500\n 4000 \t1000\t500\n")
+    snap, _ = io.parse_edge_list(write(tmp_path, "paths.tsv", text))
+    (k12, w12), (k34, w34), (k23, w23), (k14, w14) = snap.edges.items()
+    assert (k12, k34, k23, k14) == ((1000, 2000), (3000, 4000), (2000, 3000), (1000, 4000))
+    assert k12[1] is k23[0] and k23[1] is k34[0]
+    assert k12[0] is k14[0] and k34[1] is k14[1]
+    assert w12 == (500,) and w12 is w23 is w34 is w14
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+def test_parse_equals_build_at_scale(tmp_path, arity):
+    """About 20,000 seeded rows with padded fields and pairs written high-low.
+    Weights are drawn from a few vectors, so about half of the rows take the
+    cached-row path and the rest are checked field by field."""
+    rng = random.Random(arity)
+    nodes = 5000
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < 20_000:
+        a, b = rng.sample(range(nodes), 2)
+        pairs.add((min(a, b), max(a, b)))
+    forms = ["{}", "{}", "{}", " {}", "{} ", " {}  "]
+    names = ["x", "y", "z"][:arity]
+    lines = ["node_a\tnode_b\t" + "\t".join(names)]
+    rows = []
+    for a, b in sorted(pairs, key=lambda p: rng.random()):
+        if rng.random() < 0.5:
+            a, b = b, a
+        weights = (0,) * arity
+        while not any(weights):
+            weights = tuple(rng.randrange(4) for _ in names)
+        fields = [rng.choice(forms).format(a), rng.choice(forms).format(b)]
+        fields += [f" {w} " if rng.random() < 0.02 else str(w) for w in weights]
+        lines.append("\t".join(fields))
+        rows.append((a, b, weights))
+        if rng.random() < 0.01:
+            lines.append(rng.choice(["", "# note", "  #\tindented note"]))
+    snap, schema = io.parse_edge_list(write(tmp_path, "scale.tsv", "\n".join(lines) + "\n"))
+    want = GraphSnapshot.build(AttributeSchema(tuple(names)), [Edge(a, b, w) for a, b, w in rows])
+    assert schema == want.schema
+    assert snap.nodes == want.nodes
+    assert list(snap.edges.items()) == list(want.edges.items())  # file order
+
+
 def test_event_stream_round_trip(tmp_path):
     events = datasets.dynamics_events()
     path = str(tmp_path / "events.jsonl")
