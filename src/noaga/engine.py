@@ -11,11 +11,10 @@ of the run's scheme, looked up by name once per run state: it makes,
 crosses, mutates, decodes and carries chromosomes over with the record's
 operators, which keep them canonical.
 
-A weight-only batch, whose every event re-weights an edge without turning
-it active or inactive in the view, cannot change a decoded partition. Its
-re-evaluations skip decode: each individual is re-scored from the cluster
-labels, cluster count and intra-cluster weight cached when it was scored,
-and each still counts as one evaluation.
+A weight-only batch (`AttributeView.reweighted` defines it) cannot change
+a decoded partition. Its re-evaluations skip decode: each individual is
+re-scored from the cluster labels, cluster count and intra-cluster weight
+cached when it was scored, and each still counts as one evaluation.
 
 Every other evaluation decodes, then looks the decoded labels up in the run
 state's score memo before scoring: many chromosomes decode to one
@@ -45,14 +44,7 @@ from .encoding import LOCUS, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
 from .errors import (ConfigInvalid, EventError, Exhausted, NoagaError, check_int, check_version,
                      clip_repr)
 from .fitness import FitnessValue, rescore, score_terms
-from .graph import (
-    AppliedEvent,
-    AttributeView,
-    EventKind,
-    Partition,
-    UpdateEvent,
-    part_labels,
-)
+from .graph import AppliedEvent, AttributeView, Partition, UpdateEvent, part_labels
 
 
 @dataclass(frozen=True)
@@ -188,9 +180,9 @@ def _rescore(
     state: GAState, ind: Individual, version: int, deltas: list[tuple[int, int, int]]
 ) -> Individual:
     """Re-score an individual scored at `version` after a weight-only batch:
-    each (endpoint index, endpoint index, weight change) of an edge inside
-    one of its clusters moves its intra-cluster weight. Costs one
-    evaluation."""
+    each of the batch's weight changes (`AttributeView.reweighted`) on an
+    edge inside one of its clusters moves its intra-cluster weight. Costs
+    one evaluation."""
     check_version("individual", ind.version, version)
     labels = unpack_labels(ind.labels)
     weight_in = ind.weight_in
@@ -278,12 +270,11 @@ def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
     evaluations), then max-merge the elite with the population, since an
     event can demote it.
 
-    A weight-only batch (every event an update_weight that leaves its edge
-    in the snapshot, and active in the view exactly when it was before)
-    patches the view and re-scores each individual from its cached labels,
-    cluster count and intra-cluster weight. Any other batch rebuilds the
-    view, carries each chromosome over to it with the scheme's `carry_over`
-    and re-evaluates every individual.
+    A weight-only batch (`AttributeView.reweighted`) patches the view and
+    re-scores each individual from its cached labels, cluster count and
+    intra-cluster weight. Any other batch rebuilds the view, carries each
+    chromosome over to it with the scheme's `carry_over` and re-evaluates
+    every individual.
 
     An element that is no UpdateEvent raises ConfigInvalid; an event that
     cannot be applied, or a batch that leaves the view with no active nodes,
@@ -299,35 +290,28 @@ def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
             raise EventError(ev.tick, str(exc)) from exc
         done.append(applied)
     old = state.view
-    view = None
-    if all(a.event.kind is EventKind.UPDATE_WEIGHT for a in done):
-        view = old.reweighted(snapshot, [a.pair for a in done])
-    weight_only = view is not None
-    if not weight_only:
+    patched = old.reweighted(snapshot, done)
+    if patched is None:
         # the run stays on the attrs/aggregation of the view it started from
         view = AttributeView(snapshot, old.attrs, old.aggregation)
         if view.node_count == 0:
             raise EventError(batch[-1].tick, "the batch leaves the view with no active nodes")
+        carry_over, rng = state.scheme.carry_over, state.rng
+
+        def renew(ind: Individual) -> Individual:
+            return _evaluate(state, carry_over(ind.chromosome, view, rng))
+    else:
+        view, changes = patched
+
+        def renew(ind: Individual) -> Individual:
+            return _rescore(state, ind, old.version, changes)
     state.applied.extend(done)
     state.view = view
     # memo entries hold scores at the old view
     state.memo.clear()
     state.worst = None
-    if weight_only:
-        idxs = {old.pair_index[a.pair] for a in done if a.pair in old.pair_index}
-        deltas = [
-            (view.ea[i], view.eb[i], view.weights[i] - old.weights[i])
-            for i in idxs
-            if view.weights[i] != old.weights[i]
-        ]
-        for i, ind in enumerate(state.population):
-            state.population[i] = _rescore(state, ind, old.version, deltas)
-        state.best = _rescore(state, state.best, old.version, deltas)
-    else:
-        carry_over, rng = state.scheme.carry_over, state.rng
-        for i, ind in enumerate(state.population):
-            state.population[i] = _evaluate(state, carry_over(ind.chromosome, view, rng))
-        state.best = _evaluate(state, carry_over(state.best.chromosome, view, rng))
+    state.population[:] = [renew(ind) for ind in state.population]
+    state.best = renew(state.best)
     for ind in state.population:
         if ind.value.total > state.best.value.total:
             state.best = ind

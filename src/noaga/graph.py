@@ -355,9 +355,9 @@ class AttributeView:
     edges at all in the snapshot (just-added isolates). Nodes whose every
     incident edge is zero under the chosen attributes are not in the view.
     `weigh(vec)` aggregates a snapshot weight vector into this view's edge
-    weight; the edge is active iff that is positive. `reweighted` derives
-    the view of a snapshot that only re-weighted edges from the view of its
-    predecessor.
+    weight; the edge is active iff that is positive. `reweighted` decides
+    whether a batch of events is weight-only and, if so, patches this view
+    into the view of the snapshot the batch led to.
 
     Two lookup tables are built on their first read, never while a view is
     built, so a run pays only for the ones it reads: `pair_index`, read by
@@ -413,23 +413,30 @@ class AttributeView:
         self.nodes: tuple[int, ...] = tuple(sorted(nodes))
         self.node_index = node_index = {n: i for i, n in enumerate(self.nodes)}
         # endpoint index arrays, the decode hot path walks these
-        self.ea = [node_index[a] for a, _ in pairs]
-        self.eb = [node_index[b] for _, b in pairs]
+        self.ea: tuple[int, ...] = tuple([node_index[a] for a, _ in pairs])
+        self.eb: tuple[int, ...] = tuple([node_index[b] for _, b in pairs])
 
     def reweighted(
-        self, base: GraphSnapshot, pairs: Iterable[Pair]
-    ) -> "AttributeView | None":
-        """The view of `base` on this view's attributes, where `base` is a
-        later snapshot that differs from this view's snapshot only in the
-        weight vectors of `pairs`. None when one of `pairs` left `base`
-        (every weight zeroed) or turns active or inactive here: the node or
-        edge set can then change, which needs a full build.
+        self, base: GraphSnapshot, applied: Sequence[AppliedEvent]
+    ) -> "tuple[AttributeView, list[tuple[int, int, int]]] | None":
+        """The one definition of a weight-only batch, and its measure.
 
-        Shares the edge and node tables with this view, `pair_index` (which
-        this reads) included; only the weights and the total are new.
-        Nothing is re-sorted."""
+        `applied` are the events that took this view's snapshot to `base`.
+        The batch is weight-only when every event is an update_weight whose
+        edge stays in `base` and is active on this view's attributes there
+        exactly when it is active here. It then leaves the node and edge
+        sets as they are, so it cannot change a decoded partition. None for
+        any other batch, whose view needs a full build.
+
+        For a weight-only batch, returns the view of `base` on this view's
+        attributes and one (endpoint index, endpoint index, weight change)
+        per active edge whose aggregated weight moved. The view shares the
+        edge and node tables with this one, and each lookup table built by
+        then; only the weights and the total are new. Nothing is re-sorted."""
+        if any(a.event.kind is not EventKind.UPDATE_WEIGHT for a in applied):
+            return None
         changed: dict[int, int] = {}
-        for key in set(pairs):
+        for key in {a.pair for a in applied}:
             vec = base.edges.get(key)
             if vec is None:
                 return None
@@ -439,6 +446,8 @@ class AttributeView:
                 return None
             if idx is not None and w != self.weights[idx]:
                 changed[idx] = w
+        changes = [(self.ea[idx], self.eb[idx], w - self.weights[idx])
+                   for idx, w in changed.items()]
         view = copy.copy(self)
         view.base = base
         view.version = base.version
@@ -448,7 +457,7 @@ class AttributeView:
                 view.total_weight += w - weights[idx]
                 weights[idx] = w
             view.weights = tuple(weights)
-        return view
+        return view, changes
 
     @cached_property
     def pair_index(self) -> dict[Pair, int]:

@@ -1116,6 +1116,18 @@ def test_apply_events_rejects_a_non_event_before_changing_the_run(two_triangle, 
     assert state.view is view and state.memo == memo
 
 
+def test_the_weight_only_test_lives_in_the_view():
+    # `AttributeView.reweighted` alone decides whether a batch is weight-only
+    # and what it changes; the engine neither tests event kinds nor looks
+    # edges up again
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    named = [f"engine.py:{node.lineno}: {name}" for node in ast.walk(tree)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None))
+             if name in ("EventKind", "pair_index")]
+    assert named == []
+
+
 def test_every_scheme_field_and_config_knob_is_read_by_the_engine():
     # a record field or knob that only tests read is dead weight: each must
     # be read as an attribute in engine.py outside GAConfig, whose

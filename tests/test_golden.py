@@ -8,6 +8,7 @@ made on purpose updates the literals by hand, in the same change.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,17 @@ def messy_table1(text):
     return "\r\n".join(out) + "\r\n"
 
 
+# A 301-node planted graph that a run does not solve in its budget, so its
+# checkpoints follow the search, and 15 event batches for it: the 5th, 10th
+# and 15th add a node, remove edges and zero edges, the others re-weight
+# edges. Written by
+# bench/gen.py: rng = random.Random("golden/planted-hard");
+# planted_graph(rng, communities=30, size=10, chords=15, extra_inter=90,
+# intra_w=(1, 6), inter_w=(1, 6)) for the graph, then
+# stream_events(rng, edges, truth, batches=15, first_tick=15, gap=15).
+PLANTED_HARD = Path(__file__).with_name("data") / "planted-hard.tsv"
+PLANTED_HARD_EVENTS = PLANTED_HARD.with_name("planted-hard-events.jsonl")
+HARD_FLAGS = ["--seed", "1", "--population-size", "20", "--checkpoint-every", "50"]
 GA_FLAGS = ["--population-size", "30", "--iterations", "300", "--checkpoint-every", "100"]
 # half the edges listed at first and nearly every gene mutated: crossover
 # splices repeat edges and replacement draws collide
@@ -230,6 +242,18 @@ GOLDEN = {
     "oracle-max": {
         "part.json": "e053e876e069de9aa8d8c89be0334176fb8b80b4c0be054bca68060287c56127",
     },
+    "cluster-planted-hard": {
+        "ck.jsonl": "80a9e6b296164936294907a6a80b4ba4ccac2196110610b5345735839599a607",
+        "noa.jsonl": "7ec145c81f0741509700f57a23a1c794df3108ecfaeec4865da7916d825efee9",
+        "part.dot": "0d9657eb60cc678ede4db2158d85f1bcad1f586005b6fedfa4a0b0bff58c862b",
+        "part.json": "5e6b22a0e89a04a7b85c1e68f27b98f0dbf40915f592945622aa4a218919a8a0",
+    },
+    "stream-planted-hard": {
+        "ck.jsonl": "6201fd8bdf4267d4d2fd0f30612883518e70b4812e74dffe972ec7005e5d9308",
+        "noa.jsonl": "9b59943c07a1ced3cd1a20e7bde8e0e9308a25f18ea100f93ca803906a13f00a",
+        "part.dot": "a5fbe985c3067fa93878db7e230973595f6d33023aca03fff9601ec6d84a0ddc",
+        "part.json": "5472fde198c6af7c93dd81ee8b556edf51590307cea9f75b4d3ad8fed8a724dd",
+    },
 }
 
 
@@ -297,6 +321,13 @@ def _runs(inputs):
         "--seed", "3", *GA_FLAGS,
     ]
     yield "oracle-max", ["oracle", "-i", graph, "--agg", "max"]
+    yield "cluster-planted-hard", [
+        "cluster", "-i", str(PLANTED_HARD), "--iterations", "300", *HARD_FLAGS,
+    ]
+    yield "stream-planted-hard", [
+        "stream", "-i", str(PLANTED_HARD), "--events", str(PLANTED_HARD_EVENTS),
+        "--max-evaluations", "1000", *HARD_FLAGS,
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +348,14 @@ def inputs(tmp_path_factory):
 def test_cli_outputs_match_golden_digests(inputs, tmp_path):
     got = {name: _run(tmp_path / name, argv) for name, argv in _runs(inputs)}
     assert got == GOLDEN
+
+
+def test_the_planted_hard_cases_stop_before_convergence(inputs, tmp_path):
+    # a case whose elite still improves between checkpoints pins the search
+    # itself, not only the optimum it converges to
+    runs = dict(_runs(inputs))
+    for name in ("cluster-planted-hard", "stream-planted-hard"):
+        _run(tmp_path / name, runs[name])
+        lines = (tmp_path / name / "ck.jsonl").read_text().splitlines()
+        totals = [row["best_total"] for row in map(json.loads, lines) if "best_total" in row]
+        assert sum(b > a for a, b in zip(totals, totals[1:])) >= 2, (name, totals)

@@ -243,24 +243,36 @@ def _reference_stats(partition, view):
     return out
 
 
+def _apply_traced(snapshot, batch):
+    """The snapshot `batch` leads to from `snapshot`, and its applied events."""
+    applied = []
+    for ev in batch:
+        snapshot, done = snapshot.apply_traced(ev)
+        applied.append(done)
+    return snapshot, applied
+
+
 @settings(max_examples=400, deadline=None)
 @given(REWEIGHT_VIEWS, st.data())
 def test_reweighted_view_equals_a_fresh_build(view, data):
-    batch = data.draw(reweight_batches(view))
-    snap = view.base
-    for ev in batch:
-        snap = snap.apply(ev)
+    snap, applied = _apply_traced(view.base, data.draw(reweight_batches(view)))
     fresh = AttributeView(snap, view.attrs, view.aggregation)
-    touched = {edge_key(ev.a, ev.b) for ev in batch}
+    touched = {a.pair for a in applied}
     # weight-only: every touched edge stays in the snapshot, and active in
     # the view exactly when it was
     weight_only = all(
         k in snap.edges and (k in fresh.pair_index) == (k in view.pair_index) for k in touched
     )
-    patched = view.reweighted(snap, touched)
+    patched = view.reweighted(snap, applied)
     assert (patched is not None) == weight_only
     if patched is not None:
+        patched, changes = patched
         assert _view_fields(patched) == _view_fields(fresh)
+        # one change per active edge whose aggregated weight moved, by as much
+        moved = [i for i in range(view.edge_count) if fresh.weights[i] != view.weights[i]]
+        assert sorted(changes) == sorted(
+            (view.ea[i], view.eb[i], fresh.weights[i] - view.weights[i]) for i in moved
+        )
         labels = data.draw(st.lists(
             st.integers(-1, 3), min_size=fresh.node_count, max_size=fresh.node_count
         ))
@@ -277,25 +289,22 @@ def test_neighbour_table_is_built_on_first_read_and_shared_by_reweighted_views(v
     view = AttributeView(view.base, view.attrs, view.aggregation)
     # building a view builds neither lookup table
     assert "neighbours" not in vars(view) and "pair_index" not in vars(view)
-    batch = data.draw(reweight_batches(view))
-    snap = view.base
-    for ev in batch:
-        snap = snap.apply(ev)
-    touched = {edge_key(ev.a, ev.b) for ev in batch}
+    snap, applied = _apply_traced(view.base, data.draw(reweight_batches(view)))
     # nor does re-weighting one, which reads only the edge index and shares it
-    unbuilt = view.reweighted(snap, touched)
+    unbuilt = view.reweighted(snap, applied)
     if unbuilt is not None:
+        unbuilt = unbuilt[0]
         assert "neighbours" not in vars(unbuilt)
-        if touched:
+        if applied:
             assert unbuilt.pair_index is view.pair_index
     want = {node: [] for node in view.nodes}
     for a, b in view.pairs:
         want[a].append(b)
         want[b].append(a)
     assert view.neighbours == tuple(tuple(sorted(want[n])) or (n,) for n in view.nodes)
-    patched = view.reweighted(snap, touched)
+    patched = view.reweighted(snap, applied)
     if patched is not None:
-        assert patched.neighbours is view.neighbours
+        assert patched[0].neighbours is view.neighbours
     if len(view.nodes) > 1:
         # a structural change builds a view with its own table
         a, b = view.nodes[0], view.nodes[-1]
@@ -304,6 +313,75 @@ def test_neighbour_table_is_built_on_first_read_and_shared_by_reweighted_views(v
         rebuilt = AttributeView(edited, view.attrs, view.aggregation)
         assert "neighbours" not in vars(rebuilt)
         assert rebuilt.neighbours is not view.neighbours
+
+
+def _a_view():
+    """View on attribute a of a graph where (3, 4) and (5, 6) are inactive
+    in the view, 6 has no other edge, so it is not in the view, and 7 is an
+    isolate, so it is."""
+    edges = [Edge(1, 2, (3, 1)), Edge(2, 3, (2, 0)), Edge(3, 4, (0, 5)), Edge(1, 4, (1, 1)),
+             Edge(5, 6, (0, 2)), Edge(4, 5, (2, 2))]
+    snapshot = GraphSnapshot.build(AttributeSchema(("a", "b")), edges, extra_nodes=[7])
+    return AttributeView(snapshot, ("a",))
+
+
+def _reweigh(view, *events):
+    """What `reweighted` makes of `events` applied to the view's snapshot,
+    and the fresh build of the snapshot they lead to."""
+    snap, applied = _apply_traced(view.base, events)
+    return view.reweighted(snap, applied), AttributeView(snap, view.attrs, view.aggregation)
+
+
+@pytest.mark.parametrize("other", [
+    UpdateEvent.add_node(1, 9),
+    # inactive in the view, yet it takes the isolate 7 out of it
+    UpdateEvent.add_edge(1, 1, 7, (0, 1)),
+    UpdateEvent.remove_edge(1, 4, 5),
+], ids=lambda ev: ev.kind.value)
+def test_a_batch_that_mixes_in_another_kind_is_not_weight_only(other):
+    view = _a_view()
+    update = UpdateEvent.update_weight(1, 1, 2, "a", 5)
+    for batch in ([update, other], [other, update]):
+        assert _reweigh(view, *batch)[0] is None
+
+
+def test_reweighting_an_edge_that_stays_inactive_changes_no_weight():
+    view = _a_view()
+    (patched, changes), fresh = _reweigh(view, UpdateEvent.update_weight(1, 3, 4, "b", 9))
+    assert changes == [] and _view_fields(patched) == _view_fields(fresh)
+
+
+def test_zeroing_the_last_weight_of_an_inactive_edge_is_not_weight_only():
+    # the edge leaves the snapshot, and 6, with no edge left, becomes an
+    # active isolate: the node set changes
+    view = _a_view()
+    patched, fresh = _reweigh(view, UpdateEvent.update_weight(1, 5, 6, "b", 0))
+    assert patched is None
+    assert 6 not in view.nodes and set(fresh.nodes) == {*view.nodes, 6}
+
+
+def test_two_updates_to_one_edge_give_one_net_change():
+    view = _a_view()
+    i = view.pair_index[(1, 2)]
+    (patched, changes), fresh = _reweigh(view, UpdateEvent.update_weight(1, 1, 2, "a", 5),
+                                         UpdateEvent.update_weight(1, 1, 2, "a", 7))
+    assert changes == [(view.ea[i], view.eb[i], 4)]
+    assert _view_fields(patched) == _view_fields(fresh)
+    assert patched.total_weight == view.total_weight + 4
+
+
+def test_an_update_outside_the_view_changes_no_weight():
+    view = _a_view()
+    (patched, changes), fresh = _reweigh(view, UpdateEvent.update_weight(1, 1, 2, "b", 9))
+    assert changes == [] and _view_fields(patched) == _view_fields(fresh)
+    assert patched.weights is view.weights
+
+
+def test_endpoint_arrays_are_tuples_shared_by_a_reweighted_successor(emails):
+    (patched, _), _ = _reweigh(emails, UpdateEvent.update_weight(1, 1, 2, "emails", 9))
+    for name in ("ea", "eb"):
+        assert type(getattr(emails, name)) is tuple
+        assert getattr(patched, name) is getattr(emails, name)
 
 
 def _reference_view_fields(snapshot, attrs, aggregation):
@@ -317,8 +395,8 @@ def _reference_view_fields(snapshot, attrs, aggregation):
     node_index = {n: i for i, n in enumerate(nodes)}
     return (
         pairs, tuple(weight[k] for k in pairs), sum(weight[k] for k in pairs), nodes,
-        node_index, {k: i for i, k in enumerate(pairs)}, [node_index[a] for a, _ in pairs],
-        [node_index[b] for _, b in pairs], snapshot.version, tuple(attrs), aggregation,
+        node_index, {k: i for i, k in enumerate(pairs)}, tuple(node_index[a] for a, _ in pairs),
+        tuple(node_index[b] for _, b in pairs), snapshot.version, tuple(attrs), aggregation,
     )
 
 
