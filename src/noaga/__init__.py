@@ -19,6 +19,12 @@ Quick start::
 
 __version__ = "0.1.0"
 
+# Without cached bytecode every module's source is parsed at import, and
+# io's parse is one of the two largest transients: imported first, it does
+# not stack on the code of the other modules, so code added to them does
+# not raise the import's peak memory
+from . import io  # noqa: F401
+
 from .analysis import (
     LinkageEntry,
     LinkageReport,

@@ -11,7 +11,9 @@ operators, which sit next to its chromosome type.
 The locus chromosome (default; Park & Song 1998, as in GA-Net) gives each
 node one gene naming a neighbour it links to; decoding takes the connected
 components of those links, so any all-connected partition is expressible,
-and its operators walk one gene per node. The edge-removal list holds
+and its operators walk one gene per node. Its record alone can `extend`
+the labels a chromosome decoded to before a batch to the chromosome
+carried over after it, without a decode. The edge-removal list holds
 edges to delete; decoding takes the connected components of the view minus
 those edges, which expresses the same partitions with one gene per
 removed edge. The separator chromosome holds a group count k and k-1
@@ -29,7 +31,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import UnrepairedChromosome
 from .graph import AttributeView, Pair, component_labels
@@ -215,6 +217,35 @@ def carry_over_locus(
     ))
 
 
+def extend_locus(
+    chrom: LocusChromosome, labels: Sequence[int], carried: LocusChromosome, view: AttributeView
+) -> list[int] | None:
+    """The labels `decode_locus` gives `carried`, `chrom` carried over to
+    `view`, from the `labels` `chrom` decoded to on the view it was made
+    for, when `view`'s node order starts with that view's. Kept genes keep
+    their clusters, and a node new to `view` joins the cluster of the
+    earlier node it links to or, linked to itself, starts the next
+    cluster. None, which means decode, when carry-over redrew a gene of
+    `chrom` or a new node links to a later new node."""
+    n = len(chrom.links)
+    links = carried.links
+    if links[:n] != chrom.links:
+        return None
+    out = list(labels)
+    index = view.node_index
+    fresh = max(out, default=-1) + 1 if len(links) > n else 0
+    for i in range(n, len(links)):
+        j = index[links[i]]
+        if j == i:
+            out.append(fresh)
+            fresh += 1
+        elif j < i:
+            out.append(out[j])
+        else:
+            return None
+    return out
+
+
 @dataclass(frozen=True)
 class SeparatorChromosome:
     """Group count k plus k-1 cut positions over the id-ascending node order."""
@@ -311,7 +342,11 @@ class Scheme:
     `random` apply to canonical chromosomes only. `carry_over`
     makes a chromosome canonical for the run's previous view canonical for
     the new one; it may draw from the run's RNG.
-    `connected`: decoded clusters are connected, so they are their own parts."""
+    `connected`: decoded clusters are connected, so they are their own parts.
+    `extend`, None for a scheme without it: given a chromosome, the labels
+    it decoded to, its carry-over and the new view, whose node order starts
+    with the old one, the labels the carried chromosome decodes to, or None
+    when only a decode can tell."""
 
     random: Callable[..., Chromosome]  # (view, rng, p_init): edge-removal's alone uses p_init
     crossover: Callable[..., tuple[Chromosome, Chromosome]]  # (p1, p2, view, rng)
@@ -319,6 +354,8 @@ class Scheme:
     decode: Callable[..., list[int]]  # (chrom, view): a label per active node, in view order
     carry_over: Callable[..., Chromosome]  # (chrom, view, rng)
     connected: bool
+    # (chrom, labels, carried, view) -> list[int] | None
+    extend: Callable[..., list[int] | None] | None = None
 
 
 SCHEME_TABLE: dict[str, Scheme] = {
@@ -332,7 +369,7 @@ SCHEME_TABLE: dict[str, Scheme] = {
     ),
     LOCUS: Scheme(
         random_locus, uniform_crossover, mutate_locus,
-        decode_locus, carry_over_locus, connected=True,
+        decode_locus, carry_over_locus, connected=True, extend=extend_locus,
     ),
 }
 SCHEMES = tuple(SCHEME_TABLE)

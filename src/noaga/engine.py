@@ -11,22 +11,40 @@ of the run's scheme, looked up by name once per run state: it makes,
 crosses, mutates, decodes and carries chromosomes over with the record's
 operators, which keep them canonical.
 
-A weight-only batch (`AttributeView.reweighted` defines it) cannot change
-a decoded partition. Its re-evaluations skip decode: each individual is
-re-scored from the cluster labels, cluster count and intra-cluster weight
-cached when it was scored, and each still counts as one evaluation.
+An evaluation takes one of four paths, and each counts as one:
 
-Every other evaluation decodes, then looks the decoded labels up in the run
-state's score memo before scoring: many chromosomes decode to one
+- decode and score: the chromosome is decoded against the live view and
+  its labels scored (`fitness.score_terms`);
+- memo hit: the decoded labels are in the run state's score memo, which
+  skips scoring;
+- weight-only rescore: after a weight-only batch (`AttributeView.reweighted`
+  defines it), which cannot change a decoded partition, each member is
+  re-scored from the cluster labels, cluster count and intra-cluster weight
+  cached when it was scored (`fitness.rescore`), without a decode;
+- structural delta: after any other batch every member is carried over to
+  the new view, and under a scheme with `extend` (locus) a member whose
+  genes all survive, on a view whose node order starts with the old one,
+  keeps its clusters: its labels are extended to the new nodes and it is
+  re-scored from its cached labels and per-cluster tie counts plus the
+  batch's edge changes (`AttributeView.edge_changes`,
+  `fitness.delta_terms`), without a decode. Every other member is decoded.
+
+The memo serves the decode and delta paths: many chromosomes decode to one
 partition, a child equal to a parent decodes to the parent's, and a
-converged population keeps producing partitions it has scored. The memo
-maps packed labels (`pack_labels`: 4 bytes per node) to themselves and the
-score, cluster count and intra-cluster weight they were scored to at the
-live view; it holds at most population_size entries, dropping the oldest
-on insert, and is cleared whenever the view is replaced, so no entry
-outlives its view version. A hit skips scoring, hands the member the
-memo's own key, and still counts as one evaluation. The worst member is
-looked up again only after the population changed.
+converged population keeps producing partitions it has scored. It maps
+packed labels (`pack_labels`: 4 bytes per node) to themselves and the
+score, cluster count, intra-cluster weight and packed tie counts they were
+scored to at the live view; it holds at most population_size entries,
+dropping the oldest on insert, and is cleared whenever the view is
+replaced, so no entry outlives its view version. A hit hands the member the
+memo's own key. The worst member is looked up again only after the
+population changed.
+
+A run records the elite's NoAs after every batch and at every checkpoint
+from a tally (`analysis.Tally`) it keeps between observations: one that
+counted the same labels over the same edges is patched with the weights
+that moved, and any other observation counts afresh. The run builds a
+Partition only for its result.
 
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
@@ -37,13 +55,13 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import analysis
 from .encoding import LOCUS, SCHEME_TABLE, SCHEMES, Chromosome, Scheme
 from .errors import (ConfigInvalid, EventError, Exhausted, NoagaError, check_int, check_version,
                      clip_repr)
-from .fitness import FitnessValue, rescore, score_terms
+from .fitness import FitnessValue, delta_terms, rescore, score_terms
 from .graph import AppliedEvent, AttributeView, Partition, UpdateEvent, part_labels
 
 
@@ -85,12 +103,13 @@ class GAConfig:
 @dataclass
 class Individual:
     """Chromosome with its cached score and the snapshot version it was
-    scored against, plus what a weight-only batch re-scores it from: the
-    cluster label of each active node in view order, the cluster count k
-    and the intra-cluster aggregated weight. The cache is valid only at
-    that version. `labels` is packed (`pack_labels`) and is the key of the
-    score memo entry the member was scored from, so members scored from one
-    entry share one copy; `unpack_labels` reads it back."""
+    scored against, plus what a batch re-scores it from: the cluster label
+    of each active node in view order, the cluster count k, the
+    intra-cluster aggregated weight and the intra tie count of each
+    cluster. The cache is valid only at that version. `labels` is packed
+    (`pack_labels`) and is the key of the score memo entry the member was
+    scored from, so members scored from one entry share one copy;
+    `unpack_labels` reads it back. `ties` is packed the same way."""
 
     chromosome: Chromosome
     value: FitnessValue
@@ -98,6 +117,7 @@ class Individual:
     labels: bytes
     k: int
     weight_in: int
+    ties: bytes
 
 
 @dataclass(frozen=True)
@@ -119,9 +139,9 @@ class GAState:
     `best` is the elite itself, never a copy: no Individual changes once made.
 
     `memo` maps the packed labels of each partition scored at the live view,
-    oldest first, to (those labels, value, k, weight_in); `_evaluate` fills
-    it and keeps at most config.population_size entries, and `apply_events`
-    clears it with every view it installs."""
+    oldest first, to (those labels, value, k, weight_in, packed ties);
+    `_memoised` fills it and keeps at most config.population_size entries,
+    and `apply_events` clears it with every view it installs."""
 
     view: AttributeView
     config: GAConfig
@@ -136,7 +156,7 @@ class GAState:
     worst: int | None = None
     # the record of config.scheme: the engine's only way to a chromosome
     scheme: Scheme = field(init=False, repr=False)
-    memo: dict[bytes, tuple[bytes, FitnessValue, int, int]] = field(init=False, repr=False)
+    memo: dict[bytes, tuple[bytes, FitnessValue, int, int, bytes]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scheme = SCHEME_TABLE[self.config.scheme]
@@ -162,18 +182,34 @@ def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
     result. Costs one evaluation either way."""
     view = state.view
     decoded = state.scheme.decode(chrom, view)
+
+    def score():
+        parts = decoded if state.scheme.connected else part_labels(view, decoded)
+        return score_terms(decoded, parts, view)
+
+    return _memoised(state, chrom, decoded, score)
+
+
+def _memoised(
+    state: GAState, chrom: Chromosome, decoded: list[int],
+    score: Callable[[], tuple[FitnessValue, int, int, list[int]]],
+) -> Individual:
+    """The member of `chrom`, which has the cluster labels `decoded` at the
+    live view: its labels and score from the memo entry of those labels,
+    or from `score()`, the (value, k, weight_in, ties) of `decoded`, which
+    is then memoised. Costs one evaluation either way."""
     labels = pack_labels(decoded)
     memo = state.memo
     scored = memo.get(labels)
     if scored is None:
-        parts = decoded if state.scheme.connected else part_labels(view, decoded)
-        scored = (labels, *score_terms(decoded, parts, view))
+        value, k, weight_in, ties = score()
+        scored = (labels, value, k, weight_in, pack_labels(ties))
         if len(memo) >= state.config.population_size:
             del memo[next(iter(memo))]
         memo[labels] = scored
     state.evaluations += 1
-    labels, value, k, weight_in = scored
-    return Individual(chrom, value, view.version, labels, k, weight_in)
+    labels, value, k, weight_in, ties = scored
+    return Individual(chrom, value, state.view.version, labels, k, weight_in, ties)
 
 
 def _rescore(
@@ -192,7 +228,27 @@ def _rescore(
     view = state.view
     value = rescore(ind.value, ind.k, weight_in, view.total_weight)
     state.evaluations += 1
-    return Individual(ind.chromosome, value, view.version, ind.labels, ind.k, weight_in)
+    return Individual(ind.chromosome, value, view.version, ind.labels, ind.k, weight_in, ind.ties)
+
+
+def _regroup(
+    state: GAState, ind: Individual, version: int, carried: Chromosome,
+    changes: list[tuple[int, int, int, int]],
+) -> Individual:
+    """The member of `carried`, `ind`'s chromosome carried over to the live
+    view after a structural batch, when that view's node order starts with
+    the order of the view of `version`, at which `ind` was scored. When the
+    scheme can `extend` `ind`'s labels to `carried`, they are re-scored
+    from `ind`'s tie counts and intra-cluster weight plus the batch's edge
+    `changes` (`AttributeView.edge_changes`); otherwise `carried` is
+    decoded and scored. Costs one evaluation."""
+    check_version("individual", ind.version, version)
+    view = state.view
+    decoded = state.scheme.extend(ind.chromosome, unpack_labels(ind.labels), carried, view)
+    if decoded is None:
+        return _evaluate(state, carried)
+    return _memoised(state, carried, decoded, lambda: delta_terms(
+        decoded, unpack_labels(ind.ties), ind.weight_in, changes, view))
 
 
 def init_population(view: AttributeView, config: GAConfig) -> GAState:
@@ -274,7 +330,9 @@ def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
     re-scores each individual from its cached labels, cluster count and
     intra-cluster weight. Any other batch rebuilds the view, carries each
     chromosome over to it with the scheme's `carry_over` and re-evaluates
-    every individual.
+    every individual: by the structural delta (`_regroup`) under a scheme
+    with `extend` when the new node order starts with the old one, by a
+    decode otherwise.
 
     An element that is no UpdateEvent raises ConfigInvalid; an event that
     cannot be applied, or a batch that leaves the view with no active nodes,
@@ -297,9 +355,13 @@ def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
         if view.node_count == 0:
             raise EventError(batch[-1].tick, "the batch leaves the view with no active nodes")
         carry_over, rng = state.scheme.carry_over, state.rng
+        changes = old.edge_changes(view, done) if state.scheme.extend else None
 
         def renew(ind: Individual) -> Individual:
-            return _evaluate(state, carry_over(ind.chromosome, view, rng))
+            carried = carry_over(ind.chromosome, view, rng)
+            if changes is None:
+                return _evaluate(state, carried)
+            return _regroup(state, ind, old.version, carried, changes)
     else:
         view, changes = patched
 
@@ -366,17 +428,20 @@ def run(
     history: list[analysis.NoARecord] = []
     qi = 0
     last_checkpoint = -1
-    final: tuple[Partition, FitnessValue]
+    tally: analysis.Tally | None = None
 
     def observe(tick: int, checkpoint: bool) -> None:
-        """Record the elite's NoAs at `tick`, after a checkpoint if asked."""
-        nonlocal final
-        final = part, value = snapshot_best(state)
+        """Record the elite's NoAs at `tick`, after a checkpoint if asked,
+        from the tally of the elite's cached labels at the live view."""
+        nonlocal tally
+        best, live = state.best, state.view
+        check_version("elite", best.version, live.version)
+        tally = analysis.retally(tally, live, unpack_labels(best.labels))
         if checkpoint:
-            sizes = tuple(len(c) for c in part.clusters)
-            checkpoints.append(Checkpoint(state.iteration, state.evaluations, state.view.version,
-                                          value.total, part.cluster_count, sizes))
-        history.extend(analysis.noa_records(part, state.view, tick))
+            sizes = tuple(map(len, tally.clusters))
+            checkpoints.append(Checkpoint(state.iteration, state.evaluations, live.version,
+                                          best.value.total, len(sizes), sizes))
+        history.extend(tally.records(tick))
 
     while True:
         due = []
@@ -397,7 +462,8 @@ def run(
             last_checkpoint = state.iteration
     if state.iteration != last_checkpoint:
         observe(state.iteration, checkpoint=True)
-    # every exit above follows an observation of the final elite and view
-    partition, value = final
+    # every exit above follows an observation of the final elite and view,
+    # so this is the partition of the last records
+    partition, value = snapshot_best(state)
     unapplied = tuple(ev.tick for ev in queue[qi:])
     return RunResult(partition, value, checkpoints, history, state, unapplied)

@@ -16,8 +16,10 @@ the same whether it sits alone or is glued onto an unrelated cluster.
 
 The formula lives only in the count functions `closeness_mean`,
 `cut_fraction`, `small_count` and `total`. `score_terms` counts the labels
-the GA decodes to and also returns the cluster count and intra-cluster
-weight, from which `rescore` updates a score when only edge weights change.
+the GA decodes to and also returns the cluster count, the intra-cluster
+weight and each cluster's intra tie count: `rescore` updates a score from
+them when only edge weights change, and `delta_terms` when a batch adds
+nodes or changes edges but leaves connected clusters as they were.
 `fitness`, the reference scorer of a Partition, goes through `score_terms`;
 the exhaustive oracle scores its own counts through the count functions.
 """
@@ -106,13 +108,15 @@ def total(mean: float, cut: float, small: int, k: int) -> float:
 
 def score_terms(
     labels: Sequence[int], parts: Sequence[int], view: AttributeView
-) -> tuple[FitnessValue, int, int]:
+) -> tuple[FitnessValue, int, int, list[int]]:
     """Score a cluster label and a part label (connected part of its cluster)
     per active node, in view order, and return the value with the integer
-    terms the edge weights enter through: the cluster count k and the
-    intra-cluster aggregated weight. Those two and the value are all
-    `rescore` needs after a weight-only change. Clusters are numbered
-    0..k-1 in Partition order, which fixes the order closeness is summed in."""
+    terms the edge weights enter through: the cluster count k, the
+    intra-cluster aggregated weight and the intra tie count of each
+    cluster. k, the weight and the value are all `rescore` needs after a
+    weight-only change; `delta_terms` also reads the tie counts. Clusters
+    are numbered 0..k-1 in Partition order, which fixes the order closeness
+    is summed in."""
     if not labels:
         raise EmptyPartition("fitness of a partition with no clusters")
     sizes = label_sizes(labels)
@@ -128,7 +132,34 @@ def score_terms(
     # edge-removal clusters are their own parts: decode hands the same list
     small = small_count(sizes if parts is labels else label_sizes(parts))
     mean = closeness_mean(sizes, ties_in, k, len(labels))
-    return _value(mean, small, k, weight_in, view.total_weight), k, weight_in
+    return _value(mean, small, k, weight_in, view.total_weight), k, weight_in, ties_in
+
+
+def delta_terms(
+    labels: Sequence[int],
+    ties_in: Sequence[int],
+    weight_in: int,
+    changes: Iterable[tuple[int, int, int, int]],
+    view: AttributeView,
+) -> tuple[FitnessValue, int, int, list[int]]:
+    """`score_terms` of connected clusters `labels` at `view`, counted from
+    the tie counts `ties_in` and the intra weight they had at the view
+    before a batch: the clusters kept their members there, and a cluster
+    past those counts is new and has no ties. `changes`, one (endpoint
+    index, endpoint index, tie change, weight change) per edge the batch
+    moved (`AttributeView.edge_changes`), move the counts of the edges
+    inside a cluster. Equal to a full score."""
+    sizes = label_sizes(labels)
+    k = len(sizes)
+    ties_in = [*ties_in, *[0] * (k - len(ties_in))]
+    for a, b, tie, weight in changes:
+        c = labels[a]
+        if c == labels[b]:
+            ties_in[c] += tie
+            weight_in += weight
+    mean = closeness_mean(sizes, ties_in, k, len(labels))
+    value = _value(mean, small_count(sizes), k, weight_in, view.total_weight)
+    return value, k, weight_in, ties_in
 
 
 def rescore(value: FitnessValue, k: int, weight_in: int, total_weight: int) -> FitnessValue:

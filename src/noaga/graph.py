@@ -11,11 +11,12 @@ so clustering code can treat them as read-only.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain, compress, islice
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -357,7 +358,8 @@ class AttributeView:
     `weigh(vec)` aggregates a snapshot weight vector into this view's edge
     weight; the edge is active iff that is positive. `reweighted` decides
     whether a batch of events is weight-only and, if so, patches this view
-    into the view of the snapshot the batch led to.
+    into the view of the snapshot the batch led to; `edge_changes` measures
+    any other batch against the view built after it.
 
     Two lookup tables are built on their first read, never while a view is
     built, so a run pays only for the ones it reads: `pair_index`, read by
@@ -459,6 +461,33 @@ class AttributeView:
             view.weights = tuple(weights)
         return view, changes
 
+    def edge_changes(
+        self, view: "AttributeView", applied: Sequence[AppliedEvent]
+    ) -> list[tuple[int, int, int, int]] | None:
+        """What `applied`, the events that took this view's snapshot to
+        `view`'s, did to the active edges: one (endpoint index, endpoint
+        index, tie change, weight change) per pair they touched whose
+        aggregated weight moved, in `view`'s node order. The tie change is
+        +1 for an edge that became active, -1 for one that left and 0 for
+        one re-weighted. None unless `view`'s node order starts with this
+        view's, so that this view's node indices hold in `view` too. Each
+        pair is looked up in the sorted `pairs` of both views."""
+        if view.nodes[:len(self.nodes)] != self.nodes:
+            return None
+        index = view.node_index
+        changes = []
+        for pair in sorted({a.pair for a in applied if a.pair is not None}):
+            old, new = self._weight_or_0(pair), view._weight_or_0(pair)
+            if new != old:
+                a, b = pair
+                changes.append((index[a], index[b], (new > 0) - (old > 0), new - old))
+        return changes
+
+    def _weight_or_0(self, pair: Pair) -> int:
+        """Aggregated weight of `pair`, 0 when it is not active here."""
+        i = bisect_left(self.pairs, pair)
+        return self.weights[i] if i < len(self.pairs) and self.pairs[i] == pair else 0
+
     @cached_property
     def pair_index(self) -> dict[Pair, int]:
         """The index of each active edge in `pairs`, built on the first read."""
@@ -513,14 +542,13 @@ class Partition:
         normalized = tuple(sorted(tuple(sorted(c)) for c in self.clusters))
         object.__setattr__(self, "clusters", normalized)
         object.__setattr__(self, "attrs", tuple(self.attrs))
-        seen: set[int] = set()
-        total = 0
-        for cluster in normalized:
-            if not cluster:
-                raise EmptyCluster("empty cluster in partition")
-            seen.update(cluster)
-            total += len(cluster)
-        if len(seen) != total:
+        if not all(normalized):
+            raise EmptyCluster("empty cluster in partition")
+        # disjoint iff no member repeats in the sorted run of all members; a
+        # set of them takes several times this list's memory, and a run
+        # builds its result's partition near its memory peak
+        members = sorted(chain.from_iterable(normalized))
+        if any(map(eq, members, islice(members, 1, None))):
             raise ValueError("clusters are not disjoint")
 
     @classmethod

@@ -482,11 +482,26 @@ def write_checkpoint_log(checkpoints: Iterable[Checkpoint], meta: dict, path: st
 
 
 def write_noa_log(records: Iterable[NoARecord], meta: dict, path: str) -> None:
-    atomic_write_chunks(path, _jsonl(meta, (
-        {"tick": r.tick, "attrs": list(r.attrs), "members": list(r.members),
-         "noa": r.noa, "edges": r.edge_count, "weight": r.total_weight}
-        for r in records
-    )))
+    """The records as a JSONL log under a header line, each record's line
+    the one `json.dumps` makes of its fields, which are ints (a field of
+    another type is written with `str`, and `read_noa_log` rejects it). A
+    run's consecutive observations repeat most of their (attrs, members)
+    pairs, so a pair met at this record's tick or the tick before is not
+    encoded again; keeping those two ticks' pairs alone bounds the memory."""
+
+    def lines() -> Iterator[str]:
+        yield json.dumps({"header": meta}) + "\n"
+        tick, seen, before = None, {}, {}
+        for r in records:
+            if r.tick != tick:
+                tick, seen, before = r.tick, {}, seen
+            key = (r.attrs, r.members)
+            seen[key] = pair = seen.get(key) or before.get(key) or json.dumps(
+                {"attrs": list(r.attrs), "members": list(r.members)})[1:-1]
+            yield '{"tick": %s, %s, "noa": %s, "edges": %s, "weight": %s}\n' % (
+                r.tick, pair, r.noa, r.edge_count, r.total_weight)
+
+    atomic_write_chunks(path, lines())
 
 
 def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:

@@ -360,11 +360,16 @@ def test_golden_digests_hold_under_another_hash_seed(tmp_path):
 
 
 # runs every golden case in a child with no pytest: a stub stands in for the
-# fixture decorator, and the child prints the digests it got as JSON
+# fixture decorator and for `pytest.mark`, each of whose attributes is a
+# decorator factory that hands the function back, and the child prints the
+# digests it got as JSON
 GOLDEN_CHILD = """
 import json, sys, types
 from pathlib import Path
-sys.modules["pytest"] = types.SimpleNamespace(fixture=lambda **kw: lambda f: f)
+class Mark:
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: lambda f: f
+sys.modules["pytest"] = types.SimpleNamespace(fixture=lambda **kw: lambda f: f, mark=Mark())
 sys.path.insert(0, sys.argv[1])
 import test_golden as g
 root = Path(sys.argv[2])

@@ -1,6 +1,8 @@
 """NoA selection, linkage nodes, overlays, merge signals."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noaga import (
     AttributeSchema,
@@ -20,10 +22,10 @@ from noaga import (
     noa_records,
     overlay,
 )
-from noaga.analysis import cluster_stats
+from noaga.analysis import cluster_stats, retally
 from noaga.errors import ConfigInvalid, EmptyCluster
 
-from conftest import EMAILS_TARGET, POSTS_TARGET
+from conftest import EMAILS_TARGET, POSTS_TARGET, REWEIGHT_VIEWS, reweight_batches
 
 
 def test_find_noa_frozen(emails, posts, comments):
@@ -82,6 +84,80 @@ def test_noa_records_version_check(emails):
     part = Partition(EMAILS_TARGET, ("emails",), 9)
     with pytest.raises(StaleSnapshot):
         noa_records(part, emails, tick=0)
+
+
+def _reweighted(view, batch):
+    """The view after `batch` by `AttributeView.reweighted`, or None when
+    the batch is not weight-only."""
+    snapshot, applied = view.base, []
+    for ev in batch:
+        snapshot, done = snapshot.apply_traced(ev)
+        applied.append(done)
+    patched = view.reweighted(snapshot, applied)
+    return None if patched is None else patched[0]
+
+
+def _cycle_view():
+    """The 4-cycle 1-2-4-3-1 with weight 1 on every edge, and the edge (5, 6)."""
+    edges = [Edge(a, b, (1,)) for a, b in [(1, 2), (1, 3), (2, 4), (3, 4), (5, 6)]]
+    return AttributeView(GraphSnapshot.build(AttributeSchema(("w",)), edges))
+
+
+def test_a_patched_tally_moves_the_noa_as_a_full_count_does():
+    view = _cycle_view()
+    labels = [0, 0, 0, 0, 1, 1]
+    tally = retally(None, view, labels)
+    # every member of the cycle has 2 ties and weight 2: the smallest id wins
+    assert tally.noas == [1, 5]
+    steps = [
+        # 3 and 4 tie on ties and on weight 6, and the NoA moves to the smaller
+        ([UpdateEvent.update_weight(1, 3, 4, "w", 5)], [3, 5]),
+        # 4 now leads on weight alone: 14 against 2's 10 and 3's 6
+        ([UpdateEvent.update_weight(2, 2, 4, "w", 9)], [4, 5]),
+        # every weight back to 1, and the tie falls to the smallest id again;
+        # the edge outside the cycle moves the other cluster's weight only
+        ([UpdateEvent.update_weight(3, 3, 4, "w", 1), UpdateEvent.update_weight(3, 2, 4, "w", 1),
+          UpdateEvent.update_weight(3, 5, 6, "w", 4)], [1, 5]),
+    ]
+    for tick, (batch, noas) in enumerate(steps, start=1):
+        view = _reweighted(view, batch)
+        assert retally(tally, view, labels) is tally
+        assert tally.noas == noas
+        want = noa_records(Partition.from_labels(view, labels), view, tick)
+        assert tally.records(tick) == want
+    assert [r.total_weight for r in tally.records(4)] == [4, 4]
+
+
+@settings(max_examples=150, deadline=None)
+@given(REWEIGHT_VIEWS, st.data())
+def test_a_patched_tally_equals_a_full_count(view, data):
+    if view.node_count == 0:
+        return
+    # clusters numbered by smallest member, as the GA's labels are
+    drawn = data.draw(st.lists(st.integers(0, 3), min_size=view.node_count,
+                               max_size=view.node_count))
+    order = {}
+    labels = [order.setdefault(c, len(order)) for c in drawn]
+    tally = retally(None, view, labels)
+    for tick in range(1, 4):
+        view = _reweighted(view, data.draw(reweight_batches(view)))
+        if view is None:
+            return
+        kept = retally(tally, view, labels)
+        assert kept is tally
+        assert kept.records(tick) == noa_records(Partition.from_labels(view, labels), view, tick)
+        # its records share the member tuples of the first count
+        assert all(a.members is b.members for a, b in zip(kept.records(tick), tally.records(0)))
+
+
+def test_a_tally_counts_afresh_for_other_labels_or_other_edges():
+    view = _cycle_view()
+    labels = [0, 0, 0, 0, 1, 1]
+    tally = retally(None, view, labels)
+    assert retally(tally, view, labels) is tally
+    assert retally(tally, view, [0, 0, 1, 1, 2, 2]) is not tally
+    rebuilt = AttributeView(view.base, view.attrs, view.aggregation)
+    assert retally(tally, rebuilt, labels) is not tally
 
 
 def test_linkage_nodes_frozen(emails):

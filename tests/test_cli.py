@@ -304,17 +304,19 @@ def test_oracle_prints_the_bytes_it_writes(tmp_path, capsys):
 
 def test_a_cluster_run_analyses_its_final_partition_once(table1, tmp_path, monkeypatch):
     # the partition, NoAs and closeness written come from the run's last
-    # observation; with no checkpoint before the end that is the only one
-    stats, builds = [], []
-    cluster_stats = analysis.cluster_stats
-    monkeypatch.setattr(analysis, "cluster_stats", lambda *a: stats.append(1) or cluster_stats(*a))
+    # observation; with no checkpoint before the end that is the only one,
+    # and its tally is the only pass over the edges for NoAs
+    passes, builds = [], []
+    count = analysis.Tally.__init__
+    monkeypatch.setattr(analysis.Tally, "__init__",
+                        lambda self, *a: passes.append(1) or count(self, *a))
     from_labels = Partition.from_labels.__func__
     monkeypatch.setattr(Partition, "from_labels",
                         classmethod(lambda cls, *a: builds.append(1) or from_labels(cls, *a)))
     out, dot = str(tmp_path / "part.json"), str(tmp_path / "part.dot")
     assert main(["cluster", "-i", table1, "--seed", "3", "--iterations", "50",
                  "--checkpoint-every", "100", "-o", out, "--dot", dot]) == 0
-    assert (len(stats), len(builds)) == (1, 1)
+    assert (len(passes), len(builds)) == (1, 1)
     assert "[color=red];" in (tmp_path / "part.dot").read_text()
 
 

@@ -38,7 +38,7 @@ from noaga import (
     swap_crossover,
     uniform_crossover,
 )
-from noaga import encoding, engine
+from noaga import analysis, encoding, engine
 from noaga.encoding import (LOCUS, SCHEME_TABLE, SEPARATOR, Scheme, _draw_unlisted,
                             repair_separator)
 from noaga.engine import (GAState, _evaluate, _worst_index, apply_events, pack_labels,
@@ -88,7 +88,7 @@ def fake_state(totals, view, seed=0):
     pop = [
         Individual(
             EdgeRemovalChromosome(()), FitnessValue(t, 0.0, 0.0, 0), 0,
-            [0] * view.node_count, 1, view.total_weight,
+            [0] * view.node_count, 1, view.total_weight, pack_labels([view.edge_count]),
         )
         for t in totals
     ]
@@ -674,10 +674,10 @@ def _apply_counting_decodes(state, batch, *, full=False):
 
 def _run_state(state):
     return (
-        [(i.chromosome, i.value, i.version, i.labels, i.k, i.weight_in)
+        [(i.chromosome, i.value, i.version, i.labels, i.k, i.weight_in, i.ties)
          for i in state.population],
         (state.best.chromosome, state.best.value, state.best.version, state.best.labels,
-         state.best.k, state.best.weight_in),
+         state.best.k, state.best.weight_in, state.best.ties),
         state.evaluations, state.iteration, state.rng.getstate(), list(state.applied),
         state.view.pairs, state.view.weights, state.view.total_weight, state.view.nodes,
     )
@@ -730,6 +730,7 @@ def test_weight_only_batches_rescore_like_a_full_rebuild(view, scheme, seed, dat
         for ev in batch:
             snapshot = snapshot.apply(ev)
         after = AttributeView(snapshot, view.attrs, view.aggregation)
+        structural = _structural_decodes(full, after) if after.node_count else None
         decoded = _outcome(fast, batch)
         rebuilt = _outcome(full, batch, full=True)
         if after.node_count == 0:
@@ -738,14 +739,18 @@ def test_weight_only_batches_rescore_like_a_full_rebuild(view, scheme, seed, dat
             assert rebuilt.startswith("event at tick 1: ")
             assert _run_state(fast) == _run_state(full) == kept
             continue
-        assert rebuilt == config.population_size + 1
+        # the forced rebuild decodes every member that cannot keep its
+        # clusters: under locus none, when the edge set stayed
+        assert rebuilt == structural
         touched = {(min(ev.a, ev.b), max(ev.a, ev.b)) for ev in batch}
         weight_only = all(
             k in after.base.edges and (k in after.pair_index) == (k in before.pair_index)
             for k in touched
         )
-        # a weight-only batch decodes nothing, any other decodes everyone
-        assert decoded == (0 if weight_only else config.population_size + 1)
+        if weight_only and scheme == LOCUS:
+            assert structural == 0
+        # a weight-only batch decodes nothing, any other as the rebuild does
+        assert decoded == (0 if weight_only else structural)
         assert fast.view.nodes == after.nodes and fast.view.pairs == after.pairs
         assert _run_state(fast) == _run_state(full)
         for _ in range(3):
@@ -763,27 +768,80 @@ def _inactive_edge_view():
     return AttributeView(GraphSnapshot.build(schema, edges), ("a",))
 
 
+def _genes_on(members, pair):
+    """How many of the locus `members` have a gene on the edge `pair`."""
+    a, b = pair
+    count = 0
+    for m in members:
+        genes = dict(zip(m.chromosome.nodes, m.chromosome.links))
+        count += genes.get(a) == b or genes.get(b) == a
+    return count
+
+
+def _keeps_clusters(before, carried, old, new):
+    """The rule of the structural delta, stated over the views: `before`,
+    canonical for `old`, keeps its clusters as `carried` on `new` when
+    `new`'s node order starts with `old`'s, carry-over kept every gene,
+    and each new node links to itself or an earlier node."""
+    n = old.node_count
+    if new.nodes[:n] != old.nodes or carried.links[:n] != before.links:
+        return False
+    return all(new.node_index[gene] <= i for i, gene in enumerate(carried.links) if i >= n)
+
+
+def _carried_members(state, new):
+    """The chromosomes a structural batch to `new` carries the population
+    and then the elite over to, from a copy of the run's RNG."""
+    rng = random.Random()
+    rng.setstate(state.rng.getstate())
+    return [state.scheme.carry_over(m.chromosome, new, rng)
+            for m in (*state.population, state.best)]
+
+
+def _structural_decodes(state, new):
+    """How many decodes a structural batch to `new` costs: every member
+    under a scheme without the delta, else each that does not keep its
+    clusters."""
+    members = (*state.population, state.best)
+    if state.scheme.extend is None:
+        return len(members)
+    return sum(not _keeps_clusters(m.chromosome, carried, state.view, new)
+               for m, carried in zip(members, _carried_members(state, new)))
+
+
 @pytest.mark.parametrize(
-    "batch",
+    "batch, lost, decodes",
     [
-        [UpdateEvent.add_node(1, 9)],
-        [UpdateEvent.add_edge(1, 1, 3, (1, 0))],
-        [UpdateEvent.remove_edge(1, 2, 4)],
-        [UpdateEvent.update_weight(1, 1, 4, "a", 0)],
-        [UpdateEvent.update_weight(1, 2, 3, "a", 5)],
-        [UpdateEvent.update_weight(1, 2, 3, "b", 0)],
-        [UpdateEvent.update_weight(1, 1, 2, "a", 7), UpdateEvent.update_weight(1, 2, 3, "b", 0)],
+        ([UpdateEvent.add_node(1, 9)], None, 0),
+        ([UpdateEvent.add_edge(1, 1, 3, (1, 0))], None, 5),
+        ([UpdateEvent.remove_edge(1, 2, 4)], (2, 4), 4),
+        ([UpdateEvent.update_weight(1, 1, 4, "a", 0)], (1, 4), 2),
+        ([UpdateEvent.update_weight(1, 2, 3, "a", 5)], None, 5),
+        ([UpdateEvent.update_weight(1, 2, 3, "b", 0)], None, 5),
+        ([UpdateEvent.update_weight(1, 1, 2, "a", 7), UpdateEvent.update_weight(1, 2, 3, "b", 0)],
+         None, 5),
     ],
     ids=["add-node", "add-edge", "remove-edge", "zero-in-view", "revive-in-view",
          "zero-all-of-inactive", "weight-then-structural"],
 )
-def test_structural_batches_take_the_full_path(batch):
+def test_structural_batches_decode_only_the_members_that_lose_their_clusters(
+    batch, lost, decodes
+):
+    # a locus member keeps its clusters when every gene survives on a view
+    # that appends nodes: a new isolate decodes no one, an edge leaving the
+    # view decodes the members with a gene on it (the `lost` pair), and node
+    # 3 entering the view mid-order (add-edge, revive, and zeroing the
+    # inactive edge, which isolates 3) decodes everyone
     view = _inactive_edge_view()
-    state = init_population(view, GAConfig(population_size=4, max_evaluations=100, seed=1))
-    assert _apply_counting_decodes(state, batch) == 4 + 1
+    state = init_population(view, GAConfig(population_size=4, max_evaluations=100, seed=3))
+    if lost is not None:
+        assert _genes_on((*state.population, state.best), lost) == decodes
+    assert _apply_counting_decodes(state, batch) == decodes
     fresh = AttributeView(state.view.base, ("a",))
     assert state.view.nodes == fresh.nodes and state.view.pairs == fresh.pairs
     assert state.evaluations == 4 + 4 + 1
+    for ind in (*state.population, state.best):
+        assert ind.labels == pack_labels(state.scheme.decode(ind.chromosome, fresh))
 
 
 def test_zeroing_an_inactive_edge_isolates_its_endpoint():
@@ -804,6 +862,95 @@ def test_weight_only_batch_rejects_a_stale_individual():
         apply_events(state, [UpdateEvent.update_weight(1, 1, 2, "a", 7)])
 
 
+def test_structural_batch_rejects_a_stale_individual():
+    # the structural delta reads a member's cached labels and ties, so a
+    # member scored at another version is refused, as by a weight-only batch
+    view = _inactive_edge_view()
+    state = init_population(view, GAConfig(population_size=4, max_evaluations=100, seed=1))
+    state.population[2] = replace(state.population[2], version=7)
+    with pytest.raises(StaleSnapshot):
+        apply_events(state, [UpdateEvent.add_node(1, 9)])
+
+
+@st.composite
+def mixed_structural_batches(draw, view):
+    """A structural batch (`structural_batches`: new nodes with the largest
+    ids, added, removed and zeroed edges), alone or before or after a
+    weight-only one (`reweight_batches`)."""
+    order = draw(st.sampled_from(["structural", "then-weights", "weights-then"]))
+    first = draw(reweight_batches(view) if order == "weights-then" else structural_batches(view))
+    if order == "structural":
+        return first
+    snapshot = view.base
+    for ev in first:
+        snapshot = snapshot.apply(ev)
+    mid = AttributeView(snapshot, view.attrs, view.aggregation)
+    then = reweight_batches(mid) if order == "then-weights" else structural_batches(mid)
+    return first + draw(then)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_views(), multi_attr_views()), st.integers(0, 2**32), st.data())
+def test_the_structural_delta_equals_a_fresh_decode_and_score(view, seed, data):
+    if view.node_count == 0:
+        return
+    config = GAConfig(population_size=6, max_evaluations=400, mutation_rate=0.3, seed=seed)
+    state = init_population(view, config)
+    for _ in range(3):
+        for _ in range(3):
+            step(state)
+        old = state.view
+        batch = data.draw(mixed_structural_batches(old))
+        snapshot = old.base
+        for ev in batch:
+            snapshot = snapshot.apply(ev)
+        new = AttributeView(snapshot, view.attrs, view.aggregation)
+        if new.node_count == 0:
+            return
+        members = (*state.population, state.best)
+        carried = _carried_members(state, new)
+        keeps = [_keeps_clusters(m.chromosome, c, old, new) for m, c in zip(members, carried)]
+        extended = []
+        with pytest.MonkeyPatch.context() as mp:
+            decodes = _counting_decodes(mp, state)
+            extend = state.scheme.extend
+            mp.setattr(state, "scheme", replace(
+                state.scheme, extend=lambda *a: extended.append(extend(*a)) or extended[-1]))
+            apply_events(state, batch)
+        if state.view.nodes is old.nodes:
+            # zeroing an attribute outside the view can leave a batch weight-only
+            assert decodes == extended == []
+        else:
+            # the members that keep their clusters take the delta, the rest decode
+            assert len(decodes) == keeps.count(False)
+            assert sum(labels is not None for labels in extended) == keeps.count(True)
+            assert [ind.chromosome for ind in state.population] == carried[:-1]
+        for ind in {id(ind): ind for ind in (*state.population, state.best)}.values():
+            labels = state.scheme.decode(ind.chromosome, new)
+            value, k, weight_in, ties = score_terms(labels, labels, new)
+            assert (ind.value, ind.labels, ind.k, ind.weight_in, ind.ties) == (
+                value, pack_labels(labels), k, weight_in, pack_labels(ties))
+            assert ind.version == new.version
+
+
+def test_a_run_with_every_observation_counted_afresh_is_the_same_run(emails):
+    # the kept tally is patched only where a full count gives the same records
+    config = GAConfig(population_size=10, max_evaluations=800, checkpoint_every=20, seed=4)
+    events = _table1_stream(emails)
+    want = run(emails, config, events)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = []
+        mp.setattr(engine.analysis, "retally",
+                   lambda kept, view, labels: passes.append(1) or analysis.Tally(view, labels))
+        got = run(emails, config, events)
+    # one observation after each batch and one at each checkpoint
+    assert want.state.view.version == len(events)
+    assert len(passes) == len(events) + len(want.checkpoints)
+    assert (got.partition, got.value, got.checkpoints, got.noa_history, got.unapplied_ticks) == (
+        want.partition, want.value, want.checkpoints, want.noa_history, want.unapplied_ticks
+    )
+
+
 def _fresh_terms(state, labels):
     """`score_terms` of decoded labels at the live view, without the memo."""
     view = state.view
@@ -815,9 +962,10 @@ def _scored_afresh(state, chrom):
     """`_evaluate` without the score memo: decode against the live view and
     score, one evaluation."""
     labels = state.scheme.decode(chrom, state.view)
-    value, k, weight_in = _fresh_terms(state, labels)
+    value, k, weight_in, ties = _fresh_terms(state, labels)
     state.evaluations += 1
-    return Individual(chrom, value, state.view.version, pack_labels(labels), k, weight_in)
+    return Individual(chrom, value, state.view.version, pack_labels(labels), k, weight_in,
+                      pack_labels(ties))
 
 
 REFERENCE_CROSSOVER = {
@@ -975,7 +1123,8 @@ def _assert_memo_is_fresh(state):
     """Every memo entry is the score of its labels at the live view."""
     for labels, scored in state.memo.items():
         assert scored[0] is labels
-        assert scored[1:] == _fresh_terms(state, unpack_labels(labels).tolist())
+        value, k, weight_in, ties = _fresh_terms(state, unpack_labels(labels).tolist())
+        assert scored[1:] == (value, k, weight_in, pack_labels(ties))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

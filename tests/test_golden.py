@@ -8,11 +8,13 @@ made on purpose updates the literals by hand, in the same change.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from noaga.cli import main
+from noaga.encoding import LOCUS, SCHEME_TABLE
 
 ORACLE_GRAPH = (
     "node_a\tnode_b\tcalls\ttexts\n"
@@ -350,12 +352,25 @@ def test_cli_outputs_match_golden_digests(inputs, tmp_path):
     assert got == GOLDEN
 
 
-def test_the_planted_hard_cases_stop_before_convergence(inputs, tmp_path):
+@pytest.mark.parametrize("name", ["cluster-planted-hard", "stream-planted-hard"])
+def test_the_planted_hard_cases_stop_before_convergence(inputs, tmp_path, name):
     # a case whose elite still improves between checkpoints pins the search
     # itself, not only the optimum it converges to
-    runs = dict(_runs(inputs))
-    for name in ("cluster-planted-hard", "stream-planted-hard"):
-        _run(tmp_path / name, runs[name])
-        lines = (tmp_path / name / "ck.jsonl").read_text().splitlines()
-        totals = [row["best_total"] for row in map(json.loads, lines) if "best_total" in row]
-        assert sum(b > a for a, b in zip(totals, totals[1:])) >= 2, (name, totals)
+    _run(tmp_path / name, dict(_runs(inputs))[name])
+    lines = (tmp_path / name / "ck.jsonl").read_text().splitlines()
+    totals = [row["best_total"] for row in map(json.loads, lines) if "best_total" in row]
+    assert sum(b > a for a, b in zip(totals, totals[1:])) >= 2, totals
+
+
+def test_the_planted_hard_stream_takes_the_structural_delta_and_the_decode(
+    inputs, tmp_path, monkeypatch
+):
+    # its structural batches renew some members by the delta and decode
+    # others, so its digests pin that the two paths write the same bytes
+    record = SCHEME_TABLE[LOCUS]
+    extended = []
+    monkeypatch.setitem(SCHEME_TABLE, LOCUS, replace(
+        record, extend=lambda *a: extended.append(record.extend(*a)) or extended[-1]))
+    _run(tmp_path / "stream", dict(_runs(inputs))["stream-planted-hard"])
+    kept = sum(labels is not None for labels in extended)
+    assert 0 < kept < len(extended), (kept, len(extended))

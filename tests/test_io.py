@@ -29,7 +29,7 @@ from noaga import (
     fitness,
     io,
 )
-from noaga.analysis import cluster_stats, find_noa, noa_records
+from noaga.analysis import NoARecord, cluster_stats, find_noa, noa_records
 from noaga.engine import Checkpoint
 from noaga.fitness import FitnessValue, density
 
@@ -518,6 +518,32 @@ def test_noa_log_round_trip(emails, tmp_path):
     assert tuple(got) == records
     lines = (tmp_path / "noa.jsonl").read_text().splitlines()
     assert '"edges": 6' in lines[2] and '"weight": 23' in lines[2]
+
+
+def test_noa_log_lines_are_what_json_makes_of_each_record(tmp_path):
+    # a pair met at the tick before or at the same tick is not encoded
+    # again, one met earlier is, and equal members under other attrs are
+    # another pair
+    members = (1, 2, 3)
+    attrs = ("emails", "posts\u00e9", 'a"b')
+    records = [NoARecord(0, attrs, members, 1, 2, 3),
+               NoARecord(0, attrs, (4, 5), 4, 1, 1),
+               NoARecord(5, attrs, members, 2, 2, 9),
+               NoARecord(6, attrs, (4, 5), 4, 1, 1),
+               NoARecord(6, attrs, members, 2, 2, 9),
+               NoARecord(7, ("w",), (4, 5), 4, 0, -1)]
+    path = str(tmp_path / "noa.jsonl")
+    io.write_noa_log(records, {"seed": 1}, path)
+    want = [{"header": {"seed": 1}}] + [
+        {"tick": r.tick, "attrs": list(r.attrs), "members": list(r.members), "noa": r.noa,
+         "edges": r.edge_count, "weight": r.total_weight} for r in records
+    ]
+    assert Path(path).read_text(encoding="utf-8") == "".join(json.dumps(o) + "\n" for o in want)
+    # a field that is no int is written, but the reader refuses it
+    for noa in (True, 2.5):
+        io.write_noa_log([NoARecord(0, ("w",), (1,), noa, 0, 0)], {}, path)
+        with pytest.raises(ParseError):
+            io.read_noa_log(path)
 
 
 @pytest.mark.parametrize("line", ["5", "[1, 2]", '"header"', "null"])
