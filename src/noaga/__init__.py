@@ -20,9 +20,10 @@ Quick start::
 __version__ = "0.1.0"
 
 # Without cached bytecode every module's source is parsed at import, and
-# io's parse is one of the two largest transients: imported first, it does
-# not stack on the code of the other modules, so code added to them does
-# not raise the import's peak memory
+# the parses of graph and io are the two largest transients: imported
+# first, the larger first, they do not stack on the code of the other
+# modules, so code added to those does not raise the import's peak memory
+from . import graph  # noqa: F401
 from . import io  # noqa: F401
 
 from .analysis import (

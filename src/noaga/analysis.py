@@ -145,10 +145,10 @@ class Tally:
         return max(zip(cluster, ixs), key=lambda m: (ties[m[1]], weight[m[1]]))[0]
 
     def reweigh(self, view: AttributeView) -> None:
-        """Move the tally to `view`, which has this tally's edges (its
-        `pairs` are this view's) and may differ in their weights alone:
-        patch the weights that moved, and pick again the NoA of each cluster
-        whose intra weight one of them moved."""
+        """Move the tally to `view`, which has this tally's nodes and edges
+        (its `nodes` and `pairs` are this view's) and may differ in their
+        weights alone: patch the weights that moved, and pick again the NoA
+        of each cluster whose intra weight one of them moved."""
         old, new = self.view.weights, view.weights
         self.view = view
         if new is old:
@@ -182,8 +182,10 @@ class Tally:
 def retally(kept: Tally | None, view: AttributeView, labels: Sequence[int]) -> Tally:
     """The tally of `labels`, which cover the view's active nodes, at
     `view`: `kept` moved to `view` (`Tally.reweigh`) when it counted equal
-    labels over the same edges, else a new count."""
-    if kept is not None and kept.view.pairs is view.pairs and kept.labels == labels:
+    labels over the same nodes and edges, else a new count. Edgeless views
+    share the empty `pairs` whatever their nodes, so both are compared."""
+    if (kept is not None and kept.view.nodes is view.nodes and kept.view.pairs is view.pairs
+            and kept.labels == labels):
         kept.reweigh(view)
         return kept
     return Tally(view, labels)

@@ -17,24 +17,24 @@ An evaluation takes one of four paths, and each counts as one:
   its labels scored (`fitness.score_terms`);
 - memo hit: the decoded labels are in the run state's score memo, which
   skips scoring;
-- weight-only rescore: after a weight-only batch (`AttributeView.reweighted`
-  defines it), which cannot change a decoded partition, each member is
-  re-scored from the cluster labels, cluster count and intra-cluster weight
+- weight-only rescore: after a weight-only batch (`AttributeView.successor`
+  says which), which cannot change a decoded partition, each member is
+  re-scored from the cluster labels, intra-cluster weight and tie counts
   cached when it was scored (`fitness.rescore`), without a decode;
 - structural delta: after any other batch every member is carried over to
   the new view, and under a scheme with `extend` (locus) a member whose
   genes all survive, on a view whose node order starts with the old one,
   keeps its clusters: its labels are extended to the new nodes and it is
   re-scored from its cached labels and per-cluster tie counts plus the
-  batch's edge changes (`AttributeView.edge_changes`,
-  `fitness.delta_terms`), without a decode. Every other member is decoded.
+  batch's edge changes (`AttributeView.successor`, `fitness.delta_terms`),
+  without a decode. Every other member is decoded.
 
 The memo serves the decode and delta paths: many chromosomes decode to one
 partition, a child equal to a parent decodes to the parent's, and a
 converged population keeps producing partitions it has scored. It maps
 packed labels (`pack_labels`: 4 bytes per node) to themselves and the
-score, cluster count, intra-cluster weight and packed tie counts they were
-scored to at the live view; it holds at most population_size entries,
+score, intra-cluster weight and packed tie counts they were scored to at
+the live view; it holds at most population_size entries,
 dropping the oldest on insert, and is cleared whenever the view is
 replaced, so no entry outlives its view version. A hit hands the member the
 memo's own key. The worst member is looked up again only after the
@@ -42,9 +42,9 @@ population changed.
 
 A run records the elite's NoAs after every batch and at every checkpoint
 from a tally (`analysis.Tally`) it keeps between observations: one that
-counted the same labels over the same edges is patched with the weights
-that moved, and any other observation counts afresh. The run builds a
-Partition only for its result.
+counted the same labels over the same nodes and edges is patched with the
+weights that moved, and any other observation counts afresh. The run
+builds a Partition only for its result.
 
 Every random draw comes from one seeded RNG on the serial loop, so equal
 seed, input, and events replay bit-identical runs.
@@ -104,9 +104,9 @@ class GAConfig:
 class Individual:
     """Chromosome with its cached score and the snapshot version it was
     scored against, plus what a batch re-scores it from: the cluster label
-    of each active node in view order, the cluster count k, the
-    intra-cluster aggregated weight and the intra tie count of each
-    cluster. The cache is valid only at that version. `labels` is packed
+    of each active node in view order, the intra-cluster aggregated weight
+    and the intra tie count of each cluster, whose number is the cluster
+    count. The cache is valid only at that version. `labels` is packed
     (`pack_labels`) and is the key of the score memo entry the member was
     scored from, so members scored from one entry share one copy;
     `unpack_labels` reads it back. `ties` is packed the same way."""
@@ -115,7 +115,6 @@ class Individual:
     value: FitnessValue
     version: int
     labels: bytes
-    k: int
     weight_in: int
     ties: bytes
 
@@ -139,7 +138,7 @@ class GAState:
     `best` is the elite itself, never a copy: no Individual changes once made.
 
     `memo` maps the packed labels of each partition scored at the live view,
-    oldest first, to (those labels, value, k, weight_in, packed ties);
+    oldest first, to (those labels, value, weight_in, packed ties);
     `_memoised` fills it and keeps at most config.population_size entries,
     and `apply_events` clears it with every view it installs."""
 
@@ -156,7 +155,7 @@ class GAState:
     worst: int | None = None
     # the record of config.scheme: the engine's only way to a chromosome
     scheme: Scheme = field(init=False, repr=False)
-    memo: dict[bytes, tuple[bytes, FitnessValue, int, int, bytes]] = field(init=False, repr=False)
+    memo: dict[bytes, tuple[bytes, FitnessValue, int, bytes]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scheme = SCHEME_TABLE[self.config.scheme]
@@ -192,43 +191,44 @@ def _evaluate(state: GAState, chrom: Chromosome) -> Individual:
 
 def _memoised(
     state: GAState, chrom: Chromosome, decoded: list[int],
-    score: Callable[[], tuple[FitnessValue, int, int, list[int]]],
+    score: Callable[[], tuple[FitnessValue, int, list[int]]],
 ) -> Individual:
     """The member of `chrom`, which has the cluster labels `decoded` at the
     live view: its labels and score from the memo entry of those labels,
-    or from `score()`, the (value, k, weight_in, ties) of `decoded`, which
+    or from `score()`, the (value, weight_in, ties) of `decoded`, which
     is then memoised. Costs one evaluation either way."""
     labels = pack_labels(decoded)
     memo = state.memo
     scored = memo.get(labels)
     if scored is None:
-        value, k, weight_in, ties = score()
-        scored = (labels, value, k, weight_in, pack_labels(ties))
+        value, weight_in, ties = score()
+        scored = (labels, value, weight_in, pack_labels(ties))
         if len(memo) >= state.config.population_size:
             del memo[next(iter(memo))]
         memo[labels] = scored
     state.evaluations += 1
-    labels, value, k, weight_in, ties = scored
-    return Individual(chrom, value, state.view.version, labels, k, weight_in, ties)
+    labels, value, weight_in, ties = scored
+    return Individual(chrom, value, state.view.version, labels, weight_in, ties)
 
 
 def _rescore(
-    state: GAState, ind: Individual, version: int, deltas: list[tuple[int, int, int]]
+    state: GAState, ind: Individual, version: int, changes: list[tuple[int, int, int, int]]
 ) -> Individual:
     """Re-score an individual scored at `version` after a weight-only batch:
-    each of the batch's weight changes (`AttributeView.reweighted`) on an
-    edge inside one of its clusters moves its intra-cluster weight. Costs
-    one evaluation."""
+    each of the batch's `changes` (`AttributeView.successor`, whose tie
+    changes are all 0 here) on an edge inside one of its clusters moves its
+    intra-cluster weight. Costs one evaluation."""
     check_version("individual", ind.version, version)
     labels = unpack_labels(ind.labels)
     weight_in = ind.weight_in
-    for a, b, delta in deltas:
+    for a, b, _, delta in changes:
         if labels[a] == labels[b]:
             weight_in += delta
     view = state.view
-    value = rescore(ind.value, ind.k, weight_in, view.total_weight)
+    # one tie count per cluster
+    value = rescore(ind.value, len(unpack_labels(ind.ties)), weight_in, view.total_weight)
     state.evaluations += 1
-    return Individual(ind.chromosome, value, view.version, ind.labels, ind.k, weight_in, ind.ties)
+    return Individual(ind.chromosome, value, view.version, ind.labels, weight_in, ind.ties)
 
 
 def _regroup(
@@ -240,7 +240,7 @@ def _regroup(
     the order of the view of `version`, at which `ind` was scored. When the
     scheme can `extend` `ind`'s labels to `carried`, they are re-scored
     from `ind`'s tie counts and intra-cluster weight plus the batch's edge
-    `changes` (`AttributeView.edge_changes`); otherwise `carried` is
+    `changes` (`AttributeView.successor`); otherwise `carried` is
     decoded and scored. Costs one evaluation."""
     check_version("individual", ind.version, version)
     view = state.view
@@ -326,13 +326,13 @@ def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
     evaluations), then max-merge the elite with the population, since an
     event can demote it.
 
-    A weight-only batch (`AttributeView.reweighted`) patches the view and
-    re-scores each individual from its cached labels, cluster count and
-    intra-cluster weight. Any other batch rebuilds the view, carries each
-    chromosome over to it with the scheme's `carry_over` and re-evaluates
-    every individual: by the structural delta (`_regroup`) under a scheme
-    with `extend` when the new node order starts with the old one, by a
-    decode otherwise.
+    One `AttributeView.successor` call gives the new view, the batch's edge
+    changes and whether it was weight-only. A weight-only batch re-scores
+    each individual from its cached labels, tie counts and intra-cluster
+    weight. Any other batch carries each chromosome over to the new view
+    with the scheme's `carry_over` and re-evaluates every individual: by
+    the structural delta (`_regroup`) under a scheme with `extend` when the
+    new node order starts with the old one, by a decode otherwise.
 
     An element that is no UpdateEvent raises ConfigInvalid; an event that
     cannot be applied, or a batch that leaves the view with no active nodes,
@@ -348,25 +348,21 @@ def apply_events(state: GAState, batch: Iterable[UpdateEvent]) -> None:
             raise EventError(ev.tick, str(exc)) from exc
         done.append(applied)
     old = state.view
-    patched = old.reweighted(snapshot, done)
-    if patched is None:
-        # the run stays on the attrs/aggregation of the view it started from
-        view = AttributeView(snapshot, old.attrs, old.aggregation)
-        if view.node_count == 0:
-            raise EventError(batch[-1].tick, "the batch leaves the view with no active nodes")
+    view, changes, weight_only = old.successor(snapshot, done)
+    if view.node_count == 0:
+        raise EventError(batch[-1].tick, "the batch leaves the view with no active nodes")
+    if weight_only:
+        def renew(ind: Individual) -> Individual:
+            return _rescore(state, ind, old.version, changes)
+    else:
         carry_over, rng = state.scheme.carry_over, state.rng
-        changes = old.edge_changes(view, done) if state.scheme.extend else None
+        changes = changes if state.scheme.extend else None
 
         def renew(ind: Individual) -> Individual:
             carried = carry_over(ind.chromosome, view, rng)
             if changes is None:
                 return _evaluate(state, carried)
             return _regroup(state, ind, old.version, carried, changes)
-    else:
-        view, changes = patched
-
-        def renew(ind: Individual) -> Individual:
-            return _rescore(state, ind, old.version, changes)
     state.applied.extend(done)
     state.view = view
     # memo entries hold scores at the old view

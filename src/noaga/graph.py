@@ -356,16 +356,16 @@ class AttributeView:
     edges at all in the snapshot (just-added isolates). Nodes whose every
     incident edge is zero under the chosen attributes are not in the view.
     `weigh(vec)` aggregates a snapshot weight vector into this view's edge
-    weight; the edge is active iff that is positive. `reweighted` decides
-    whether a batch of events is weight-only and, if so, patches this view
-    into the view of the snapshot the batch led to; `edge_changes` measures
-    any other batch against the view built after it.
+    weight; the edge is active iff that is positive. `successor` moves the
+    view across a batch of events: it decides whether the batch is
+    weight-only, patches or rebuilds the view, and measures what the batch
+    did to the active edges.
 
     Two lookup tables are built on their first read, never while a view is
     built, so a run pays only for the ones it reads: `pair_index`, read by
-    edge-removal decode and carry-over, by `reweighted` and `weight_of`;
-    and `neighbours`, read by the locus operators. A
-    `reweighted` successor shares each table that is built by then.
+    edge-removal decode and carry-over and by `weight_of`; and
+    `neighbours`, read by the locus operators. The successor of a
+    weight-only batch shares each table that is built by then.
     """
 
     def __init__(
@@ -418,75 +418,56 @@ class AttributeView:
         self.ea: tuple[int, ...] = tuple([node_index[a] for a, _ in pairs])
         self.eb: tuple[int, ...] = tuple([node_index[b] for _, b in pairs])
 
-    def reweighted(
+    def successor(
         self, base: GraphSnapshot, applied: Sequence[AppliedEvent]
-    ) -> "tuple[AttributeView, list[tuple[int, int, int]]] | None":
-        """The one definition of a weight-only batch, and its measure.
+    ) -> "tuple[AttributeView, list[tuple[int, int, int, int]] | None, bool]":
+        """The view of `base` on this view's attributes, what the batch
+        `applied` (the events that took this view's snapshot to `base`) did
+        to its active edges, and whether that batch was weight-only.
 
-        `applied` are the events that took this view's snapshot to `base`.
         The batch is weight-only when every event is an update_weight whose
-        edge stays in `base` and is active on this view's attributes there
-        exactly when it is active here. It then leaves the node and edge
-        sets as they are, so it cannot change a decoded partition. None for
-        any other batch, whose view needs a full build.
+        edge stays in `base` and is active there exactly when it is active
+        here. It leaves the node and edge sets as they are, so it cannot
+        change a decoded partition, and its view is a copy of this one that
+        shares the edge and node tables and each lookup table built by
+        then. Any other batch gets a full build.
 
-        For a weight-only batch, returns the view of `base` on this view's
-        attributes and one (endpoint index, endpoint index, weight change)
-        per active edge whose aggregated weight moved. The view shares the
-        edge and node tables with this one, and each lookup table built by
-        then; only the weights and the total are new. Nothing is re-sorted."""
-        if any(a.event.kind is not EventKind.UPDATE_WEIGHT for a in applied):
-            return None
-        changed: dict[int, int] = {}
-        for key in {a.pair for a in applied}:
-            vec = base.edges.get(key)
-            if vec is None:
-                return None
-            w = self.weigh(vec)
-            idx = self.pair_index.get(key)
-            if (w > 0) != (idx is not None):
-                return None
-            if idx is not None and w != self.weights[idx]:
-                changed[idx] = w
-        changes = [(self.ea[idx], self.eb[idx], w - self.weights[idx])
-                   for idx, w in changed.items()]
-        view = copy.copy(self)
-        view.base = base
-        view.version = base.version
-        if changed:
-            weights = list(self.weights)
-            for idx, w in changed.items():
-                view.total_weight += w - weights[idx]
-                weights[idx] = w
-            view.weights = tuple(weights)
-        return view, changes
-
-    def edge_changes(
-        self, view: "AttributeView", applied: Sequence[AppliedEvent]
-    ) -> list[tuple[int, int, int, int]] | None:
-        """What `applied`, the events that took this view's snapshot to
-        `view`'s, did to the active edges: one (endpoint index, endpoint
-        index, tie change, weight change) per pair they touched whose
-        aggregated weight moved, in `view`'s node order. The tie change is
-        +1 for an edge that became active, -1 for one that left and 0 for
-        one re-weighted. None unless `view`'s node order starts with this
-        view's, so that this view's node indices hold in `view` too. Each
-        pair is looked up in the sorted `pairs` of both views."""
-        if view.nodes[:len(self.nodes)] != self.nodes:
-            return None
-        index = view.node_index
-        changes = []
+        The changes are one (endpoint index, endpoint index, tie change,
+        weight change) per touched pair whose aggregated weight moved, in
+        pair order and the new view's indices. The tie change is +1 for an
+        edge that became active, -1 for one that left, 0 for one
+        re-weighted. None unless the new node order starts with this
+        view's, so that this view's node indices hold there too."""
+        weight_only = all(a.event.kind is EventKind.UPDATE_WEIGHT for a in applied)
+        pairs, weights, edges = self.pairs, self.weights, base.edges
+        moved = []
         for pair in sorted({a.pair for a in applied if a.pair is not None}):
-            old, new = self._weight_or_0(pair), view._weight_or_0(pair)
+            i = bisect_left(pairs, pair)
+            old = weights[i] if i < len(pairs) and pairs[i] == pair else 0
+            vec = edges.get(pair)
+            new = 0 if vec is None else self.weigh(vec)
+            if vec is None or (new > 0) != (old > 0):
+                weight_only = False
             if new != old:
-                a, b = pair
-                changes.append((index[a], index[b], (new > 0) - (old > 0), new - old))
-        return changes
-
-    def _weight_or_0(self, pair: Pair) -> int:
-        """Aggregated weight of `pair`, 0 when it is not active here."""
-        i = bisect_left(self.pairs, pair)
-        return self.weights[i] if i < len(self.pairs) and self.pairs[i] == pair else 0
+                moved.append((pair, i, old, new))
+        if weight_only:
+            view = copy.copy(self)
+            view.base = base
+            view.version = base.version
+            if moved:
+                patched = list(weights)
+                for _, i, old, new in moved:
+                    patched[i] = new
+                    view.total_weight += new - old
+                view.weights = tuple(patched)
+        else:
+            view = AttributeView(base, self.attrs, self.aggregation)
+            if view.nodes[:len(self.nodes)] != self.nodes:
+                return view, None, False
+        index = view.node_index
+        changes = [(index[a], index[b], (new > 0) - (old > 0), new - old)
+                   for (a, b), _, old, new in moved]
+        return view, changes, weight_only
 
     @cached_property
     def pair_index(self) -> dict[Pair, int]:
@@ -498,8 +479,8 @@ class AttributeView:
         """The node ids adjacent to each active node, in view order, each
         ascending; an isolate's entry is the node itself. Built on the first
         read, which only the locus operators make, so building a view does
-        not pay for it. A `reweighted` successor, whose edge set is this
-        view's, shares the table once it is built."""
+        not pay for it. The successor of a weight-only batch, whose edge set
+        is this view's, shares the table once it is built."""
         adjacent: list[list[int]] = [[] for _ in self.nodes]
         for (a, b), ia, ib in zip(self.pairs, self.ea, self.eb):
             adjacent[ia].append(b)

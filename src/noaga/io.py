@@ -465,18 +465,19 @@ def read_partition_json(path: str) -> tuple[dict, Partition]:
 # ------------------------------------------------------------------ JSONL logs
 
 
-def _jsonl(meta: dict, objs: Iterable[dict]) -> Iterator[str]:
-    """A JSONL log: the header line, then one JSON object per line."""
+def _jsonl(meta: dict, lines: Iterable[str]) -> Iterator[str]:
+    """A JSONL log: the header line `read_noa_log` checks for, then `lines`,
+    one JSON object each."""
     yield json.dumps({"header": meta}) + "\n"
-    for obj in objs:
-        yield json.dumps(obj) + "\n"
+    yield from lines
 
 
 def write_checkpoint_log(checkpoints: Iterable[Checkpoint], meta: dict, path: str) -> None:
     atomic_write_chunks(path, _jsonl(meta, (
-        {"iteration": c.iteration, "evaluations": c.evaluations,
-         "snapshot_version": c.snapshot_version, "best_total": c.best_total,
-         "cluster_count": c.cluster_count, "cluster_sizes": list(c.cluster_sizes)}
+        json.dumps({"iteration": c.iteration, "evaluations": c.evaluations,
+                    "snapshot_version": c.snapshot_version, "best_total": c.best_total,
+                    "cluster_count": c.cluster_count,
+                    "cluster_sizes": list(c.cluster_sizes)}) + "\n"
         for c in checkpoints
     )))
 
@@ -490,7 +491,6 @@ def write_noa_log(records: Iterable[NoARecord], meta: dict, path: str) -> None:
     encoded again; keeping those two ticks' pairs alone bounds the memory."""
 
     def lines() -> Iterator[str]:
-        yield json.dumps({"header": meta}) + "\n"
         tick, seen, before = None, {}, {}
         for r in records:
             if r.tick != tick:
@@ -501,7 +501,7 @@ def write_noa_log(records: Iterable[NoARecord], meta: dict, path: str) -> None:
             yield '{"tick": %s, %s, "noa": %s, "edges": %s, "weight": %s}\n' % (
                 r.tick, pair, r.noa, r.edge_count, r.total_weight)
 
-    atomic_write_chunks(path, lines())
+    atomic_write_chunks(path, _jsonl(meta, lines()))
 
 
 def read_noa_log(path: str) -> tuple[dict, list[NoARecord]]:

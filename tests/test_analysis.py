@@ -87,14 +87,14 @@ def test_noa_records_version_check(emails):
 
 
 def _reweighted(view, batch):
-    """The view after `batch` by `AttributeView.reweighted`, or None when
+    """The view after `batch` by `AttributeView.successor`, or None when
     the batch is not weight-only."""
     snapshot, applied = view.base, []
     for ev in batch:
         snapshot, done = snapshot.apply_traced(ev)
         applied.append(done)
-    patched = view.reweighted(snapshot, applied)
-    return None if patched is None else patched[0]
+    patched, _, weight_only = view.successor(snapshot, applied)
+    return patched if weight_only else None
 
 
 def _cycle_view():
@@ -158,6 +158,18 @@ def test_a_tally_counts_afresh_for_other_labels_or_other_edges():
     assert retally(tally, view, [0, 0, 1, 1, 2, 2]) is not tally
     rebuilt = AttributeView(view.base, view.attrs, view.aggregation)
     assert retally(tally, rebuilt, labels) is not tally
+
+
+def test_a_tally_counts_afresh_for_an_edgeless_view_of_other_nodes():
+    # edgeless views share the empty `pairs` tuple whatever their nodes
+    schema = AttributeSchema(("a",))
+    first = AttributeView(GraphSnapshot.build(schema, [], extra_nodes=[5, 6]))
+    second = AttributeView(GraphSnapshot.build(schema, [], extra_nodes=[7, 8]))
+    assert first.pairs is second.pairs
+    tally = retally(None, first, [0, 1])
+    moved = retally(tally, second, [0, 1])
+    assert moved is not tally and moved.noas == [7, 8]
+    assert moved.records(1) == noa_records(Partition.from_labels(second, [0, 1]), second, 1)
 
 
 def test_linkage_nodes_frozen(emails):

@@ -213,6 +213,31 @@ def test_stream_refuses_a_batch_that_empties_the_view(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stream_names_the_noas_of_the_live_view_after_an_edgeless_batch(tmp_path):
+    # on a, the view holds 5 and 6 alone once (1, 2) is zeroed, then 7 and 8
+    # alone once (5, 6) arrives inactive: two edgeless views, equal labels
+    src = tmp_path / "g.tsv"
+    src.write_text("node_a\tnode_b\ta\tb\n1\t2\t3\t1\n")
+    events = tmp_path / "events.jsonl"
+    events.write_text(
+        '{"tick": 1, "kind": "add_node", "node": 5}\n'
+        '{"tick": 1, "kind": "add_node", "node": 6}\n'
+        '{"tick": 3, "kind": "update_weight", "a": 1, "b": 2, "attr": "a", "value": 0}\n'
+        '{"tick": 5, "kind": "add_node", "node": 7}\n'
+        '{"tick": 5, "kind": "add_node", "node": 8}\n'
+        '{"tick": 5, "kind": "add_edge", "a": 5, "b": 6, "weights": [0, 1]}\n'
+    )
+    out, log = tmp_path / "part.json", tmp_path / "noa.jsonl"
+    assert main(["stream", "-i", str(src), "--attr", "a", "--events", str(events),
+                 "--seed", "0", "--checkpoint-every", "1", "--population-size", "4",
+                 "--iterations", "30", "-o", str(out), "--noa-log", str(log)]) == 0
+    clusters = json.loads(out.read_text())["clusters"]
+    assert [(c["members"], c["noa"]) for c in clusters] == [([7], 7), ([8], 8)]
+    _, records = io.read_noa_log(str(log))
+    late = [(r.members, r.noa) for r in records if r.tick >= 5]
+    assert late and set(late) == {((7,), 7), ((8,), 8)}
+
+
 def test_stream_refuses_a_label_that_is_not_unicode_text(tmp_path, capsys):
     # JSON accepts an escaped lone surrogate, which no writer can encode as UTF-8
     src = tmp_path / "g.tsv"

@@ -88,7 +88,7 @@ def fake_state(totals, view, seed=0):
     pop = [
         Individual(
             EdgeRemovalChromosome(()), FitnessValue(t, 0.0, 0.0, 0), 0,
-            [0] * view.node_count, 1, view.total_weight, pack_labels([view.edge_count]),
+            [0] * view.node_count, view.total_weight, pack_labels([view.edge_count]),
         )
         for t in totals
     ]
@@ -661,23 +661,33 @@ def _counting_decodes(mp, state):
     return calls
 
 
+_SUCCESSOR = AttributeView.successor
+
+
+def _rebuilt_successor(view, base, applied):
+    """`AttributeView.successor` as if no batch were weight-only: a full
+    build, with the batch's changes."""
+    _, changes, _ = _SUCCESSOR(view, base, applied)
+    return AttributeView(base, view.attrs, view.aggregation), changes, False
+
+
 def _apply_counting_decodes(state, batch, *, full=False):
     """apply_events, returning how many chromosomes it decoded; `full`
     forces the rebuild path, as if no batch were weight-only."""
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_decodes(mp, state)
         if full:
-            mp.setattr(AttributeView, "reweighted", lambda *a: None)
+            mp.setattr(AttributeView, "successor", _rebuilt_successor)
         apply_events(state, batch)
     return len(calls)
 
 
 def _run_state(state):
     return (
-        [(i.chromosome, i.value, i.version, i.labels, i.k, i.weight_in, i.ties)
+        [(i.chromosome, i.value, i.version, i.labels, i.weight_in, i.ties)
          for i in state.population],
         (state.best.chromosome, state.best.value, state.best.version, state.best.labels,
-         state.best.k, state.best.weight_in, state.best.ties),
+         state.best.weight_in, state.best.ties),
         state.evaluations, state.iteration, state.rng.getstate(), list(state.applied),
         state.view.pairs, state.view.weights, state.view.total_weight, state.view.nodes,
     )
@@ -927,9 +937,9 @@ def test_the_structural_delta_equals_a_fresh_decode_and_score(view, seed, data):
             assert [ind.chromosome for ind in state.population] == carried[:-1]
         for ind in {id(ind): ind for ind in (*state.population, state.best)}.values():
             labels = state.scheme.decode(ind.chromosome, new)
-            value, k, weight_in, ties = score_terms(labels, labels, new)
-            assert (ind.value, ind.labels, ind.k, ind.weight_in, ind.ties) == (
-                value, pack_labels(labels), k, weight_in, pack_labels(ties))
+            value, weight_in, ties = score_terms(labels, labels, new)
+            assert (ind.value, ind.labels, ind.weight_in, ind.ties) == (
+                value, pack_labels(labels), weight_in, pack_labels(ties))
             assert ind.version == new.version
 
 
@@ -962,9 +972,9 @@ def _scored_afresh(state, chrom):
     """`_evaluate` without the score memo: decode against the live view and
     score, one evaluation."""
     labels = state.scheme.decode(chrom, state.view)
-    value, k, weight_in, ties = _fresh_terms(state, labels)
+    value, weight_in, ties = _fresh_terms(state, labels)
     state.evaluations += 1
-    return Individual(chrom, value, state.view.version, pack_labels(labels), k, weight_in,
+    return Individual(chrom, value, state.view.version, pack_labels(labels), weight_in,
                       pack_labels(ties))
 
 
@@ -1123,8 +1133,8 @@ def _assert_memo_is_fresh(state):
     """Every memo entry is the score of its labels at the live view."""
     for labels, scored in state.memo.items():
         assert scored[0] is labels
-        value, k, weight_in, ties = _fresh_terms(state, unpack_labels(labels).tolist())
-        assert scored[1:] == (value, k, weight_in, pack_labels(ties))
+        value, weight_in, ties = _fresh_terms(state, unpack_labels(labels).tolist())
+        assert scored[1:] == (value, weight_in, pack_labels(ties))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -1159,7 +1169,7 @@ def test_a_weight_only_batch_leaves_no_memoised_score_behind(emails, scheme):
     assert state.view.version == 1 and state.view.pairs == view.pairs
     got = _evaluate(state, ind.chromosome)
     want = _scored_afresh(state, ind.chromosome)
-    assert (got.value, got.k, got.weight_in) == (want.value, want.k, want.weight_in)
+    assert (got.value, got.weight_in, got.ties) == (want.value, want.weight_in, want.ties)
     assert got.weight_in == ind.weight_in + 5 and got.value != ind.value
 
 
@@ -1186,24 +1196,30 @@ def test_a_locus_run_never_builds_the_pair_index(emails):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_weight_only_batch_shares_the_pair_index_and_a_structural_one_builds_its_own(
-    emails, scheme
-):
-    config = GAConfig(population_size=6, max_evaluations=200, scheme=scheme, p_init=0.5, seed=1)
+def test_a_locus_stream_never_builds_the_pair_index_and_edge_removal_shares_it(emails, scheme):
+    # only edge-removal reads the table; measuring a batch bisects the pairs
+    config = GAConfig(population_size=6, max_evaluations=800, scheme=scheme, p_init=0.5, seed=1)
+    edge_removal = scheme == EDGE_REMOVAL
     with pytest.MonkeyPatch.context() as mp:
         builds = _counting_pair_index_builds(mp)
         view = _fresh_view(emails)
         state = init_population(view, config)
         weight_only, structural = _table1_stream(view)[:2]
         apply_events(state, [weight_only])
+        # a weight-only batch shares the table built by then
         assert state.view is not view and state.view.pairs is view.pairs
-        assert builds == [view] and state.view.pair_index is view.pair_index
+        assert builds == ([view] if edge_removal else [])
+        assert ("pair_index" in vars(state.view)) == edge_removal
+        if edge_removal:
+            assert state.view.pair_index is view.pair_index
         apply_events(state, [structural])
         rebuilt = state.view
         # only edge-removal's carry-over reads the new view's table
-        assert ("pair_index" in vars(rebuilt)) == (scheme == EDGE_REMOVAL)
-        assert rebuilt.pair_index == {p: i for i, p in enumerate(rebuilt.pairs)}
-        assert builds == [view, rebuilt]
+        assert builds == ([view, rebuilt] if edge_removal else [])
+        if scheme == LOCUS:
+            result = run(_fresh_view(emails), config, _table1_stream(emails))
+            assert result.state.view.version == 5 and builds == []
+    assert rebuilt.pair_index == {p: i for i, p in enumerate(rebuilt.pairs)}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -1266,7 +1282,7 @@ def test_apply_events_rejects_a_non_event_before_changing_the_run(two_triangle, 
 
 
 def test_the_weight_only_test_lives_in_the_view():
-    # `AttributeView.reweighted` alone decides whether a batch is weight-only
+    # `AttributeView.successor` alone decides whether a batch is weight-only
     # and what it changes; the engine neither tests event kinds nor looks
     # edges up again
     tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))

@@ -22,7 +22,13 @@ from noaga import (
 from noaga.analysis import cluster_stats
 from noaga.errors import EmptyCluster
 
-from conftest import EMAILS_TARGET, REWEIGHT_VIEWS, components, reweight_batches
+from conftest import (
+    EMAILS_TARGET,
+    REWEIGHT_VIEWS,
+    components,
+    reweight_batches,
+    structural_batches,
+)
 
 
 def test_edge_key_normalizes():
@@ -263,15 +269,14 @@ def test_reweighted_view_equals_a_fresh_build(view, data):
     weight_only = all(
         k in snap.edges and (k in fresh.pair_index) == (k in view.pair_index) for k in touched
     )
-    patched = view.reweighted(snap, applied)
-    assert (patched is not None) == weight_only
-    if patched is not None:
-        patched, changes = patched
+    patched, changes, patched_only = view.successor(snap, applied)
+    assert patched_only == weight_only
+    if weight_only:
         assert _view_fields(patched) == _view_fields(fresh)
         # one change per active edge whose aggregated weight moved, by as much
         moved = [i for i in range(view.edge_count) if fresh.weights[i] != view.weights[i]]
         assert sorted(changes) == sorted(
-            (view.ea[i], view.eb[i], fresh.weights[i] - view.weights[i]) for i in moved
+            (view.ea[i], view.eb[i], 0, fresh.weights[i] - view.weights[i]) for i in moved
         )
         labels = data.draw(st.lists(
             st.integers(-1, 3), min_size=fresh.node_count, max_size=fresh.node_count
@@ -290,21 +295,21 @@ def test_neighbour_table_is_built_on_first_read_and_shared_by_reweighted_views(v
     # building a view builds neither lookup table
     assert "neighbours" not in vars(view) and "pair_index" not in vars(view)
     snap, applied = _apply_traced(view.base, data.draw(reweight_batches(view)))
-    # nor does re-weighting one, which reads only the edge index and shares it
-    unbuilt = view.reweighted(snap, applied)
-    if unbuilt is not None:
-        unbuilt = unbuilt[0]
-        assert "neighbours" not in vars(unbuilt)
-        if applied:
-            assert unbuilt.pair_index is view.pair_index
+    # nor does moving one across a batch, which bisects the sorted pairs
+    view = AttributeView(view.base, view.attrs, view.aggregation)
+    unbuilt = view.successor(snap, applied)[0]
+    assert not {"neighbours", "pair_index"} & (vars(view).keys() | vars(unbuilt).keys())
     want = {node: [] for node in view.nodes}
     for a, b in view.pairs:
         want[a].append(b)
         want[b].append(a)
     assert view.neighbours == tuple(tuple(sorted(want[n])) or (n,) for n in view.nodes)
-    patched = view.reweighted(snap, applied)
-    if patched is not None:
-        assert patched[0].neighbours is view.neighbours
+    # a weight-only successor shares each table built by then
+    patched, _, weight_only = view.successor(snap, applied)
+    if weight_only:
+        assert patched.neighbours is view.neighbours
+        index = view.pair_index
+        assert view.successor(snap, applied)[0].pair_index is index
     if len(view.nodes) > 1:
         # a structural change builds a view with its own table
         a, b = view.nodes[0], view.nodes[-1]
@@ -326,10 +331,10 @@ def _a_view():
 
 
 def _reweigh(view, *events):
-    """What `reweighted` makes of `events` applied to the view's snapshot,
+    """What `successor` makes of `events` applied to the view's snapshot,
     and the fresh build of the snapshot they lead to."""
     snap, applied = _apply_traced(view.base, events)
-    return view.reweighted(snap, applied), AttributeView(snap, view.attrs, view.aggregation)
+    return view.successor(snap, applied), AttributeView(snap, view.attrs, view.aggregation)
 
 
 @pytest.mark.parametrize("other", [
@@ -342,46 +347,105 @@ def test_a_batch_that_mixes_in_another_kind_is_not_weight_only(other):
     view = _a_view()
     update = UpdateEvent.update_weight(1, 1, 2, "a", 5)
     for batch in ([update, other], [other, update]):
-        assert _reweigh(view, *batch)[0] is None
+        (moved, _, weight_only), fresh = _reweigh(view, *batch)
+        assert not weight_only and _view_fields(moved) == _view_fields(fresh)
 
 
 def test_reweighting_an_edge_that_stays_inactive_changes_no_weight():
     view = _a_view()
-    (patched, changes), fresh = _reweigh(view, UpdateEvent.update_weight(1, 3, 4, "b", 9))
-    assert changes == [] and _view_fields(patched) == _view_fields(fresh)
+    (patched, changes, weight_only), fresh = _reweigh(view,
+                                                      UpdateEvent.update_weight(1, 3, 4, "b", 9))
+    assert weight_only and changes == [] and _view_fields(patched) == _view_fields(fresh)
 
 
 def test_zeroing_the_last_weight_of_an_inactive_edge_is_not_weight_only():
     # the edge leaves the snapshot, and 6, with no edge left, becomes an
     # active isolate: the node set changes
     view = _a_view()
-    patched, fresh = _reweigh(view, UpdateEvent.update_weight(1, 5, 6, "b", 0))
-    assert patched is None
+    (_, _, weight_only), fresh = _reweigh(view, UpdateEvent.update_weight(1, 5, 6, "b", 0))
+    assert not weight_only
     assert 6 not in view.nodes and set(fresh.nodes) == {*view.nodes, 6}
 
 
 def test_two_updates_to_one_edge_give_one_net_change():
     view = _a_view()
     i = view.pair_index[(1, 2)]
-    (patched, changes), fresh = _reweigh(view, UpdateEvent.update_weight(1, 1, 2, "a", 5),
-                                         UpdateEvent.update_weight(1, 1, 2, "a", 7))
-    assert changes == [(view.ea[i], view.eb[i], 4)]
+    (patched, changes, weight_only), fresh = _reweigh(view,
+                                                      UpdateEvent.update_weight(1, 1, 2, "a", 5),
+                                                      UpdateEvent.update_weight(1, 1, 2, "a", 7))
+    assert weight_only and changes == [(view.ea[i], view.eb[i], 0, 4)]
     assert _view_fields(patched) == _view_fields(fresh)
     assert patched.total_weight == view.total_weight + 4
 
 
 def test_an_update_outside_the_view_changes_no_weight():
     view = _a_view()
-    (patched, changes), fresh = _reweigh(view, UpdateEvent.update_weight(1, 1, 2, "b", 9))
-    assert changes == [] and _view_fields(patched) == _view_fields(fresh)
+    (patched, changes, weight_only), fresh = _reweigh(view,
+                                                      UpdateEvent.update_weight(1, 1, 2, "b", 9))
+    assert weight_only and changes == [] and _view_fields(patched) == _view_fields(fresh)
     assert patched.weights is view.weights
 
 
 def test_endpoint_arrays_are_tuples_shared_by_a_reweighted_successor(emails):
-    (patched, _), _ = _reweigh(emails, UpdateEvent.update_weight(1, 1, 2, "emails", 9))
+    (patched, _, _), _ = _reweigh(emails, UpdateEvent.update_weight(1, 1, 2, "emails", 9))
     for name in ("ea", "eb"):
         assert type(getattr(emails, name)) is tuple
         assert getattr(patched, name) is getattr(emails, name)
+
+
+def _check_successor(view, batch):
+    """`successor` across `batch` against a fresh build of the snapshot it
+    leads to: the same fields, one change per pair whose weight moved (a
+    diff of the two views' weights by pair), and the weight-only rule."""
+    snap, applied = _apply_traced(view.base, batch)
+    fresh = AttributeView(snap, view.attrs, view.aggregation)
+    got, changes, weight_only = view.successor(snap, applied)
+    assert _view_fields(got) == _view_fields(fresh)
+    assert got.base is snap
+    old, new = dict(zip(view.pairs, view.weights)), dict(zip(fresh.pairs, fresh.weights))
+    if fresh.nodes[:view.node_count] != view.nodes:
+        assert changes is None
+    else:
+        index, diff = fresh.node_index, []
+        for a, b in sorted(old.keys() | new.keys()):
+            was, now = old.get((a, b), 0), new.get((a, b), 0)
+            if now != was:
+                diff.append((index[a], index[b], (now > 0) - (was > 0), now - was))
+        assert changes == diff
+    # every event re-weights an edge that stays in the snapshot, active
+    # here exactly when it was active before
+    assert weight_only == all(
+        a.event.kind.value == "update_weight" and a.pair in snap.edges
+        and (a.pair in old) == (a.pair in new) for a in applied
+    )
+    return got, changes, weight_only
+
+
+@settings(max_examples=400, deadline=None)
+@given(REWEIGHT_VIEWS, st.data())
+def test_successor_equals_a_fresh_build_and_a_diff_by_pair(view, data):
+    batches = st.one_of(reweight_batches(view), structural_batches(view))
+    batch = data.draw(batches)
+    if data.draw(st.booleans()):
+        # a second batch of either kind on the view the first leads to
+        mid = AttributeView(_apply_traced(view.base, batch)[0], view.attrs, view.aggregation)
+        batch += data.draw(st.one_of(reweight_batches(mid), structural_batches(mid)))
+    _check_successor(view, batch)
+
+
+def test_adding_a_node_to_an_edgeless_view_is_not_weight_only():
+    # both views have the empty `pairs`, yet the node set changed
+    view = AttributeView(GraphSnapshot.build(AttributeSchema(("a",)), [], extra_nodes=[1, 2]))
+    moved, changes, weight_only = _check_successor(view, [UpdateEvent.add_node(1, 3)])
+    assert not weight_only and changes == []
+    assert moved.pairs is view.pairs and moved.nodes == (1, 2, 3)
+
+
+def test_the_successor_of_an_update_to_an_edge_that_stays_inactive_is_weight_only():
+    view = _a_view()
+    update = UpdateEvent.update_weight(1, 3, 4, "b", 9)
+    moved, changes, weight_only = _check_successor(view, [update])
+    assert weight_only and changes == [] and moved.weights is view.weights
 
 
 def _reference_view_fields(snapshot, attrs, aggregation):
